@@ -413,24 +413,33 @@ def _prepare_method_state(method, kx, ky, dataset, config):
     return {}
 
 
-def _fit_predict(method, state, obs, mu, config, seed):
-    """Fit the configured method on one observation set and predict."""
+def _fit(method, state, obs, mu, config, seed):
+    """Fit the configured method on one observation set.
+
+    Returns the model and the function that predicts from it.
+    """
     if method == "kkmcex":
-        return kkmcex_predict(kkmcex_fit(state["kernel"], obs, mu))
+        return kkmcex_fit(state["kernel"], obs, mu), kkmcex_predict
     if method == "rrmcex":
-        return rrmcex_predict(rrmcex_fit(state["features"], obs, mu))
+        return rrmcex_fit(state["features"], obs, mu), rrmcex_predict
     if method == "orrmcex":
         model = orrmcex_run(state["features"], obs, config.schedule, mu,
                             config.epochs, seed=seed)
-        return rrmcex_predict(model)
+        return model, rrmcex_predict
     if method == "als":
         model = als_fit(obs, state["kx"], state["ky"], config.rank, mu,
                         max_iters=config.max_iters, rel_tol=config.rel_tol,
                         seed=seed)
-        return factor_predict(model)
+        return model, factor_predict
     model = factor_sgd_fit(obs, config.rank, mu, config.schedule,
                            config.epochs, seed)
-    return factor_predict(model)
+    return model, factor_predict
+
+
+def _fit_predict(method, state, obs, mu, config, seed):
+    """Fit the configured method on one observation set and predict."""
+    model, predict = _fit(method, state, obs, mu, config, seed)
+    return predict(model)
 
 
 def _kernels_for_eta(dataset, eta, base_eta):

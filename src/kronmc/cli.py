@@ -169,8 +169,8 @@ def _cmd_fit(opts):
     n, l = dataset.shape
     if opts.mu is None:
         raise InvalidInputError("fit requires --mu")
-    if opts.mu <= 0:
-        raise InvalidInputError(f"--mu must be positive, got {opts.mu}")
+    if not np.isfinite(opts.mu) or opts.mu <= 0:
+        raise InvalidInputError(f"--mu must be positive and finite, got {opts.mu}")
     if "obs" in cfg:
         obs = bench.load_triplets_csv(cfg["obs"], n, l)
     else:
@@ -182,31 +182,12 @@ def _cmd_fit(opts):
                           opts)
     state = bench._prepare_method_state(config.method, dataset.kx, dataset.ky,
                                         dataset, config)
-    est = bench._fit_predict(config.method, state, obs, config.mu_grid[0],
-                             config, opts.seed)
-    bench.save_matrix_csv(f"{opts.out}.pred.csv", est)
-    _save_fit_model(config, state, obs, opts)
+    model, predict = bench._fit(config.method, state, obs, config.mu_grid[0],
+                                config, opts.seed)
+    bench.save_matrix_csv(f"{opts.out}.pred.csv", predict(model))
+    save_model(f"{opts.out}.model.csv", model)
     print(f"wrote {opts.out}.pred.csv {opts.out}.model.csv")
     return 0
-
-
-def _save_fit_model(config, state, obs, opts):
-    from .solvers import als_fit, factor_sgd_fit, kkmcex_fit, orrmcex_run, rrmcex_fit
-
-    mu = config.mu_grid[0]
-    if config.method == "kkmcex":
-        model = kkmcex_fit(state["kernel"], obs, mu)
-    elif config.method == "rrmcex":
-        model = rrmcex_fit(state["features"], obs, mu)
-    elif config.method == "orrmcex":
-        model = orrmcex_run(state["features"], obs, config.schedule, mu,
-                            config.epochs, seed=opts.seed)
-    elif config.method == "als":
-        model = als_fit(obs, state["kx"], state["ky"], config.rank, mu, seed=opts.seed)
-    else:
-        model = factor_sgd_fit(obs, config.rank, mu, config.schedule,
-                               config.epochs, opts.seed)
-    save_model(f"{opts.out}.model.csv", model)
 
 
 def _cmd_sweep(opts):

@@ -27,7 +27,6 @@ __all__ = [
     "pearson_kernel",
     "kron_entry",
     "kron_submatrix",
-    "kron_times_selector",
     "features_from_eig",
     "features_from_svd",
     "save_feature_map",
@@ -36,6 +35,8 @@ __all__ = [
 
 PSD_TOL = 1e-8
 SYM_TOL = 1e-8
+# size of one row block of the sampled S x S gather in kron_submatrix
+GATHER_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ class KernelMatrix:
         k = np.asarray(self.matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InvalidInputError(f"kernel matrix must be square, got shape {k.shape}")
+        bad = np.argwhere(~np.isfinite(k))
+        if len(bad):
+            i, j = bad[0] + 1
+            raise InvalidInputError(f"kernel matrix entry ({i}, {j}) is not finite")
         scale = max(1.0, np.abs(k).max()) if k.size else 1.0
         if np.abs(k - k.T).max() > SYM_TOL * scale:
             raise InvalidInputError("kernel matrix must be symmetric")
@@ -208,23 +213,26 @@ def kron_submatrix(kk, sampling):
     """S x S block of the product kernel at the sampled positions.
 
     Cost is O(S^2); the full product matrix is never formed.  Row/column
-    order follows the sampling order.
+    order follows the sampling order.  The block is filled in place, one row
+    block of about GATHER_BLOCK_BYTES at a time, from the factor rows of
+    that block, so it is the only array whose size grows with S^2.
     """
     rows = sampling.row_indices0
     cols = sampling.col_indices0
-    g = kk.kx.matrix[np.ix_(rows, rows)].copy()
-    g *= kk.ky.matrix[np.ix_(cols, cols)]
+    s = len(rows)
+    g = np.empty((s, s))
+    step = max(1, min(s, GATHER_BLOCK_BYTES // (8 * max(s, 1))))
+    scratch = np.empty((step, s))
+    for start in range(0, s, step):
+        block = g[start:start + step]
+        # mode="clip" lets np.take write into out directly ("raise" buffers
+        # it); no index is clipped, since each one is also row-gathered in
+        # its own block, which raises when it lies outside the factor
+        np.take(kk.kx.matrix[rows[start:start + step]], rows, axis=1, out=block,
+                mode="clip")
+        block *= np.take(kk.ky.matrix[cols[start:start + step]], cols, axis=1,
+                         out=scratch[:len(block)], mode="clip")
     return g
-
-
-def kron_times_selector(kk, sampling):
-    """NL x S matrix of product-kernel columns at the sampled vector indices."""
-    rows = sampling.row_indices0
-    cols = sampling.col_indices0
-    kx_cols = kk.kx.matrix[:, rows]
-    ky_cols = kk.ky.matrix[:, cols]
-    out = np.einsum("jc,ic->jic", ky_cols, kx_cols)
-    return out.reshape(kk.size, len(sampling))
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,18 @@ __all__ = [
 
 
 def _spd_solve(a, b):
+    """Solve a x = b for symmetric positive-definite ``a``, read from its
+    lower triangle.
+
+    Consumes ``a``: a Fortran-ordered ``a`` is overwritten by its Cholesky
+    factor, so callers pass an array they no longer need; any other layout
+    is copied before the factorization.
+    """
     try:
-        return cho_solve(cho_factor(a, lower=True), b)
+        factor = cho_factor(a, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise NumericalError(f"positive-definite solve failed: {exc}") from exc
+    return cho_solve(factor, b)
 
 
 def _unvec(v, n_rows, n_cols):
@@ -121,8 +129,8 @@ class StepSchedule:
 
 
 def _check_fit_inputs(obs, mu):
-    if mu <= 0:
-        raise InvalidInputError(f"ridge weight mu must be positive, got {mu}")
+    if not np.isfinite(mu) or mu <= 0:
+        raise InvalidInputError(f"ridge weight mu must be positive and finite, got {mu}")
     if not np.all(np.isfinite(obs.values)):
         raise InvalidInputError("observations contain non-finite values")
 
@@ -131,13 +139,17 @@ def kkmcex_fit(kernel, obs, mu):
     """Solve the S x S regularized system on the sampled kernel block.
 
     The dual coefficients solve (G + mu I) c = m with G the sampled S x S
-    product-kernel block; the full NL x NL kernel is never formed.
+    product-kernel block; the full NL x NL kernel is never formed.  G is the
+    only S x S array: mu is added to its diagonal and it is factored in
+    place, so peak memory is about one S x S block.
     """
     _check_fit_inputs(obs, mu)
     sampling = obs.sampling
     g = kron_submatrix(kernel, sampling)
     g[np.diag_indices_from(g)] += mu
-    coeffs = _spd_solve(g, obs.values)
+    # g is exactly symmetric, so g.T is the same matrix as a Fortran-ordered
+    # view, which LAPACK factors in place
+    coeffs = _spd_solve(g.T, obs.values)
     return KkmcexModel(kernel, sampling, mu, coeffs)
 
 
@@ -160,17 +172,14 @@ def rrmcex_fit(features, obs, mu):
     Solves (Phi_S^T Phi_S + mu I) xi = Phi_S^T m where Phi_S gathers the
     feature rows at the sampled vector indices (cost O(d^2 S)).  The Gram
     matrix comes from a rank-k symmetric update (half the flops of a full
-    multiply); the Cholesky solve only reads its lower triangle.
+    multiply); the Cholesky solve reads only its lower triangle and factors
+    it in place.
     """
     _check_fit_inputs(obs, mu)
     phi_s = features.phi[obs.sampling.vec_indices0]
     a = dsyrk(1.0, phi_s, trans=1, lower=1)
     a[np.diag_indices_from(a)] += mu
-    try:
-        xi = cho_solve(cho_factor(a, lower=True), phi_s.T @ obs.values)
-    except LinAlgError as exc:
-        raise NumericalError(f"positive-definite solve failed: {exc}") from exc
-    return RrmcexModel(features, mu, xi)
+    return RrmcexModel(features, mu, _spd_solve(a, phi_s.T @ obs.values))
 
 
 def rrmcex_predict(model):

@@ -92,6 +92,46 @@ def test_fit_rejects_nonpositive_mu(synth_dataset, capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+def test_fit_rejects_non_finite_mu(synth_dataset, capsys):
+    tmp_path, out = synth_dataset
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(
+        f"f = {out}.f.csv\nkx = {out}.kx.csv\nky = {out}.ky.csv\n")
+    for mu in ("nan", "inf"):
+        status = main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "x"),
+                       "--method", "kkmcex", "--mu", mu])
+        assert status == 1
+        assert "--mu" in capsys.readouterr().err
+    assert not (tmp_path / "x.pred.csv").exists()
+
+
+def test_fit_fits_once_and_predicts_from_the_saved_model(synth_dataset, monkeypatch):
+    from kronmc import KernelMatrix, KroneckerKernel, bench, load_kkmcex_model
+    from kronmc.solvers import kkmcex_predict
+
+    tmp_path, out = synth_dataset
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(
+        f"f = {out}.f.csv\nkx = {out}.kx.csv\nky = {out}.ky.csv\n")
+    calls = []
+    fit = bench.kkmcex_fit
+
+    def counted_fit(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(bench, "kkmcex_fit", counted_fit)
+    status = main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "once"),
+                   "--method", "kkmcex", "--mu", "1e-3", "--ps", "30", "--seed", "2"])
+    assert status == 0
+    assert len(calls) == 1
+    kernel = KroneckerKernel(KernelMatrix(load_matrix_csv(f"{out}.kx.csv")),
+                             KernelMatrix(load_matrix_csv(f"{out}.ky.csv")))
+    model = load_kkmcex_model(tmp_path / "once.model.csv", kernel)
+    assert np.array_equal(load_matrix_csv(tmp_path / "once.pred.csv"),
+                          kkmcex_predict(model))
+
+
 def test_synth_outputs_are_byte_identical(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n = 8\nl = 8\ngraph_p = 0.3\n")

@@ -5,9 +5,9 @@ from kronmc import (Bandlimited, Diffusion, Graph, InvalidInputError,
                     KernelMatrix, KroneckerKernel, RegularizedLaplacian,
                     build_laplacian, features_from_eig,
                     features_from_svd, gaussian_kernel, kron_entry,
-                    kron_submatrix, kron_times_selector, linear_kernel,
-                    load_feature_map, pearson_kernel, save_feature_map,
-                    spectral_kernel, uniform_sample)
+                    kron_submatrix, linear_kernel, load_feature_map,
+                    pearson_kernel, save_feature_map, spectral_kernel,
+                    uniform_sample)
 
 from helpers import dense_kron, make_spd_kernel
 
@@ -17,6 +17,16 @@ def path_laplacian(n):
     idx = np.arange(n - 1)
     adj[idx, idx + 1] = adj[idx + 1, idx] = 1.0
     return build_laplacian(Graph(adj))
+
+
+def test_kernel_matrix_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match=r"\(1, 1\)"):
+            KernelMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        k = np.eye(3)
+        k[2, 1] = k[1, 2] = bad
+        with pytest.raises(InvalidInputError, match=r"\(2, 3\)"):
+            KernelMatrix(k)
 
 
 def test_kernel_matrix_rejects_non_psd():
@@ -170,24 +180,20 @@ def test_kron_submatrix_examples():
     assert eigs[0] >= -1e-8 * max(1.0, eigs[-1])
 
 
-def test_kron_times_selector_examples():
-    kk = KroneckerKernel(KernelMatrix(np.eye(2)), KernelMatrix(np.eye(2)))
-    from kronmc import SamplingSet
-    s = SamplingSet(2, 2, ((1, 1),))
-    col = kron_times_selector(kk, s)
-    assert np.array_equal(col[:, 0], [1.0, 0.0, 0.0, 0.0])
-
-    rng = np.random.default_rng(7)
-    kk2 = KroneckerKernel(make_spd_kernel(rng, 3), make_spd_kernel(rng, 2))
-    full = SamplingSet(3, 2, tuple((i, j) for j in range(1, 3) for i in range(1, 4)))
-    assert np.allclose(kron_times_selector(kk2, full), dense_kron(kk2), atol=1e-12)
-
-    s2 = uniform_sample(3, 2, 4, seed=9)
-    mat = kron_times_selector(kk2, s2)
-    for c, vec_idx in enumerate(s2.vec_indices0):
-        for r in range(6):
-            assert mat[r, c] == pytest.approx(
-                kron_entry(kk2, r + 1, int(vec_idx) + 1), abs=1e-14)
+def test_kron_submatrix_row_blocks_match_ix_gather():
+    from kronmc import kernels
+    rng = np.random.default_rng(12)
+    n, l, count = 60, 50, 2500
+    kk = KroneckerKernel(make_spd_kernel(rng, n), make_spd_kernel(rng, l))
+    s = uniform_sample(n, l, count, seed=13)
+    step = kernels.GATHER_BLOCK_BYTES // (8 * count)
+    assert 1 < step < count and count % step != 0  # several blocks, ragged last
+    rows, cols = s.row_indices0, s.col_indices0
+    ref = kk.kx.matrix[np.ix_(rows, rows)] * kk.ky.matrix[np.ix_(cols, cols)]
+    g = kron_submatrix(kk, s)
+    assert g.flags.c_contiguous
+    assert np.array_equal(g, ref)
+    assert np.array_equal(g, g.T)
 
 
 def test_features_from_eig_diagonal_example():

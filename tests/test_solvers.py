@@ -68,6 +68,58 @@ def test_kkmcex_validation():
     bad = ObservationSet(obs.sampling, np.array([1.0, np.nan, 0.0, 2.0]))
     with pytest.raises(InvalidInputError):
         kkmcex_fit(kk, bad, 0.1)
+    for mu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="mu"):
+            kkmcex_fit(kk, obs, mu)
+
+
+def test_kkmcex_multi_block_gather_matches_dense_oracle():
+    # S = 2500 spans several gather row blocks, the last one short
+    # (test_kron_submatrix_row_blocks_match_ix_gather checks the split)
+    rng = np.random.default_rng(40)
+    n, l, count, mu = 60, 50, 2500, 1e-2
+    kk, f, obs = random_problem(rng, n, l, count, mu)
+    kx, ky = kk.kx.matrix.copy(), kk.ky.matrix.copy()
+    model = kkmcex_fit(kk, obs, mu)
+    assert np.array_equal(kk.kx.matrix, kx) and np.array_equal(kk.ky.matrix, ky)
+    oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
+    gamma = model.full_dual_vector()
+    assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+
+def test_kkmcex_fit_peak_memory_is_about_one_gram():
+    # the S x S block is the only array of its size: a gather row block is
+    # GATHER_BLOCK_BYTES (0.02 of this Gram) and SciPy's finiteness check
+    # allocates a boolean S x S mask (0.125); a second S x S copy breaks 1.5
+    import tracemalloc
+    rng = np.random.default_rng(41)
+    count = 2500
+    kk, f, obs = random_problem(rng, 60, 50, count, 1e-2)
+    tracemalloc.start()
+    try:
+        kkmcex_fit(kk, obs, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * count**2 * 8
+
+
+def test_spd_solve_rejects_indefinite_matrix():
+    from kronmc.errors import NumericalError
+    from kronmc.solvers import _spd_solve
+    for a in (np.array([[1.0, 2.0], [2.0, 1.0]]),
+              np.asfortranarray([[1.0, 0.0], [0.0, -1.0]])):
+        with pytest.raises(NumericalError):
+            _spd_solve(a, np.ones(2))
+
+
+def test_spd_solve_factors_fortran_input_in_place():
+    from kronmc.solvers import _spd_solve
+    a = np.asfortranarray([[4.0, 2.0], [2.0, 3.0]])
+    expected = np.linalg.solve(a, [1.0, 2.0])
+    x = _spd_solve(a, np.array([1.0, 2.0]))
+    assert np.allclose(x, expected, rtol=1e-14)
+    assert np.allclose(np.tril(a), np.linalg.cholesky([[4.0, 2.0], [2.0, 3.0]]))
 
 
 def test_kkmcex_predict_recovers_fully_observed_matrix():
@@ -124,6 +176,9 @@ def test_rrmcex_orthonormal_features_full_observation():
     assert np.allclose(model.xi, q.T @ obs.values / (1.0 + mu), atol=1e-12)
     with pytest.raises(InvalidInputError):
         rrmcex_fit(fmap, obs, -1.0)
+    for mu in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="mu"):
+            rrmcex_fit(fmap, obs, mu)
 
 
 def test_rrmcex_exact_features_match_kkmcex():
