@@ -350,8 +350,7 @@ def load_triplets_csv(path, n_rows, n_cols):
             seen.add((i, j))
             entries.append((i, j))
             values.append(v)
-    sampling = SamplingSet(n_rows, n_cols, tuple(entries))
-    return ObservationSet(sampling, np.array(values))
+    return ObservationSet(SamplingSet(n_rows, n_cols, entries), np.array(values))
 
 
 def save_sampling_csv(path, sampling):
@@ -361,6 +360,7 @@ def save_sampling_csv(path, sampling):
 
 
 def load_sampling_csv(path, n_rows, n_cols):
+    """Sampling pairs ``i,j`` (1-based), one per line, in sampling order."""
     entries = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -369,9 +369,12 @@ def load_sampling_csv(path, n_rows, n_cols):
                 continue
             fields = line.split(",")
             if len(fields) != 2:
-                raise InvalidInputError(f"{path}: line {lineno}: expected i,j")
-            entries.append((int(fields[0]), int(fields[1])))
-    return SamplingSet(n_rows, n_cols, tuple(entries))
+                raise InvalidInputError(f"{path}: line {lineno}: expected i,j, got {line!r}")
+            try:
+                entries.append((int(fields[0]), int(fields[1])))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
+    return SamplingSet(n_rows, n_cols, entries)
 
 
 def onehot_features(rows):
@@ -485,12 +488,11 @@ def grid_search(config, dataset, validation_fraction=None, p_s=None):
         raise InvalidInputError(
             f"validation split is degenerate ({n_val} of {count} observations)"
         )
-    val_entries = obs.sampling.entries[:n_val]
-    fit_entries = obs.sampling.entries[n_val:]
+    rows0, cols0 = obs.sampling.row_indices0, obs.sampling.col_indices0
+    val_rows, val_cols = rows0[:n_val], cols0[:n_val]
     val_values = obs.values[:n_val]
-    fit_obs = ObservationSet(SamplingSet(n, l, fit_entries), obs.values[n_val:])
-    val_rows = np.array([i - 1 for i, _ in val_entries])
-    val_cols = np.array([j - 1 for _, j in val_entries])
+    fit_pairs = np.column_stack((rows0[n_val:], cols0[n_val:])) + 1
+    fit_obs = ObservationSet(SamplingSet(n, l, fit_pairs), obs.values[n_val:])
     val_norm = float(np.sum(val_values**2))
     if val_norm == 0:
         raise InvalidInputError("validation values are all zero; score undefined")

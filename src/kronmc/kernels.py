@@ -269,11 +269,12 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
     """Top-d (a, b) factor-index pairs by product values_x[a] * values_y[b].
 
     Ties break toward the smallest composite vector index b * n_rows + a,
-    so the selection is deterministic.
+    so the selection is deterministic.  Returns the index arrays a and b and
+    the ranked products.
     """
     products = np.outer(values_y, values_x).ravel()  # composite index b * n + a
     order = np.argsort(-products, kind="stable")[:d]
-    return [(int(c % n_rows), int(c // n_rows)) for c in order], products[order]
+    return order % n_rows, order // n_rows, products[order]
 
 
 def features_from_eig(kx, ky, d):
@@ -288,10 +289,11 @@ def features_from_eig(kx, ky, d):
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
     sx, qx = np.linalg.eigh(kx.matrix)
     sy, qy = np.linalg.eigh(ky.matrix)
-    pairs, products = _ranked_pairs(sx, sy, n, d)
+    a, b, products = _ranked_pairs(sx, sy, n, d)
     phi = np.empty((n * l, d))
-    for c, ((a, b), prod) in enumerate(zip(pairs, products)):
-        phi[:, c] = np.sqrt(max(prod, 0.0)) * np.kron(qy[:, b], qx[:, a])
+    # row j * n + i of phi is qy[j, b] * qx[i, a], the Kronecker product per column
+    np.multiply(qy[:, b][:, None, :], qx[:, a][None, :, :], out=phi.reshape(l, n, d))
+    phi *= np.sqrt(np.maximum(products, 0.0))
     return FeatureMap(phi, n, l, "eig-based")
 
 
@@ -314,10 +316,12 @@ def features_from_svd(x, y, d):
     ux, dx, _ = np.linalg.svd(x, full_matrices=False)
     uy, dy, _ = np.linalg.svd(y, full_matrices=False)
     avail = len(dx) * len(dy)
-    pairs, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
+    a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
+    k = len(products)
     phi = np.zeros((n * l, d))
-    for c, ((a, b), prod) in enumerate(zip(pairs, products)):
-        phi[:, c] = prod * np.kron(uy[:, b], ux[:, a])
+    np.multiply(uy[:, b][:, None, :], ux[:, a][None, :, :],
+                out=phi.reshape(l, n, d)[:, :, :k])
+    phi[:, :k] *= products
     return FeatureMap(phi, n, l, "svd-based")
 
 

@@ -31,42 +31,84 @@ def vec_index(i, j, n_rows):
     return (j - 1) * n_rows + i
 
 
-@dataclass(frozen=True)
 class SamplingSet:
-    """Ordered set of observed (i, j) positions in an N x L matrix (1-based)."""
+    """Ordered set of observed (i, j) positions in an N x L matrix (1-based).
 
-    n_rows: int
-    n_cols: int
-    entries: tuple
+    ``entries`` holds the 1-based pairs, as a sequence of (i, j) or an
+    S x 2 integer array.  They are validated once and kept as read-only
+    0-based index arrays; the ``entries`` tuple is rebuilt from those on
+    first use.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        entries = tuple((int(i), int(j)) for i, j in self.entries)
-        for i, j in entries:
-            if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols):
-                raise InvalidInputError(
-                    f"entry ({i}, {j}) outside {self.n_rows} x {self.n_cols} grid"
-                )
-        if len(set(entries)) != len(entries):
+    __slots__ = ("n_rows", "n_cols", "_rows0", "_cols0", "_vec0", "_entries")
+
+    def __init__(self, n_rows, n_cols, entries):
+        try:
+            pairs = np.asarray(entries, dtype=np.intp)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"sampling entries must be integer (i, j) pairs: {exc}") from exc
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidInputError(
+                f"sampling entries must be (i, j) pairs, got shape {pairs.shape}"
+            )
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        outside = (rows < 1) | (rows > n_rows) | (cols < 1) | (cols > n_cols)
+        if outside.any():
+            i, j = pairs[np.argmax(outside)]
+            raise InvalidInputError(f"entry ({i}, {j}) outside {n_rows} x {n_cols} grid")
+        rows0, cols0 = rows - 1, cols - 1
+        vec0 = cols0 * n_rows + rows0
+        # a sort costs O(S log S) whatever the grid size; np.unique is far slower
+        ordered = np.sort(vec0)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidInputError("sampling entries must be distinct")
-        object.__setattr__(self, "entries", entries)
+        rows0.flags.writeable = cols0.flags.writeable = vec0.flags.writeable = False
+        for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SamplingSet is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SamplingSet):
+            return NotImplemented
+        return ((self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
+                and np.array_equal(self._vec0, other._vec0))
+
+    def __hash__(self):
+        return hash((self.n_rows, self.n_cols, self._vec0.tobytes()))
+
+    def __repr__(self):
+        return f"SamplingSet(n_rows={self.n_rows}, n_cols={self.n_cols}, S={len(self)})"
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._vec0)
+
+    @property
+    def entries(self):
+        """The 1-based (i, j) pairs as a tuple of int tuples, in sampling order."""
+        if self._entries is None:
+            pairs = tuple(zip((self._rows0 + 1).tolist(), (self._cols0 + 1).tolist()))
+            object.__setattr__(self, "_entries", pairs)
+        return self._entries
 
     @property
     def row_indices0(self):
-        """0-based row indices, in sampling order."""
-        return np.fromiter((i - 1 for i, _ in self.entries), dtype=np.intp, count=len(self))
+        """0-based row indices, in sampling order (read-only)."""
+        return self._rows0
 
     @property
     def col_indices0(self):
-        """0-based column indices, in sampling order."""
-        return np.fromiter((j - 1 for _, j in self.entries), dtype=np.intp, count=len(self))
+        """0-based column indices, in sampling order (read-only)."""
+        return self._cols0
 
     @property
     def vec_indices0(self):
-        """0-based column-major vector indices, in sampling order."""
-        return self.col_indices0 * self.n_rows + self.row_indices0
+        """0-based column-major vector indices, in sampling order (read-only)."""
+        return self._vec0
 
     def selector_matrix(self):
         """Explicit S x NL binary selector; for small problems and tests only."""
@@ -131,8 +173,8 @@ def uniform_sample(n_rows, n_cols, count, seed):
         raise InvalidInputError(f"count must lie in 0..{total}, got {count}")
     rng = np.random.default_rng(seed)
     flat = rng.choice(total, size=count, replace=False)
-    entries = [(int(v % n_rows) + 1, int(v // n_rows) + 1) for v in flat]
-    return SamplingSet(n_rows, n_cols, tuple(entries))
+    pairs = np.column_stack((flat % n_rows + 1, flat // n_rows + 1))
+    return SamplingSet(n_rows, n_cols, pairs)
 
 
 def noise_matrix(f, noise):

@@ -48,7 +48,10 @@ def _spd_solve(a, b):
         factor = cho_factor(a, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise NumericalError(f"positive-definite solve failed: {exc}") from exc
-    return cho_solve(factor, b)
+    # cho_factor has checked a; SciPy's own check would rescan the whole factor
+    if not np.all(np.isfinite(b)):
+        raise NumericalError("positive-definite solve: right-hand side is not finite")
+    return cho_solve(factor, b, check_finite=False)
 
 
 def _unvec(v, n_rows, n_cols):
@@ -177,7 +180,8 @@ def rrmcex_fit(features, obs, mu):
     """
     _check_fit_inputs(obs, mu)
     phi_s = features.phi[obs.sampling.vec_indices0]
-    a = dsyrk(1.0, phi_s, trans=1, lower=1)
+    # phi_s.T is Fortran-ordered, so the rank-k update reads phi_s in place
+    a = dsyrk(1.0, phi_s.T, trans=0, lower=1)
     a[np.diag_indices_from(a)] += mu
     return RrmcexModel(features, mu, _spd_solve(a, phi_s.T @ obs.values))
 
@@ -381,11 +385,13 @@ def save_model(path, model):
 
 
 def _read_bundle(path, kind):
+    """Header fields and the numbered non-blank body lines of a model bundle."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != kind:
             raise InvalidInputError(f"{path}: expected a {kind} bundle, got {header[0]!r}")
-        body = [line.strip() for line in fh if line.strip()]
+        body = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=2)
+                if line.strip()]
     return header, body
 
 
@@ -393,22 +399,30 @@ def load_kkmcex_model(path, kernel):
     from .sampling import SamplingSet
 
     header, body = _read_bundle(path, "kkmcex")
-    n, l, s, mu = int(header[1]), int(header[2]), int(header[3]), float(header[4])
+    try:
+        n, l, s, mu = int(header[1]), int(header[2]), int(header[3]), float(header[4])
+    except (IndexError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: line 1: malformed kkmcex header: {exc}") from exc
     entries, coeffs = [], []
-    for line in body:
-        i, j, c = line.split(",")
-        entries.append((int(i), int(j)))
-        coeffs.append(float(c))
+    for lineno, line in body:
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise InvalidInputError(f"{path}: line {lineno}: expected i,j,coefficient, "
+                                    f"got {line!r}")
+        try:
+            entries.append((int(fields[0]), int(fields[1])))
+            coeffs.append(float(fields[2]))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
     if len(entries) != s:
         raise InvalidInputError(f"{path}: expected {s} coefficients, found {len(entries)}")
-    sampling = SamplingSet(n, l, tuple(entries))
-    return KkmcexModel(kernel, sampling, mu, np.array(coeffs))
+    return KkmcexModel(kernel, SamplingSet(n, l, entries), mu, np.array(coeffs))
 
 
 def load_rrmcex_model(path, features):
     header, body = _read_bundle(path, "rrmcex")
     d, mu = int(header[3]), float(header[4])
-    xi = np.array([float(v) for v in body])
+    xi = np.array([float(v) for _, v in body])
     if xi.size != d or features.dim != d:
         raise InvalidInputError(f"{path}: coefficient count does not match d={d}")
     return RrmcexModel(features, mu, xi)
@@ -417,7 +431,7 @@ def load_rrmcex_model(path, features):
 def load_factor_model(path):
     header, body = _read_bundle(path, "factor")
     n, l, p, mu = int(header[1]), int(header[2]), int(header[3]), float(header[4])
-    rows = [np.array([float(v) for v in line.split(",")]) for line in body]
+    rows = [np.array([float(v) for v in line.split(",")]) for _, line in body]
     if len(rows) != n + l:
         raise InvalidInputError(f"{path}: expected {n + l} factor rows, found {len(rows)}")
     w = np.vstack(rows[:n])

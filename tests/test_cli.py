@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,3 +201,23 @@ def test_cli_writes_only_declared_outputs(tmp_path, monkeypatch):
     assert main(["synth", "--config", str(cfg), "--out", "ds", "--seed", "0"]) == 0
     after = set(p.name for p in tmp_path.iterdir())
     assert after - before == {"ds.f.csv", "ds.kx.csv", "ds.ky.csv"}
+
+
+def test_fit_rejects_non_integer_index_field_without_traceback(synth_dataset):
+    tmp_path, out = synth_dataset
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1,1,0.5\n2,two,0.25\n")
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(f"f = {out}.f.csv\nkx = {out}.kx.csv\n"
+                       f"ky = {out}.ky.csv\nobs = {obs}\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run(
+        [sys.executable, "-m", "kronmc", "fit", "--config", str(fit_cfg), "--out",
+         str(tmp_path / "x"), "--method", "kkmcex", "--mu", "1e-3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"{obs}: line 2" in result.stderr
+    assert not (tmp_path / "x.pred.csv").exists()

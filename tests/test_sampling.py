@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmc import (InvalidInputError, NoiseSpec, ObservationSet, SamplingSet,
                     load_sampling_csv, load_triplets_csv, observe,
@@ -25,6 +30,9 @@ def test_sampling_set_validation():
     s = SamplingSet(3, 2, ((2, 1), (1, 2), (3, 2)))
     assert np.array_equal(s.vec_indices0, [1, 3, 5])
     assert len(set(s.vec_indices0)) == len(s)
+    for bad in (((1, 1, 1),), ((1, 1), (2,)), (("a", 1),), ((2**70, 1),)):
+        with pytest.raises(InvalidInputError, match="pairs"):
+            SamplingSet(3, 2, bad)
 
 
 def test_uniform_sample_extremes():
@@ -141,3 +149,89 @@ def test_sampling_csv_round_trip(tmp_path):
     path = tmp_path / "omega.csv"
     save_sampling_csv(path, s)
     assert load_sampling_csv(path, 5, 7).entries == s.entries
+
+
+def test_sampling_csv_rejects_malformed_lines(tmp_path):
+    path = tmp_path / "omega.csv"
+    for text, lineno in (("1,1\n\n2,x\n", 3), ("1,1.5\n", 1), ("1,1\n2\n", 2)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
+            load_sampling_csv(path, 3, 3)
+        assert str(path) in str(info.value)
+
+
+def test_index_properties_return_one_stored_read_only_array():
+    pairs = np.array([[2, 1], [1, 2], [3, 2]])
+    s = SamplingSet(3, 2, pairs)
+    pairs[0] = (1, 1)  # the set keeps its own arrays
+    assert s.entries == ((2, 1), (1, 2), (3, 2))
+    for name in ("row_indices0", "col_indices0", "vec_indices0"):
+        assert isinstance(vars(SamplingSet)[name], property)
+        first = getattr(s, name)
+        assert getattr(s, name) is first
+        assert first.dtype == np.intp and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+    with pytest.raises(AttributeError):
+        s.n_rows = 4
+
+
+# ------------------------------------------------ property tests
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def samplings(draw):
+    """(n, l, pairs): distinct 1-based pairs on an n x l grid, in draw order."""
+    n = draw(st.integers(1, 9))
+    l = draw(st.integers(1, 9))
+    vec = draw(st.lists(st.integers(0, n * l - 1), unique=True, max_size=n * l))
+    return n, l, [(v % n + 1, v // n + 1) for v in vec]
+
+
+@PROPERTY_SETTINGS
+@given(samplings())
+def test_pairs_and_array_build_the_same_set(case):
+    n, l, pairs = case
+    from_pairs = SamplingSet(n, l, tuple(pairs))
+    from_array = SamplingSet(n, l, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert from_pairs.entries == from_array.entries == tuple(pairs)
+    assert all(type(v) is int for pair in from_array.entries for v in pair)
+    assert from_pairs == from_array and len(from_pairs) == len(pairs)
+    for name in ("row_indices0", "col_indices0", "vec_indices0"):
+        assert np.array_equal(getattr(from_pairs, name), getattr(from_array, name))
+    assert from_pairs.vec_indices0.tolist() == [vec_index(i, j, n) - 1 for i, j in pairs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "omega.csv"
+        save_sampling_csv(path, from_array)
+        loaded = load_sampling_csv(path, n, l)
+    assert loaded.entries == from_pairs.entries
+
+
+@PROPERTY_SETTINGS
+@given(samplings(), st.data())
+def test_out_of_range_and_duplicate_entries_are_rejected(case, data):
+    n, l, pairs = case
+    bad = data.draw(st.lists(
+        st.tuples(st.integers(-2, n + 2), st.integers(-2, l + 2)).filter(
+            lambda p: not (1 <= p[0] <= n and 1 <= p[1] <= l)),
+        min_size=1, max_size=3))
+    mixed = list(pairs)
+    for p in bad:
+        mixed.insert(data.draw(st.integers(0, len(mixed))), p)
+    # the first offending entry in sampling order, as a loop finds it
+    i, j = next(p for p in mixed if not (1 <= p[0] <= n and 1 <= p[1] <= l))
+    for entries in (tuple(mixed), np.array(mixed)):
+        with pytest.raises(InvalidInputError) as info:
+            SamplingSet(n, l, entries)
+        assert str(info.value) == f"entry ({i}, {j}) outside {n} x {l} grid"
+    if pairs:
+        repeated = list(pairs)
+        repeated.insert(data.draw(st.integers(0, len(pairs))),
+                        data.draw(st.sampled_from(pairs)))
+        for entries in (tuple(repeated), np.array(repeated)):
+            with pytest.raises(InvalidInputError) as info:
+                SamplingSet(n, l, entries)
+            assert str(info.value) == "sampling entries must be distinct"

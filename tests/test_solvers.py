@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kronmc import (InvalidInputError, KernelMatrix, KroneckerKernel,
+from kronmc import (FeatureMap, InvalidInputError, KernelMatrix, KroneckerKernel,
                     ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                     features_from_eig, kkmcex_fit, kkmcex_predict,
@@ -102,6 +102,31 @@ def test_kkmcex_fit_peak_memory_is_about_one_gram():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * count**2 * 8
+
+
+def test_rrmcex_fit_peak_memory_is_about_one_phi_s():
+    # Phi_S (S x d) is the one large temporary; the d x d Gram is tiny.  A
+    # Fortran copy of Phi_S for the rank-k update would double the peak.
+    import tracemalloc
+    rng = np.random.default_rng(43)
+    n, l, d, count = 200, 150, 20, 20000
+    fmap = FeatureMap(rng.normal(size=(n * l, d)), n, l, "random")
+    obs = ObservationSet(uniform_sample(n, l, count, seed=5), rng.normal(size=count))
+    tracemalloc.start()
+    try:
+        rrmcex_fit(fmap, obs, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * count * d * 8
+
+
+def test_spd_solve_rejects_non_finite_right_hand_side():
+    from kronmc.errors import NumericalError
+    from kronmc.solvers import _spd_solve
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="right-hand side"):
+            _spd_solve(np.eye(2), np.array([1.0, bad]))
 
 
 def test_spd_solve_rejects_indefinite_matrix():
@@ -465,3 +490,17 @@ def test_model_csv_round_trips(tmp_path):
     floaded = load_factor_model(tmp_path / "f.csv")
     assert np.allclose(floaded.w, fmodel.w)
     assert np.allclose(floaded.h, fmodel.h)
+
+
+def test_load_kkmcex_model_names_malformed_lines(tmp_path):
+    kk = KroneckerKernel(KernelMatrix(np.eye(2)), KernelMatrix(np.eye(2)))
+    path = tmp_path / "k.csv"
+    for text, lineno in (("kkmcex,2,2,1,0.5\n1,x,0.25\n", 2),
+                         ("kkmcex,2,2,2,0.5\n1,1,0.25\n\n2,1\n", 4),
+                         ("kkmcex,2,2,1,0.5\n1,1,abc\n", 2),
+                         ("kkmcex,2,2.5,1,0.5\n1,1,0.25\n", 1),
+                         ("kkmcex,2,2\n", 1)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
+            load_kkmcex_model(path, kk)
+        assert str(path) in str(info.value)
