@@ -20,9 +20,9 @@ from .kernels import (Diffusion, KroneckerKernel, features_from_eig,
                       pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample)
-from .solvers import (StepSchedule, als_fit, factor_predict, factor_sgd_fit,
-                      kkmcex_fit, kkmcex_predict, orrmcex_run, rrmcex_fit,
-                      rrmcex_predict)
+from .solvers import (RrmcexModel, StepSchedule, _feature_blocks, als_fit,
+                      factor_predict, factor_sgd_fit, kkmcex_fit, kkmcex_predict,
+                      orrmcex_run, rrmcex_fit, rrmcex_predict)
 
 __all__ = [
     "DatasetBundle",
@@ -580,22 +580,26 @@ def run_online(config, dataset, stride=None):
 
     if config.method == "orrmcex":
         features = features_from_eig(dataset.kx, dataset.ky, config.feature_dim)
-        phi = features.phi
-        vec_idx = obs.sampling.vec_indices0
+        rows0 = obs.sampling.row_indices0[order]
+        cols0 = obs.sampling.col_indices0[order]
+        values = obs.values[order]
         xi = np.zeros(features.dim)
+        it = 0
         elapsed = 0.0
-        for it in range(1, total_iters + 1):
-            tic = time.perf_counter()
-            k = order[(it - 1) % count]
-            t = config.schedule.step(it)
-            phi_row = phi[vec_idx[k]]
-            resid = phi_row @ xi - obs.values[k]
-            xi -= t * (phi_row * resid + mu * xi)
-            elapsed += time.perf_counter() - tic
-            if (stride is not None and it % stride == 0) or it == total_iters:
-                est = np.reshape(phi @ xi, (n, l), order="F")
-                trace.append({"iteration": it, "seconds": elapsed,
-                              "nmse": nmse(est, dataset.f)})
+        tic = time.perf_counter()
+        for _ in range(config.epochs):
+            for start, block in _feature_blocks(features, rows0, cols0):
+                for m, phi_row in zip(values[start:start + len(block)], block):
+                    it += 1
+                    t = config.schedule.step(it)
+                    resid = phi_row @ xi - m
+                    xi -= t * (phi_row * resid + mu * xi)
+                    if (stride is not None and it % stride == 0) or it == total_iters:
+                        elapsed += time.perf_counter() - tic
+                        est = rrmcex_predict(RrmcexModel(features, mu, xi))
+                        trace.append({"iteration": it, "seconds": elapsed,
+                                      "nmse": nmse(est, dataset.f)})
+                        tic = time.perf_counter()
     else:
         rows0 = obs.sampling.row_indices0
         cols0 = obs.sampling.col_indices0

@@ -95,11 +95,20 @@ def _floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _number(cfg, key, default, convert=float):
+    """Config value of ``key`` (``default`` when absent) through ``convert``
+    (int, float or _floats); a malformed value is an input error naming the key."""
+    try:
+        return convert(cfg.get(key, default))
+    except ValueError as exc:
+        raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+
+
 def _load_dataset(cfg, seed):
     if cfg.get("synth", "0") in ("1", "true", "yes"):
         return bench.generate_synthetic(
-            int(cfg.get("n", 10)), int(cfg.get("l", 10)),
-            float(cfg.get("graph_p", 0.2)), float(cfg.get("eta", 1.0)), seed)
+            _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
+            _number(cfg, "graph_p", 0.2), _number(cfg, "eta", 1.0), seed)
     for key in ("f", "kx", "ky"):
         if key not in cfg:
             raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
@@ -113,49 +122,48 @@ def _noise_from(cfg, opts):
     if opts.snr is not None:
         return NoiseSpec.target_snr(opts.snr)
     if "snr" in cfg:
-        return NoiseSpec.target_snr(float(cfg["snr"]))
+        return NoiseSpec.target_snr(_number(cfg, "snr", None))
     if "nu_sq" in cfg:
-        return NoiseSpec.variance(float(cfg["nu_sq"]))
+        return NoiseSpec.variance(_number(cfg, "nu_sq", None))
     return NoiseSpec.none()
 
 
 def _schedule_from(cfg):
     rule = cfg.get("step_rule", "decay")
     if rule == "constant":
-        return StepSchedule.constant(float(cfg.get("step_c", 0.1)))
-    return StepSchedule.decay(float(cfg.get("step_c", 0.5)),
-                              float(cfg.get("step_n0", 10.0)))
+        return StepSchedule.constant(_number(cfg, "step_c", 0.1))
+    return StepSchedule.decay(_number(cfg, "step_c", 0.5), _number(cfg, "step_n0", 10.0))
 
 
 def _config_from(cfg, opts):
     method = opts.method or cfg.get("method")
     if method is None:
         raise InvalidInputError("a method is required (--method or method= in config)")
-    ps_grid = (opts.ps,) if opts.ps is not None else _floats(cfg.get("ps", "10"))
-    mu_grid = (opts.mu,) if opts.mu is not None else _floats(cfg.get("mu", "1e-3"))
-    eta_grid = (opts.eta,) if opts.eta is not None else _floats(cfg.get("eta", "1"))
+    ps_grid = (opts.ps,) if opts.ps is not None else _number(cfg, "ps", "10", _floats)
+    mu_grid = (opts.mu,) if opts.mu is not None else _number(cfg, "mu", "1e-3", _floats)
+    eta_grid = (opts.eta,) if opts.eta is not None else _number(cfg, "eta", "1", _floats)
     return bench.ExperimentConfig(
         method=method,
         ps_grid=ps_grid,
-        realizations=int(cfg.get("realizations", 1)),
+        realizations=_number(cfg, "realizations", 1, int),
         mu_grid=mu_grid,
         eta_grid=eta_grid,
-        rank=opts.rank or int(cfg.get("rank", 10)),
-        feature_dim=opts.dim or int(cfg.get("dim", 10)),
+        rank=opts.rank or _number(cfg, "rank", 10, int),
+        feature_dim=opts.dim or _number(cfg, "dim", 10, int),
         noise=_noise_from(cfg, opts),
         seed=opts.seed,
-        epochs=opts.epochs or int(cfg.get("epochs", 20)),
+        epochs=opts.epochs or _number(cfg, "epochs", 20, int),
         schedule=_schedule_from(cfg),
-        validation_fraction=float(cfg.get("validation_fraction", 0.2)),
+        validation_fraction=_number(cfg, "validation_fraction", 0.2),
     )
 
 
 def _cmd_synth(opts):
     cfg = parse_config(opts.config) if opts.config else {}
-    eta = opts.eta if opts.eta is not None else float(cfg.get("eta", 1.0))
+    eta = opts.eta if opts.eta is not None else _number(cfg, "eta", 1.0)
     dataset = bench.generate_synthetic(
-        int(cfg.get("n", 10)), int(cfg.get("l", 10)),
-        float(cfg.get("graph_p", 0.2)), eta, opts.seed)
+        _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
+        _number(cfg, "graph_p", 0.2), eta, opts.seed)
     bench.save_matrix_csv(f"{opts.out}.f.csv", dataset.f)
     bench.save_matrix_csv(f"{opts.out}.kx.csv", dataset.kx.matrix)
     bench.save_matrix_csv(f"{opts.out}.ky.csv", dataset.ky.matrix)
@@ -192,7 +200,7 @@ def _cmd_fit(opts):
 
 def _cmd_sweep(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, int(cfg.get("dataset_seed", opts.seed)))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
     config = _config_from(cfg, opts)
     result = bench.run_sweep(config, dataset)
     result.write_csv(opts.out)
@@ -204,7 +212,7 @@ def _cmd_sweep(opts):
 
 def _cmd_online(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, int(cfg.get("dataset_seed", opts.seed)))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
     config = _config_from(cfg, opts)
     stride = opts.stride if opts.stride is not None else None
     trace = bench.run_online(config, dataset, stride=stride)
@@ -217,7 +225,7 @@ def _cmd_online(opts):
 
 def _cmd_gridsearch(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, int(cfg.get("dataset_seed", opts.seed)))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
     config = _config_from(cfg, opts)
     mu, eta = bench.grid_search(config, dataset)
     with open(opts.out, "w") as fh:

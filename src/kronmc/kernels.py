@@ -5,7 +5,7 @@ and never materialized: with column-major vectorization the (i', j') entry
 of the big kernel is kappa_x(i, n) * kappa_y(j, l) for the decoded factor
 indices.  Feature maps are rank-d factorizations phi with phi @ phi.T
 approximating the product kernel, built from factor eigen- or singular
-decompositions.
+decompositions and held as one N x d and one L x d factor.
 """
 
 from dataclasses import dataclass
@@ -29,8 +29,6 @@ __all__ = [
     "kron_submatrix",
     "features_from_eig",
     "features_from_svd",
-    "save_feature_map",
-    "load_feature_map",
 ]
 
 PSD_TOL = 1e-8
@@ -67,9 +65,6 @@ class KernelMatrix:
     @property
     def side(self):
         return self.matrix.shape[0]
-
-    def max_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
 
 
 @dataclass(frozen=True)
@@ -237,32 +232,76 @@ def kron_submatrix(kk, sampling):
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Rank-d feature matrix phi (NL x d) with phi @ phi.T approximating the
-    product kernel; rows follow the column-major vectorization order."""
+    """Rank-d product feature map held as its two factors.
 
-    phi: np.ndarray
-    n_rows: int
-    n_cols: int
+    ``x`` is the N x d row factor, with the column weights folded in, and
+    ``y`` the L x d column factor.  Grid entry (i, j) has the feature row
+    x[i] * y[j], so the implied NL x d matrix phi, whose rows follow the
+    column-major vectorization order, has phi @ phi.T approximating the
+    product kernel.  phi itself is never stored: memory is O((N + L) d).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim != 2 or phi.shape[0] != self.n_rows * self.n_cols:
+        x = np.ascontiguousarray(self.x, dtype=float)
+        y = np.ascontiguousarray(self.y, dtype=float)
+        if x.ndim != 2 or y.ndim != 2:
             raise InvalidInputError(
-                f"feature matrix must have {self.n_rows * self.n_cols} rows, "
-                f"got shape {phi.shape}"
-            )
-        object.__setattr__(self, "phi", phi)
+                f"feature factors must be 2-D, got shapes {x.shape} and {y.shape}")
+        if x.shape[1] != y.shape[1]:
+            raise InvalidInputError(
+                f"feature factors disagree on d: {x.shape[1]} and {y.shape[1]} columns")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise InvalidInputError("feature factors contain non-finite entries")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def n_rows(self):
+        return self.x.shape[0]
+
+    @property
+    def n_cols(self):
+        return self.y.shape[0]
 
     @property
     def dim(self):
-        return self.phi.shape[1]
+        return self.x.shape[1]
+
+    @property
+    def phi(self):
+        """The dense NL x d feature matrix, built anew on each call.
+
+        For tests, dense oracles and small grids: it costs O(NLd) time and
+        memory, which no method of the package needs.
+        """
+        phi = np.empty((self.n_rows * self.n_cols, self.dim))
+        # row j * N + i is y[j] * x[i]
+        np.multiply(self.y[:, None, :], self.x[None, :, :],
+                    out=phi.reshape(self.n_cols, self.n_rows, self.dim))
+        return phi
+
+    def rows(self, rows0, cols0, out=None):
+        """Feature rows y[cols0] * x[rows0] of the 0-based entries (rows0, cols0).
+
+        Writes into ``out`` (len(rows0) x d) when given, else into a new
+        array.  The indices must lie on this grid, as those of a sampling of
+        the same grid do; they are not validated (mode="clip" lets np.take
+        write into ``out`` without buffering it).
+        """
+        out = np.take(self.y, cols0, axis=0, out=out, mode="clip")
+        out *= self.x[rows0]
+        return out
 
     def row(self, i, j):
         """Feature vector of grid entry (i, j), 1-based."""
-        from .sampling import vec_index
-
-        return self.phi[vec_index(i, j, self.n_rows) - 1]
+        if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols):
+            raise InvalidInputError(
+                f"entry ({i}, {j}) outside {self.n_rows} x {self.n_cols} grid")
+        return self.rows(i - 1, j - 1)
 
 
 def _ranked_pairs(values_x, values_y, n_rows, d):
@@ -290,11 +329,8 @@ def features_from_eig(kx, ky, d):
     sx, qx = np.linalg.eigh(kx.matrix)
     sy, qy = np.linalg.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
-    phi = np.empty((n * l, d))
-    # row j * n + i of phi is qy[j, b] * qx[i, a], the Kronecker product per column
-    np.multiply(qy[:, b][:, None, :], qx[:, a][None, :, :], out=phi.reshape(l, n, d))
-    phi *= np.sqrt(np.maximum(products, 0.0))
-    return FeatureMap(phi, n, l, "eig-based")
+    return FeatureMap(qx[:, a] * np.sqrt(np.maximum(products, 0.0)), qy[:, b],
+                      "eig-based")
 
 
 def features_from_svd(x, y, d):
@@ -318,29 +354,7 @@ def features_from_svd(x, y, d):
     avail = len(dx) * len(dy)
     a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
     k = len(products)
-    phi = np.zeros((n * l, d))
-    np.multiply(uy[:, b][:, None, :], ux[:, a][None, :, :],
-                out=phi.reshape(l, n, d)[:, :, :k])
-    phi[:, :k] *= products
-    return FeatureMap(phi, n, l, "svd-based")
-
-
-def save_feature_map(path, fmap):
-    """Write a feature map as CSV with a one-line N,L,d,provenance header."""
-    with open(path, "w") as fh:
-        fh.write(f"{fmap.n_rows},{fmap.n_cols},{fmap.dim},{fmap.provenance}\n")
-        np.savetxt(fh, fmap.phi, fmt="%.17g", delimiter=",")
-
-
-def load_feature_map(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 4:
-            raise InvalidInputError(f"{path}: malformed feature-map header {header}")
-        n, l, d = (int(v) for v in header[:3])
-        phi = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if phi.shape != (n * l, d):
-        raise InvalidInputError(
-            f"{path}: feature block {phi.shape} does not match header ({n * l}, {d})"
-        )
-    return FeatureMap(phi, n, l, header[3])
+    fx, fy = np.zeros((n, d)), np.zeros((l, d))
+    fx[:, :k] = ux[:, a] * products
+    fy[:, :k] = uy[:, b]
+    return FeatureMap(fx, fy, "svd-based")

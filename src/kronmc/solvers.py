@@ -15,6 +15,10 @@ from scipy.linalg.blas import dsyrk
 from .errors import InvalidInputError, NumericalError
 from .kernels import kron_submatrix
 
+# size of one block of gathered feature rows in _feature_blocks (of 64 KB to
+# 1 MB, 256 KB fit fastest on an 800 x 1250 grid at S = 250000, d = 50)
+FEATURE_BLOCK_BYTES = 1 << 18
+
 __all__ = [
     "KkmcexModel",
     "RrmcexModel",
@@ -52,11 +56,6 @@ def _spd_solve(a, b):
     if not np.all(np.isfinite(b)):
         raise NumericalError("positive-definite solve: right-hand side is not finite")
     return cho_solve(factor, b, check_finite=False)
-
-
-def _unvec(v, n_rows, n_cols):
-    """Undo column-major vectorization."""
-    return np.reshape(v, (n_rows, n_cols), order="F")
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,15 @@ def _check_fit_inputs(obs, mu):
         raise InvalidInputError("observations contain non-finite values")
 
 
+def _check_grid(kernel_or_features, sampling):
+    """Reject a sampling of another grid than the kernel's or feature map's."""
+    grid = (kernel_or_features.n_rows, kernel_or_features.n_cols)
+    if (sampling.n_rows, sampling.n_cols) != grid:
+        raise InvalidInputError(
+            f"sampling grid {sampling.n_rows} x {sampling.n_cols} does not match "
+            f"model grid {grid[0]} x {grid[1]}")
+
+
 def kkmcex_fit(kernel, obs, mu):
     """Solve the S x S regularized system on the sampled kernel block.
 
@@ -148,6 +156,7 @@ def kkmcex_fit(kernel, obs, mu):
     """
     _check_fit_inputs(obs, mu)
     sampling = obs.sampling
+    _check_grid(kernel, sampling)
     g = kron_submatrix(kernel, sampling)
     g[np.diag_indices_from(g)] += mu
     # g is exactly symmetric, so g.T is the same matrix as a Fortran-ordered
@@ -169,27 +178,54 @@ def kkmcex_predict(model):
     return kk.kx.matrix @ c @ kk.ky.matrix
 
 
+def _feature_blocks(features, rows0, cols0):
+    """Yield (start, block): the feature rows of the entries (rows0, cols0)
+    from ``start`` on, about FEATURE_BLOCK_BYTES at a time.
+
+    Every block is written into one reused buffer, so a block is valid only
+    until the next one is yielded.
+    """
+    d = features.dim
+    step = max(1, FEATURE_BLOCK_BYTES // (8 * max(d, 1)))
+    buf = np.empty((min(step, len(rows0)), d))
+    for start in range(0, len(rows0), step):
+        stop = min(start + step, len(rows0))
+        yield start, features.rows(rows0[start:stop], cols0[start:stop],
+                                   out=buf[:stop - start])
+
+
 def rrmcex_fit(features, obs, mu):
     """Ridge regression on the sampled feature rows.
 
-    Solves (Phi_S^T Phi_S + mu I) xi = Phi_S^T m where Phi_S gathers the
-    feature rows at the sampled vector indices (cost O(d^2 S)).  The Gram
-    matrix comes from a rank-k symmetric update (half the flops of a full
-    multiply); the Cholesky solve reads only its lower triangle and factors
-    it in place.
+    Solves (Phi_S^T Phi_S + mu I) xi = Phi_S^T m where Phi_S holds the
+    feature rows at the sampled entries (cost O(d^2 S)).  Phi_S is never
+    formed: its rows are gathered from the two factors one block at a time,
+    and each block adds a rank-k symmetric update (half the flops of a full
+    multiply) to the lower triangle of the Gram and its product with the
+    block's observations to the right-hand side, so memory beyond the
+    inputs is one block plus the d x d Gram.  The Cholesky solve reads only
+    the lower triangle and factors it in place.
     """
     _check_fit_inputs(obs, mu)
-    phi_s = features.phi[obs.sampling.vec_indices0]
-    # phi_s.T is Fortran-ordered, so the rank-k update reads phi_s in place
-    a = dsyrk(1.0, phi_s.T, trans=0, lower=1)
+    s = obs.sampling
+    _check_grid(features, s)
+    d = features.dim
+    a = np.zeros((d, d), order="F")
+    rhs = np.zeros(d)
+    for start, block in _feature_blocks(features, s.row_indices0, s.col_indices0):
+        # block.T is Fortran-ordered, so the update reads the block in place,
+        # and a Fortran-ordered a is updated in place
+        a = dsyrk(1.0, block.T, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
+        rhs += block.T @ obs.values[start:start + len(block)]
     a[np.diag_indices_from(a)] += mu
-    return RrmcexModel(features, mu, _spd_solve(a, phi_s.T @ obs.values))
+    return RrmcexModel(features, mu, _spd_solve(a, rhs))
 
 
 def rrmcex_predict(model):
-    """Full N x L estimate phi @ xi, un-vectorized column-major."""
+    """Full N x L estimate: entry (i, j) is (x[i] * xi) @ y[j], one N x d by
+    d x L product of the feature factors."""
     f = model.features
-    return _unvec(f.phi @ model.xi, f.n_rows, f.n_cols)
+    return (f.x * model.xi) @ f.y.T
 
 
 def orrmcex_step(model, i, j, m, t, mu):
@@ -219,21 +255,24 @@ def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
     if epochs < 0:
         raise InvalidInputError(f"epochs must be nonnegative, got {epochs}")
     _check_fit_inputs(obs, mu)
+    s = obs.sampling
+    _check_grid(features, s)
     rng = np.random.default_rng(seed)
-    vec_idx = obs.sampling.vec_indices0
     values = obs.values
     xi = np.zeros(features.dim)
-    phi = features.phi
     n = 0
     for _ in range(epochs):
-        for k in rng.permutation(len(values)):
-            n += 1
-            t = schedule.step(n)
-            phi_row = phi[vec_idx[k]]
-            resid = phi_row @ xi - values[k]
-            xi -= t * (phi_row * resid + mu * xi)
-            if eval_every is not None and n % eval_every == 0 and eval_hook is not None:
-                eval_hook(n, RrmcexModel(features, mu, xi.copy()))
+        order = rng.permutation(len(values))
+        for start, block in _feature_blocks(features, s.row_indices0[order],
+                                            s.col_indices0[order]):
+            for k, phi_row in zip(order[start:start + len(block)], block):
+                n += 1
+                t = schedule.step(n)
+                resid = phi_row @ xi - values[k]
+                xi -= t * (phi_row * resid + mu * xi)
+                if (eval_every is not None and n % eval_every == 0
+                        and eval_hook is not None):
+                    eval_hook(n, RrmcexModel(features, mu, xi.copy()))
         if eval_every is None and eval_hook is not None:
             eval_hook(n, RrmcexModel(features, mu, xi.copy()))
     return RrmcexModel(features, mu, xi)
@@ -385,57 +424,67 @@ def save_model(path, model):
 
 
 def _read_bundle(path, kind):
-    """Header fields and the numbered non-blank body lines of a model bundle."""
+    """Header ``kind,N,L,k,mu`` of a model bundle as (N, L, k, mu), and its
+    numbered non-blank body lines."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != kind:
             raise InvalidInputError(f"{path}: expected a {kind} bundle, got {header[0]!r}")
         body = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=2)
                 if line.strip()]
-    return header, body
+    try:
+        sizes = int(header[1]), int(header[2]), int(header[3]), float(header[4])
+    except (IndexError, ValueError) as exc:
+        raise InvalidInputError(
+            f"{path}: line 1: malformed {kind} header: {exc}") from exc
+    return sizes, body
+
+
+def _parse_fields(path, lineno, fields, convert):
+    """``fields`` converted by ``convert``; a malformed one names the line."""
+    try:
+        return [convert(v) for v in fields]
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def load_kkmcex_model(path, kernel):
     from .sampling import SamplingSet
 
-    header, body = _read_bundle(path, "kkmcex")
-    try:
-        n, l, s, mu = int(header[1]), int(header[2]), int(header[3]), float(header[4])
-    except (IndexError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: line 1: malformed kkmcex header: {exc}") from exc
+    (n, l, s, mu), body = _read_bundle(path, "kkmcex")
     entries, coeffs = [], []
     for lineno, line in body:
         fields = line.split(",")
         if len(fields) != 3:
             raise InvalidInputError(f"{path}: line {lineno}: expected i,j,coefficient, "
                                     f"got {line!r}")
-        try:
-            entries.append((int(fields[0]), int(fields[1])))
-            coeffs.append(float(fields[2]))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
+        entries.append(_parse_fields(path, lineno, fields[:2], int))
+        coeffs.extend(_parse_fields(path, lineno, fields[2:], float))
     if len(entries) != s:
         raise InvalidInputError(f"{path}: expected {s} coefficients, found {len(entries)}")
     return KkmcexModel(kernel, SamplingSet(n, l, entries), mu, np.array(coeffs))
 
 
 def load_rrmcex_model(path, features):
-    header, body = _read_bundle(path, "rrmcex")
-    d, mu = int(header[3]), float(header[4])
-    xi = np.array([float(v) for _, v in body])
+    (_, _, d, mu), body = _read_bundle(path, "rrmcex")
+    xi = np.array([_parse_fields(path, lineno, [line], float)[0]
+                   for lineno, line in body])
     if xi.size != d or features.dim != d:
         raise InvalidInputError(f"{path}: coefficient count does not match d={d}")
     return RrmcexModel(features, mu, xi)
 
 
 def load_factor_model(path):
-    header, body = _read_bundle(path, "factor")
-    n, l, p, mu = int(header[1]), int(header[2]), int(header[3]), float(header[4])
-    rows = [np.array([float(v) for v in line.split(",")]) for _, line in body]
-    if len(rows) != n + l:
-        raise InvalidInputError(f"{path}: expected {n + l} factor rows, found {len(rows)}")
-    w = np.vstack(rows[:n])
-    h = np.vstack(rows[n:])
-    if w.shape[1] != p or h.shape[1] != p:
-        raise InvalidInputError(f"{path}: factor rows do not match rank {p}")
-    return FactorModel(w, h, mu)
+    (n, l, p, mu), body = _read_bundle(path, "factor")
+    if len(body) != n + l:
+        raise InvalidInputError(
+            f"{path}: expected {n + l} factor rows, found {len(body)}")
+    rows = []
+    for lineno, line in body:
+        fields = line.split(",")
+        if len(fields) != p:
+            raise InvalidInputError(f"{path}: line {lineno}: expected {p} fields "
+                                    f"for rank {p}, got {len(fields)}")
+        rows.append(_parse_fields(path, lineno, fields, float))
+    factors = np.array(rows, dtype=float).reshape(n + l, p)
+    return FactorModel(factors[:n], factors[n:], mu)

@@ -307,8 +307,9 @@ def test_criterion_7_runtime_shape(bundle250, features250):
 
     - Ridge: ``rrmcex_fit`` costs O(d^2 S) (row gather and syrk) plus an
       S-independent d x d solve, and predict an S-independent O(NL d), so
-      no part grows faster than S: rr_ratio < 10.  Measured 2.4-3.3; the
-      fit alone measures 6.9-8.2, predict a fixed 3-10 ms.
+      no part grows faster than S: rr_ratio < 10.  Measured 3.1-3.3 with
+      the factored predict, one 250 x 250 product of about 1 ms (2.4-3.3
+      while predict read the dense NL x d table, a fixed 3-10 ms).
     - Closed form: the S x S gather is Theta(S^2) and its Cholesky
       Theta(S^3), so the S-dependent part grows at least 100x; predict
       (Kx C Ky) is S-independent.  If that fixed part is at most half the

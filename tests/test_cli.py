@@ -221,3 +221,26 @@ def test_fit_rejects_non_integer_index_field_without_traceback(synth_dataset):
     assert "Traceback" not in result.stderr
     assert f"{obs}: line 2" in result.stderr
     assert not (tmp_path / "x.pred.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,text,key", [
+    ("synth", "n = abc\n", "n"),
+    ("synth", "graph_p = high\n", "graph_p"),
+    ("sweep", "synth = 1\nmethod = kkmcex\nps = ten\n", "ps"),
+    ("sweep", "synth = 1\nmethod = kkmcex\nrealizations = 2.5\n", "realizations"),
+    ("sweep", "synth = 1\nmethod = kkmcex\nsnr = loud\n", "snr"),
+    ("online", "synth = 1\nmethod = orrmcex\nstep_c = big\n", "step_c"),
+])
+def test_malformed_numeric_config_key_is_named_without_traceback(tmp_path, subcommand,
+                                                                 text, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run(
+        [sys.executable, "-m", "kronmc", subcommand, "--config", str(cfg), "--out",
+         str(tmp_path / "x")], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"config key {key!r}" in result.stderr

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from kronmc import (Bandlimited, Diffusion, Graph, InvalidInputError,
+from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError,
                     KernelMatrix, KroneckerKernel, RegularizedLaplacian,
                     build_laplacian, features_from_eig,
                     features_from_svd, gaussian_kernel, kron_entry,
-                    kron_submatrix, linear_kernel, load_feature_map,
-                    pearson_kernel, save_feature_map, spectral_kernel,
-                    uniform_sample)
+                    kron_submatrix, linear_kernel, pearson_kernel,
+                    spectral_kernel, uniform_sample)
 
 from helpers import dense_kron, make_spd_kernel
 
@@ -268,13 +267,19 @@ def test_kron_spectrum_is_product_of_factor_spectra(n, l):
     assert np.max(np.abs(products - dense_eigs)) <= 1e-8
 
 
-def test_feature_map_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    kk = KroneckerKernel(make_spd_kernel(rng, 3), make_spd_kernel(rng, 2))
-    fm = features_from_eig(kk.kx, kk.ky, 4)
-    path = tmp_path / "phi.csv"
-    save_feature_map(path, fm)
-    loaded = load_feature_map(path)
-    assert loaded.n_rows == 3 and loaded.n_cols == 2 and loaded.dim == 4
-    assert loaded.provenance == "eig-based"
-    assert np.allclose(loaded.phi, fm.phi, atol=0, rtol=0)
+def test_feature_map_holds_validated_factors():
+    rng = np.random.default_rng(14)
+    x, y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    fm = FeatureMap(x, y, "random")
+    assert (fm.n_rows, fm.n_cols, fm.dim) == (3, 4, 2)
+    # row (j - 1) * N + i of the dense table is the feature row of entry (i, j)
+    assert np.array_equal(fm.phi[2 * 3 + 1], fm.row(2, 3))
+    assert np.array_equal(fm.row(2, 3), x[1] * y[2])
+    for i, j in ((0, 1), (4, 1), (1, 5)):
+        with pytest.raises(InvalidInputError, match="outside"):
+            fm.row(i, j)
+    for bad_x, bad_y, message in ((x[0], y, "2-D"), (x, y[:, :1], "disagree"),
+                                  (np.where(x > 0, np.inf, x), y, "non-finite"),
+                                  (x, np.full((4, 2), np.nan), "non-finite")):
+        with pytest.raises(InvalidInputError, match=message):
+            FeatureMap(bad_x, bad_y, "bad")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmc import (FeatureMap, InvalidInputError, KernelMatrix, KroneckerKernel,
                     ObservationSet, RrmcexModel, SamplingSet,
@@ -8,7 +10,7 @@ from kronmc import (FeatureMap, InvalidInputError, KernelMatrix, KroneckerKernel
                     load_factor_model, load_kkmcex_model, load_rrmcex_model,
                     nmse, observe, orrmcex_run, orrmcex_step, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
-from kronmc.solvers import _factor_init
+from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
 from helpers import dense_kron, dense_krr_gamma, make_spd_kernel, plain_als, unvec
 
@@ -104,13 +106,15 @@ def test_kkmcex_fit_peak_memory_is_about_one_gram():
     assert peak <= 1.5 * count**2 * 8
 
 
-def test_rrmcex_fit_peak_memory_is_about_one_phi_s():
-    # Phi_S (S x d) is the one large temporary; the d x d Gram is tiny.  A
-    # Fortran copy of Phi_S for the rank-k update would double the peak.
+def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s():
+    # Phi_S (S x d, 6.4 MB here) is never formed: the fit holds one gathered
+    # block of FEATURE_BLOCK_BYTES (256 KB), its row-factor temporary of the
+    # same size and the d x d Gram, about 0.08 of Phi_S; forming Phi_S in
+    # one piece costs at least 1.0
     import tracemalloc
     rng = np.random.default_rng(43)
-    n, l, d, count = 200, 150, 20, 20000
-    fmap = FeatureMap(rng.normal(size=(n * l, d)), n, l, "random")
+    n, l, d, count = 200, 250, 20, 40000
+    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)), "random")
     obs = ObservationSet(uniform_sample(n, l, count, seed=5), rng.normal(size=count))
     tracemalloc.start()
     try:
@@ -118,7 +122,7 @@ def test_rrmcex_fit_peak_memory_is_about_one_phi_s():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * count * d * 8
+    assert peak <= 0.25 * count * d * 8
 
 
 def test_spd_solve_rejects_non_finite_right_hand_side():
@@ -189,11 +193,14 @@ def test_kkmcex_extrapolates_empty_column():
 
 
 def test_rrmcex_orthonormal_features_full_observation():
+    # columns y[:, b] kron x[:, a] of orthonormal factors over four distinct
+    # (a, b) pairs are orthonormal
     n, l = 3, 2
-    q = np.linalg.qr(np.random.default_rng(8).normal(size=(6, 4)))[0]
-    from kronmc import FeatureMap
-
-    fmap = FeatureMap(q, n, l, "explicit")
+    qx = np.linalg.qr(np.random.default_rng(8).normal(size=(n, n)))[0]
+    qy = np.linalg.qr(np.random.default_rng(18).normal(size=(l, l)))[0]
+    fmap = FeatureMap(qx[:, [0, 1, 2, 0]], qy[:, [0, 0, 1, 1]], "explicit")
+    q = fmap.phi
+    assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
     f = unvec(np.arange(6, dtype=float) + 1.0, n, l)
     obs = observe(f, full_sampling(n, l))
     mu = 0.3
@@ -504,3 +511,103 @@ def test_load_kkmcex_model_names_malformed_lines(tmp_path):
         with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
             load_kkmcex_model(path, kk)
         assert str(path) in str(info.value)
+
+
+def test_load_rrmcex_model_names_malformed_lines(tmp_path):
+    fmap = FeatureMap(np.ones((2, 1)), np.ones((2, 1)), "explicit")
+    path = tmp_path / "r.csv"
+    for text, lineno in (("rrmcex,2,2,1,0.5\nabc\n", 2),
+                         ("rrmcex,2,2,2,0.5\n0.25\n\n1,2\n", 4),
+                         ("rrmcex,2,2,x,0.5\n0.25\n", 1),
+                         ("rrmcex,2,2,1\n", 1)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
+            load_rrmcex_model(path, fmap)
+        assert str(path) in str(info.value)
+
+
+def test_load_factor_model_names_malformed_lines(tmp_path):
+    path = tmp_path / "f.csv"
+    for text, lineno in (("factor,1,1,2,0.5\n0.5,0.25\nx\n", 3),
+                         ("factor,1,1,2,0.5\n0.5,0.25\n1.0,y\n", 3),
+                         ("factor,1,1,2,0.5\n0.5\n1.0,2.0\n", 2),
+                         ("factor,1,one,2,0.5\n0.5,0.25\n1.0,2.0\n", 1)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
+            load_factor_model(path)
+        assert str(path) in str(info.value)
+    path.write_text("factor,1,1,2,0.5\n0.5,0.25\n")
+    with pytest.raises(InvalidInputError, match="expected 2 factor rows"):
+        load_factor_model(path)
+
+
+# ---------------------------------------------------------------- factored features
+
+
+@st.composite
+def factored_problems(draw):
+    """A random feature map and sampling with S from 0 to past three gather
+    blocks of FEATURE_BLOCK_BYTES, the last one short."""
+    d = draw(st.integers(1, 96))
+    step = FEATURE_BLOCK_BYTES // (8 * d)
+    count = draw(st.integers(0, 3)) * step + draw(st.integers(0, step - 1))
+    n = draw(st.integers(1, 40))
+    l = max(1, -(-count // n)) + draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, count, n, l, seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(factored_problems())
+def test_factored_gather_fit_and_predict_match_the_dense_table(case):
+    d, count, n, l, seed = case
+    rng = np.random.default_rng(seed)
+    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)), "random")
+    s = uniform_sample(n, l, count, seed=seed) if count else SamplingSet(n, l, ())
+    obs = ObservationSet(s, rng.normal(size=count))
+    phi = fmap.phi
+    phi_s = phi[s.vec_indices0]
+    assert np.array_equal(fmap.rows(s.row_indices0, s.col_indices0), phi_s)
+    mu = 0.5
+    xi = rrmcex_fit(fmap, obs, mu).xi
+    oracle = np.linalg.solve(phi_s.T @ phi_s + mu * np.eye(d), phi_s.T @ obs.values)
+    assert np.linalg.norm(xi - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1e-300)
+    xi = rng.normal(size=d)
+    pred = rrmcex_predict(RrmcexModel(fmap, mu, xi))
+    dense = unvec(phi @ xi, n, l)
+    assert np.linalg.norm(pred - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_no_library_path_builds_the_dense_feature_table(monkeypatch):
+    from kronmc import ExperimentConfig, features_from_svd, generate_synthetic
+    from kronmc.bench import run_online
+
+    def refuse(self):
+        raise AssertionError("the dense NL x d feature table was built")
+
+    monkeypatch.setattr(FeatureMap, "phi", property(refuse))
+    rng = np.random.default_rng(44)
+    kk, f, obs = random_problem(rng, 6, 5, 12, mu=0.1)
+    schedule = StepSchedule.constant(0.01)
+    for fmap in (features_from_eig(kk.kx, kk.ky, 6),
+                 features_from_svd(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)), 6)):
+        assert rrmcex_predict(rrmcex_fit(fmap, obs, 0.1)).shape == (6, 5)
+        model = orrmcex_run(fmap, obs, schedule, 0.1, 2)
+        assert rrmcex_predict(orrmcex_step(model, 2, 3, 1.0, 0.01, 0.1)).shape == (6, 5)
+    dataset = generate_synthetic(6, 5, 0.3, 1.0, seed=1)
+    config = ExperimentConfig("orrmcex", (50,), feature_dim=4, epochs=2)
+    assert len(run_online(config, dataset, stride=5)) == 2 * 15 // 5
+
+
+def test_fits_reject_a_sampling_of_another_grid():
+    # a 3 x 4 sampling on a 4 x 3 model indexes valid but wrong entries
+    rng = np.random.default_rng(45)
+    fmap = FeatureMap(rng.normal(size=(4, 2)), rng.normal(size=(3, 2)), "random")
+    obs = ObservationSet(uniform_sample(3, 4, 5, seed=1), rng.normal(size=5))
+    kk = KroneckerKernel(make_spd_kernel(rng, 4), make_spd_kernel(rng, 3))
+    with pytest.raises(InvalidInputError, match="grid"):
+        kkmcex_fit(kk, obs, 0.1)
+    with pytest.raises(InvalidInputError, match="grid"):
+        rrmcex_fit(fmap, obs, 0.1)
+    with pytest.raises(InvalidInputError, match="grid"):
+        orrmcex_run(fmap, obs, StepSchedule.constant(0.01), 0.1, 1)
