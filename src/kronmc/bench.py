@@ -9,6 +9,7 @@ clock and are reported separately.
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,9 +21,10 @@ from .kernels import (Diffusion, KroneckerKernel, features_from_eig,
                       pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample)
-from .solvers import (RrmcexModel, StepSchedule, _feature_blocks, als_fit,
-                      factor_predict, factor_sgd_fit, kkmcex_fit, kkmcex_predict,
-                      orrmcex_run, rrmcex_fit, rrmcex_predict)
+from .solvers import (StepSchedule, _factor_init, _factor_sgd_epochs,
+                      _orrmcex_epochs, als_fit, factor_predict, factor_sgd_fit,
+                      kkmcex_fit, kkmcex_predict, orrmcex_run, rrmcex_fit,
+                      rrmcex_predict)
 
 __all__ = [
     "DatasetBundle",
@@ -46,13 +48,6 @@ __all__ = [
     "grid_search",
     "run_online",
 ]
-
-METHODS = ("kkmcex", "rrmcex", "orrmcex", "als", "factor_sgd")
-
-# default search grids when nothing better is known
-DEFAULT_MU_GRID = tuple(10.0 ** e for e in range(-6, 3))
-DEFAULT_ETA_GRID = tuple(10.0 ** e for e in (-2.0, -1.0, 0.0, 1.0))
-
 
 def derive_seed(*parts):
     """Deterministic child seed from a tuple of integer tags."""
@@ -112,11 +107,16 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
         if not self.ps_grid or not all(0 < p <= 100 for p in self.ps_grid):
-            raise InvalidInputError("sampling percentages must lie in (0, 100]")
+            raise InvalidInputError(
+                f"sampling percentages ps must lie in (0, 100], got {self.ps_grid}")
         if not self.mu_grid or not self.eta_grid:
             raise InvalidInputError("parameter grids must be nonempty")
         if self.realizations < 1:
             raise InvalidInputError("need at least one realization")
+        for name in ("rank", "feature_dim", "epochs"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -405,44 +405,60 @@ def onehot_features(rows):
     return out
 
 
-def _prepare_method_state(method, kx, ky, dataset, config):
-    """Build whatever the method needs before the clock starts."""
-    if method == "kkmcex":
-        return {"kernel": KroneckerKernel(kx, ky)}
-    if method in ("rrmcex", "orrmcex"):
-        return {"features": features_from_eig(kx, ky, config.feature_dim)}
-    if method == "als":
-        return {"kx": kx, "ky": ky}
-    return {}
+class _Method(NamedTuple):
+    """How every protocol drives one method: ``prepare(kx, ky, config)``
+    builds its state before the clock starts, ``fit(state, obs, mu, config,
+    seed)`` returns a model and ``predict(model)`` its N x L estimate, and
+    ``stream(state, obs, mu, config, seed, orders, eval_hook, eval_every)``
+    runs an SGD method over one visit order per epoch (None: batch only).
+    Each field names its solver inside a function, so the name is looked up
+    here at call time and a solver patched in this module (by a tracer or a
+    test) is seen by every protocol."""
+
+    prepare: object
+    fit: object
+    predict: object
+    stream: object = None
 
 
-def _fit(method, state, obs, mu, config, seed):
-    """Fit the configured method on one observation set.
-
-    Returns the model and the function that predicts from it.
-    """
-    if method == "kkmcex":
-        return kkmcex_fit(state["kernel"], obs, mu), kkmcex_predict
-    if method == "rrmcex":
-        return rrmcex_fit(state["features"], obs, mu), rrmcex_predict
-    if method == "orrmcex":
-        model = orrmcex_run(state["features"], obs, config.schedule, mu,
-                            config.epochs, seed=seed)
-        return model, rrmcex_predict
-    if method == "als":
-        model = als_fit(obs, state["kx"], state["ky"], config.rank, mu,
-                        max_iters=config.max_iters, rel_tol=config.rel_tol,
-                        seed=seed)
-        return model, factor_predict
-    model = factor_sgd_fit(obs, config.rank, mu, config.schedule,
-                           config.epochs, seed)
-    return model, factor_predict
+def _features(kx, ky, config):
+    return features_from_eig(kx, ky, config.feature_dim)
 
 
-def _fit_predict(method, state, obs, mu, config, seed):
-    """Fit the configured method on one observation set and predict."""
-    model, predict = _fit(method, state, obs, mu, config, seed)
-    return predict(model)
+_METHOD_TABLE = {
+    "kkmcex": _Method(
+        lambda kx, ky, config: KroneckerKernel(kx, ky),
+        lambda kernel, obs, mu, config, seed: kkmcex_fit(kernel, obs, mu),
+        lambda model: kkmcex_predict(model)),
+    "rrmcex": _Method(
+        _features,
+        lambda features, obs, mu, config, seed: rrmcex_fit(features, obs, mu),
+        lambda model: rrmcex_predict(model)),
+    "orrmcex": _Method(
+        _features,
+        lambda features, obs, mu, config, seed: orrmcex_run(
+            features, obs, config.schedule, mu, config.epochs, seed=seed),
+        lambda model: rrmcex_predict(model),
+        lambda features, obs, mu, config, seed, orders, hook, every: _orrmcex_epochs(
+            features, obs, config.schedule, mu, orders, hook, every)),
+    "als": _Method(
+        lambda kx, ky, config: (kx, ky),
+        lambda kernels, obs, mu, config, seed: als_fit(
+            obs, *kernels, config.rank, mu, max_iters=config.max_iters,
+            rel_tol=config.rel_tol, seed=seed),
+        lambda model: factor_predict(model)),
+    "factor_sgd": _Method(
+        lambda kx, ky, config: None,
+        lambda _, obs, mu, config, seed: factor_sgd_fit(
+            obs, config.rank, mu, config.schedule, config.epochs, seed),
+        lambda model: factor_predict(model),
+        lambda _, obs, mu, config, seed, orders, hook, every: _factor_sgd_epochs(
+            obs, *_factor_init(obs.sampling.n_rows, obs.sampling.n_cols,
+                               config.rank, seed),
+            mu, config.schedule, orders, hook, every)),
+}
+
+METHODS = tuple(_METHOD_TABLE)
 
 
 def _kernels_for_eta(dataset, eta, base_eta):
@@ -498,13 +514,13 @@ def grid_search(config, dataset, validation_fraction=None, p_s=None):
         raise InvalidInputError("validation values are all zero; score undefined")
 
     base_eta = _base_eta(dataset)
+    method = _METHOD_TABLE[config.method]
     best = None
     for eta in config.eta_grid:
-        kx, ky = _kernels_for_eta(dataset, eta, base_eta)
-        state = _prepare_method_state(config.method, kx, ky, dataset, config)
+        state = method.prepare(*_kernels_for_eta(dataset, eta, base_eta), config)
         for mu in config.mu_grid:
-            est = _fit_predict(config.method, state, fit_obs, mu, config,
-                               derive_seed(config.seed, 9003))
+            model = method.fit(state, fit_obs, mu, config, derive_seed(config.seed, 9003))
+            est = method.predict(model)
             score = float(np.sum((est[val_rows, val_cols] - val_values) ** 2)) / val_norm
             if best is None or score < best[0] or (score == best[0] and mu > best[1]):
                 best = (score, mu, eta)
@@ -520,14 +536,14 @@ def run_sweep(config, dataset, keep_estimates=False):
     """
     n, l = dataset.shape
     base_eta = _base_eta(dataset)
+    method = _METHOD_TABLE[config.method]
     result = ExperimentResult(rows=[])
     for ps_idx, p_s in enumerate(config.ps_grid):
         if len(config.mu_grid) == 1 and len(config.eta_grid) == 1:
             mu, eta = config.mu_grid[0], config.eta_grid[0]
         else:
             mu, eta = grid_search(config, dataset, p_s=p_s)
-        kx, ky = _kernels_for_eta(dataset, eta, base_eta)
-        state = _prepare_method_state(config.method, kx, ky, dataset, config)
+        state = method.prepare(*_kernels_for_eta(dataset, eta, base_eta), config)
         count = _sample_count(p_s, n, l)
         estimates = []
         for r in range(config.realizations):
@@ -537,7 +553,7 @@ def run_sweep(config, dataset, keep_estimates=False):
             obs = observe(dataset.f, sampling, noise)
             fit_seed = derive_seed(config.seed, ps_idx, r, 2)
             tic = time.perf_counter()
-            est = _fit_predict(config.method, state, obs, mu, config, fit_seed)
+            est = method.predict(method.fit(state, obs, mu, config, fit_seed))
             seconds = time.perf_counter() - tic
             result.rows.append({
                 "method": config.method,
@@ -560,71 +576,40 @@ def run_online(config, dataset, stride=None):
 
     The reveal order is a seeded permutation of the sampling set repeated
     circularly.  Trace rows are (iteration, elapsed seconds, nmse) recorded
-    every ``stride`` iterations (None: final point only); evaluation time is
-    excluded from the elapsed clock.
+    every ``stride`` iterations and at the last one (None: last only); the
+    elapsed clock stops while a row is evaluated.
     """
-    if config.method not in ("orrmcex", "factor_sgd"):
-        raise InvalidInputError(
-            f"online protocol supports orrmcex and factor_sgd, got {config.method!r}"
-        )
+    method = _METHOD_TABLE[config.method]
+    if method.stream is None:
+        online = " and ".join(name for name, m in _METHOD_TABLE.items() if m.stream)
+        raise InvalidInputError(f"online protocol supports {online}, got {config.method!r}")
+    if stride is not None and stride < 1:
+        raise InvalidInputError(f"stride must be at least 1, got {stride}")
     n, l = dataset.shape
-    p_s = config.ps_grid[0]
-    count = _sample_count(p_s, n, l)
+    count = _sample_count(config.ps_grid[0], n, l)
     sampling = uniform_sample(n, l, count, derive_seed(config.seed, 0, 0, 0))
     noise = replace(config.noise, seed=derive_seed(config.seed, 0, 0, 1))
     obs = observe(dataset.f, sampling, noise)
-    mu = config.mu_grid[0]
     order = np.random.default_rng(derive_seed(config.seed, 0, 0, 2)).permutation(count)
-    total_iters = config.epochs * count
+    state = method.prepare(dataset.kx, dataset.ky, config)
     trace = []
+    elapsed = 0.0
+    tic = time.perf_counter()
 
-    if config.method == "orrmcex":
-        features = features_from_eig(dataset.kx, dataset.ky, config.feature_dim)
-        rows0 = obs.sampling.row_indices0[order]
-        cols0 = obs.sampling.col_indices0[order]
-        values = obs.values[order]
-        xi = np.zeros(features.dim)
-        it = 0
-        elapsed = 0.0
+    def record(iteration, model):
+        nonlocal elapsed, tic
+        elapsed += time.perf_counter() - tic
+        trace.append({"iteration": iteration, "seconds": elapsed,
+                      "nmse": nmse(method.predict(model), dataset.f)})
         tic = time.perf_counter()
-        for _ in range(config.epochs):
-            for start, block in _feature_blocks(features, rows0, cols0):
-                for m, phi_row in zip(values[start:start + len(block)], block):
-                    it += 1
-                    t = config.schedule.step(it)
-                    resid = phi_row @ xi - m
-                    xi -= t * (phi_row * resid + mu * xi)
-                    if (stride is not None and it % stride == 0) or it == total_iters:
-                        elapsed += time.perf_counter() - tic
-                        est = rrmcex_predict(RrmcexModel(features, mu, xi))
-                        trace.append({"iteration": it, "seconds": elapsed,
-                                      "nmse": nmse(est, dataset.f)})
-                        tic = time.perf_counter()
-    else:
-        rows0 = obs.sampling.row_indices0
-        cols0 = obs.sampling.col_indices0
-        row_counts = np.bincount(rows0, minlength=n).astype(float)
-        col_counts = np.bincount(cols0, minlength=l).astype(float)
-        rng_init = derive_seed(config.seed, 0, 0, 3)
-        from .solvers import _factor_init
 
-        w, h = _factor_init(n, l, config.rank, rng_init)
-        elapsed = 0.0
-        for it in range(1, total_iters + 1):
-            tic = time.perf_counter()
-            k = order[(it - 1) % count]
-            t = config.schedule.step(it)
-            i, j = rows0[k], cols0[k]
-            wi, hj = w[i], h[j]
-            err = obs.values[k] - wi @ hj
-            gw = -2.0 * err * hj + (2.0 * mu / row_counts[i]) * wi
-            gh = -2.0 * err * wi + (2.0 * mu / col_counts[j]) * hj
-            w[i] = wi - t * gw
-            h[j] = hj - t * gh
-            elapsed += time.perf_counter() - tic
-            if (stride is not None and it % stride == 0) or it == total_iters:
-                trace.append({"iteration": it, "seconds": elapsed,
-                              "nmse": nmse(w @ h.T, dataset.f)})
+    # without a stride the hook stays off: ORRMCEX would fire it every epoch
+    model = method.stream(state, obs, config.mu_grid[0], config, derive_seed(config.seed, 0, 0, 3),
+                          [order] * config.epochs,
+                          None if stride is None else record, stride)
+    total = config.epochs * count
+    if not trace or trace[-1]["iteration"] < total:
+        record(total, model)
     return trace
 
 

@@ -148,11 +148,11 @@ def _config_from(cfg, opts):
         realizations=_number(cfg, "realizations", 1, int),
         mu_grid=mu_grid,
         eta_grid=eta_grid,
-        rank=opts.rank or _number(cfg, "rank", 10, int),
-        feature_dim=opts.dim or _number(cfg, "dim", 10, int),
+        rank=opts.rank if opts.rank is not None else _number(cfg, "rank", 10, int),
+        feature_dim=opts.dim if opts.dim is not None else _number(cfg, "dim", 10, int),
         noise=_noise_from(cfg, opts),
         seed=opts.seed,
-        epochs=opts.epochs or _number(cfg, "epochs", 20, int),
+        epochs=opts.epochs if opts.epochs is not None else _number(cfg, "epochs", 20, int),
         schedule=_schedule_from(cfg),
         validation_fraction=_number(cfg, "validation_fraction", 0.2),
     )
@@ -179,20 +179,17 @@ def _cmd_fit(opts):
         raise InvalidInputError("fit requires --mu")
     if not np.isfinite(opts.mu) or opts.mu <= 0:
         raise InvalidInputError(f"--mu must be positive and finite, got {opts.mu}")
+    config = _config_from({**cfg, "method": opts.method or cfg.get("method", "kkmcex")},
+                          opts)
     if "obs" in cfg:
         obs = bench.load_triplets_csv(cfg["obs"], n, l)
     else:
-        p_s = opts.ps if opts.ps is not None else 10.0
-        count = max(1, int(round(p_s / 100.0 * n * l)))
-        sampling = uniform_sample(n, l, count, opts.seed)
-        obs = observe(dataset.f, sampling, _noise_from(cfg, opts))
-    config = _config_from({**cfg, "method": opts.method or cfg.get("method", "kkmcex")},
-                          opts)
-    state = bench._prepare_method_state(config.method, dataset.kx, dataset.ky,
-                                        dataset, config)
-    model, predict = bench._fit(config.method, state, obs, config.mu_grid[0],
-                                config, opts.seed)
-    bench.save_matrix_csv(f"{opts.out}.pred.csv", predict(model))
+        count = bench._sample_count(config.ps_grid[0], n, l)
+        obs = observe(dataset.f, uniform_sample(n, l, count, opts.seed), config.noise)
+    method = bench._METHOD_TABLE[config.method]
+    state = method.prepare(dataset.kx, dataset.ky, config)
+    model = method.fit(state, obs, opts.mu, config, opts.seed)
+    bench.save_matrix_csv(f"{opts.out}.pred.csv", method.predict(model))
     save_model(f"{opts.out}.model.csv", model)
     print(f"wrote {opts.out}.pred.csv {opts.out}.model.csv")
     return 0
@@ -214,8 +211,7 @@ def _cmd_online(opts):
     cfg = parse_config(opts.config)
     dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
     config = _config_from(cfg, opts)
-    stride = opts.stride if opts.stride is not None else None
-    trace = bench.run_online(config, dataset, stride=stride)
+    trace = bench.run_online(config, dataset, stride=opts.stride)
     bench.write_trace_csv(opts.out, trace)
     final = trace[-1]
     print(f"{config.method}: {final['iteration']} iterations, "

@@ -85,16 +85,11 @@ class RrmcexModel:
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Rank-p factorization: an N x p and an L x p factor.
-
-    ``kernel_reg`` records the kernel pair whose inverses regularized the
-    fit, when one was used.
-    """
+    """Rank-p factorization: an N x p and an L x p factor."""
 
     w: np.ndarray
     h: np.ndarray
     mu: float
-    kernel_reg: tuple = None
 
     @property
     def rank(self):
@@ -243,26 +238,25 @@ def orrmcex_step(model, i, j, m, t, mu):
     return RrmcexModel(model.features, mu, xi)
 
 
-def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
-                eval_every=None):
-    """Stream the observations for several epochs of seeded-order SGD.
-
-    Starts from xi = 0, visits the observations in a fresh random order each
-    epoch, and applies the streaming update with the scheduled step size.
-    ``eval_hook(iteration, model)`` fires every ``eval_every`` iterations
-    (default: once per epoch).
-    """
+def _seeded_orders(count, epochs, seed):
+    """``epochs`` fresh seeded permutations of range(count), drawn lazily."""
     if epochs < 0:
         raise InvalidInputError(f"epochs must be nonnegative, got {epochs}")
+    rng = np.random.default_rng(seed)
+    return (rng.permutation(count) for _ in range(epochs))
+
+
+def _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook=None,
+                    eval_every=None):
+    """ORRMCEX from xi = 0, visiting the observations in each order of
+    ``orders`` in turn (one per epoch); ``eval_hook`` as in orrmcex_run."""
     _check_fit_inputs(obs, mu)
     s = obs.sampling
     _check_grid(features, s)
-    rng = np.random.default_rng(seed)
     values = obs.values
     xi = np.zeros(features.dim)
     n = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(values))
+    for order in orders:
         for start, block in _feature_blocks(features, s.row_indices0[order],
                                             s.col_indices0[order]):
             for k, phi_row in zip(order[start:start + len(block)], block):
@@ -276,6 +270,19 @@ def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
         if eval_every is None and eval_hook is not None:
             eval_hook(n, RrmcexModel(features, mu, xi.copy()))
     return RrmcexModel(features, mu, xi)
+
+
+def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
+                eval_every=None):
+    """Stream the observations for several epochs of seeded-order SGD.
+
+    Starts from xi = 0, visits the observations in a fresh random order each
+    epoch, and applies the streaming update with the scheduled step size.
+    ``eval_hook(iteration, model)`` fires every ``eval_every`` iterations
+    (default: once per epoch).
+    """
+    orders = _seeded_orders(len(obs.values), epochs, seed)
+    return _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook, eval_every)
 
 
 def _factor_init(n, l, p, seed):
@@ -355,10 +362,40 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
         objectives.append(obj)
         if prev - obj < rel_tol * max(abs(prev), 1e-30):
             break
-    model = FactorModel(w, h, mu, kernel_reg=(kx, ky))
+    model = FactorModel(w, h, mu)
     if return_objectives:
         return model, objectives
     return model
+
+
+def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
+                       eval_every=None):
+    """Factor SGD from the factors (w, h), which it updates in place,
+    visiting the observations in each order of ``orders`` in turn (one per
+    epoch); ``eval_hook(iteration, model)`` fires every ``eval_every``
+    iterations."""
+    _check_fit_inputs(obs, mu)
+    sampling = obs.sampling
+    rows = sampling.row_indices0
+    cols = sampling.col_indices0
+    m_vals = obs.values
+    row_counts = np.bincount(rows, minlength=sampling.n_rows).astype(float)
+    col_counts = np.bincount(cols, minlength=sampling.n_cols).astype(float)
+    step_no = 0
+    for order in orders:
+        for k in order:
+            step_no += 1
+            t = schedule.step(step_no)
+            i, j = rows[k], cols[k]
+            wi, hj = w[i], h[j]
+            err = m_vals[k] - wi @ hj
+            gw = -2.0 * err * hj + (2.0 * mu / row_counts[i]) * wi
+            gh = -2.0 * err * wi + (2.0 * mu / col_counts[j]) * hj
+            w[i] = wi - t * gw
+            h[j] = hj - t * gh
+            if eval_hook is not None and step_no % eval_every == 0:
+                eval_hook(step_no, FactorModel(w, h, mu))
+    return FactorModel(w, h, mu)
 
 
 def factor_sgd_fit(obs, p, mu, schedule, epochs, seed):
@@ -370,30 +407,9 @@ def factor_sgd_fit(obs, p, mu, schedule, epochs, seed):
     """
     if p < 1:
         raise InvalidInputError(f"rank bound must be at least 1, got {p}")
-    _check_fit_inputs(obs, mu)
-    sampling = obs.sampling
-    n, l = sampling.n_rows, sampling.n_cols
-    rows = sampling.row_indices0
-    cols = sampling.col_indices0
-    m_vals = obs.values
-    row_counts = np.bincount(rows, minlength=n).astype(float)
-    col_counts = np.bincount(cols, minlength=l).astype(float)
-
-    rng = np.random.default_rng(seed)
-    w, h = _factor_init(n, l, p, seed)
-    step_no = 0
-    for _ in range(epochs):
-        for k in rng.permutation(len(m_vals)):
-            step_no += 1
-            t = schedule.step(step_no)
-            i, j = rows[k], cols[k]
-            wi, hj = w[i], h[j]
-            err = m_vals[k] - wi @ hj
-            gw = -2.0 * err * hj + (2.0 * mu / row_counts[i]) * wi
-            gh = -2.0 * err * wi + (2.0 * mu / col_counts[j]) * hj
-            w[i] = wi - t * gw
-            h[j] = hj - t * gh
-    return FactorModel(w, h, mu)
+    orders = _seeded_orders(len(obs.values), epochs, seed)
+    w, h = _factor_init(obs.sampling.n_rows, obs.sampling.n_cols, p, seed)
+    return _factor_sgd_epochs(obs, w, h, mu, schedule, orders)
 
 
 def factor_predict(model):

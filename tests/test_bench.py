@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,9 @@ def test_experiment_config_validation():
         ExperimentConfig(method="kkmcex", ps_grid=(0.0,))
     with pytest.raises(InvalidInputError):
         ExperimentConfig(method="kkmcex", ps_grid=(10.0,), mu_grid=())
+    for name in ("rank", "feature_dim", "epochs"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be at least 1, got 0"):
+            ExperimentConfig(method="kkmcex", ps_grid=(10.0,), **{name: 0})
 
 
 def test_run_sweep_full_observation_recovers_synthetic():
@@ -222,11 +227,41 @@ def test_run_online_orrmcex_error_decreases():
     assert nmses[-1] <= min(head)
 
 
-def test_run_online_rejects_batch_methods():
+@pytest.mark.parametrize("method", ["kkmcex", "rrmcex", "als"])
+def test_run_online_rejects_batch_methods(method):
     ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
-    cfg = ExperimentConfig(method="kkmcex", ps_grid=(50.0,), mu_grid=(0.1,))
-    with pytest.raises(InvalidInputError):
+    cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(0.1,))
+    with pytest.raises(InvalidInputError, match="online protocol"):
         run_online(cfg, ds)
+
+
+def test_run_online_rejects_stride_below_one():
+    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
+    cfg = ExperimentConfig(method="orrmcex", ps_grid=(50.0,), feature_dim=4)
+    for stride in (0, -3):
+        with pytest.raises(InvalidInputError, match=f"stride must be at least 1, got {stride}"):
+            run_online(cfg, ds, stride=stride)
+
+
+@pytest.mark.parametrize("method", ["orrmcex", "factor_sgd"])
+def test_run_online_clock_excludes_evaluation(monkeypatch, method):
+    # each evaluation sleeps 0.1 s; six of them would put 0.5 s on the clock
+    # before the last row, while 30 updates take about a millisecond
+    from kronmc import bench
+
+    def slow_nmse(est, truth):
+        time.sleep(0.1)
+        return nmse(est, truth)
+
+    monkeypatch.setattr(bench, "nmse", slow_nmse)
+    ds = generate_synthetic(6, 5, 0.3, 1.0, seed=1)
+    cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(1e-3,), rank=2,
+                           feature_dim=4, epochs=2, seed=5)
+    trace = run_online(cfg, ds, stride=5)
+    assert [r["iteration"] for r in trace] == [5, 10, 15, 20, 25, 30]
+    seconds = [r["seconds"] for r in trace]
+    assert seconds == sorted(seconds)
+    assert seconds[-1] < 0.1
 
 
 def test_derive_seed_is_stable():

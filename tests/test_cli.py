@@ -6,8 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronmc import load_matrix_csv
+from kronmc import (KernelMatrix, KroneckerKernel, bench, factor_predict,
+                    features_from_eig, kkmcex_predict, load_factor_model,
+                    load_kkmcex_model, load_matrix_csv, load_rrmcex_model,
+                    rrmcex_predict)
 from kronmc.cli import UsageError, main, parse_args, parse_config
+
+
+def run_kronmc(*args):
+    """``python -m kronmc args`` in a fresh process, on this checkout's source."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "kronmc", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_parse_args_sweep_invocation():
@@ -210,13 +222,8 @@ def test_fit_rejects_non_integer_index_field_without_traceback(synth_dataset):
     fit_cfg = tmp_path / "fit.cfg"
     fit_cfg.write_text(f"f = {out}.f.csv\nkx = {out}.kx.csv\n"
                        f"ky = {out}.ky.csv\nobs = {obs}\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run(
-        [sys.executable, "-m", "kronmc", "fit", "--config", str(fit_cfg), "--out",
-         str(tmp_path / "x"), "--method", "kkmcex", "--mu", "1e-3"],
-        capture_output=True, text=True, env=env, timeout=120)
+    result = run_kronmc("fit", "--config", fit_cfg, "--out", tmp_path / "x",
+                        "--method", "kkmcex", "--mu", "1e-3")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert f"{obs}: line 2" in result.stderr
@@ -235,12 +242,43 @@ def test_malformed_numeric_config_key_is_named_without_traceback(tmp_path, subco
                                                                  text, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run(
-        [sys.executable, "-m", "kronmc", subcommand, "--config", str(cfg), "--out",
-         str(tmp_path / "x")], capture_output=True, text=True, env=env, timeout=120)
+    result = run_kronmc(subcommand, "--config", cfg, "--out", tmp_path / "x")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert f"config key {key!r}" in result.stderr
+
+
+@pytest.mark.parametrize("subcommand,flags,name", [
+    ("online", ["--stride", "0"], "stride"),
+    ("online", ["--epochs", "-1"], "epochs"),
+    ("online", ["--rank", "0"], "rank"),
+    ("online", ["--dim", "0"], "feature_dim"),
+    ("fit", ["--ps", "200", "--mu", "1e-3"], "ps"),
+])
+def test_out_of_range_flag_is_named_without_traceback(tmp_path, subcommand, flags, name):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nmethod = factor_sgd\n")
+    result = run_kronmc(subcommand, "--config", cfg, "--out", tmp_path / "x", *flags)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"{name} must" in result.stderr
+    assert not any(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_fit_prediction_equals_the_reloaded_models_prediction(synth_dataset, method):
+    tmp_path, out = synth_dataset
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(f"f = {out}.f.csv\nkx = {out}.kx.csv\nky = {out}.ky.csv\n"
+                       "rank = 2\ndim = 6\nepochs = 3\n")
+    assert main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "m"),
+                 "--method", method, "--mu", "1e-2", "--ps", "40", "--seed", "5"]) == 0
+    kx, ky = (KernelMatrix(load_matrix_csv(f"{out}.{side}.csv")) for side in ("kx", "ky"))
+    path = tmp_path / "m.model.csv"
+    if method == "kkmcex":
+        pred = kkmcex_predict(load_kkmcex_model(path, KroneckerKernel(kx, ky)))
+    elif method in ("rrmcex", "orrmcex"):
+        pred = rrmcex_predict(load_rrmcex_model(path, features_from_eig(kx, ky, 6)))
+    else:
+        pred = factor_predict(load_factor_model(path))
+    assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"), pred)

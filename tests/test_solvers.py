@@ -450,6 +450,12 @@ def test_factor_sgd_tiny_steps_leave_factors_near_init():
     assert np.allclose(model.h, h0, atol=1e-250)
 
 
+def test_factor_sgd_rejects_negative_epochs():
+    obs = observe(np.ones((3, 3)), uniform_sample(3, 3, 4, seed=1))
+    with pytest.raises(InvalidInputError, match="epochs must be nonnegative, got -1"):
+        factor_sgd_fit(obs, 2, 0.1, StepSchedule.constant(0.1), -1, seed=0)
+
+
 def test_factor_sgd_fits_rank_one_full_observation():
     rng = np.random.default_rng(23)
     n = l = 6
