@@ -17,8 +17,8 @@ from .analysis import nmse
 from .errors import InvalidInputError
 from .graphs import (Graph, build_laplacian, erdos_renyi, geodesic_distances,
                      heat_adjacency, knn_symmetric)
-from .kernels import (Diffusion, KroneckerKernel, features_from_eig,
-                      pearson_kernel, spectral_kernel)
+from .kernels import (Diffusion, KroneckerKernel, _reject_non_finite,
+                      features_from_eig, pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample)
 from .solvers import (StepSchedule, _factor_init, _factor_sgd_epochs,
@@ -77,6 +77,7 @@ class DatasetBundle:
                 f"matrix shape {f.shape} does not match kernel sides "
                 f"({self.kx.side}, {self.ky.side})"
             )
+        _reject_non_finite(f, "data matrix")
         object.__setattr__(self, "f", f)
 
     @property
@@ -160,13 +161,8 @@ def generate_synthetic(n, l, graph_p, eta, seed):
         raise InvalidInputError("synthetic grids need at least 2 rows and columns")
     rng = np.random.default_rng(seed)
     seed_x, seed_y = (int(s) for s in rng.integers(2**63, size=2))
-    lap_x = build_laplacian(erdos_renyi(n, graph_p, seed_x))
-    lap_y = build_laplacian(erdos_renyi(l, graph_p, seed_y))
-
-    def builder(eta_val):
-        return (spectral_kernel(lap_x, Diffusion(eta_val)),
-                spectral_kernel(lap_y, Diffusion(eta_val)))
-
+    builder = _diffusion_builder(build_laplacian(erdos_renyi(n, graph_p, seed_x)),
+                                 build_laplacian(erdos_renyi(l, graph_p, seed_y)))
     kx, ky = builder(eta)
     gamma = rng.normal(size=(n, l))
     f = kx.matrix @ gamma @ ky.matrix
@@ -176,6 +172,12 @@ def generate_synthetic(n, l, graph_p, eta, seed):
                     "graph_p": graph_p, "eta": eta, "seed": seed},
         kernel_builder=builder,
     )
+
+
+def _diffusion_builder(lap_x, lap_y):
+    """Builder eta -> (kx, ky) of diffusion kernels on two fixed Laplacians."""
+    return lambda eta: (spectral_kernel(lap_x, Diffusion(eta)),
+                        spectral_kernel(lap_y, Diffusion(eta)))
 
 
 def band_graph(n, half_width):
@@ -199,17 +201,10 @@ def station_day_bundle(f, station_distances, k=8, day_band=10, eta=1.0):
     """
     f = np.asarray(f, dtype=float)
     n, l = f.shape
-    nearest = knn_symmetric(station_distances, k)
-    hops = geodesic_distances(nearest)
-    station_graph = heat_adjacency(hops, n)
-    kx = spectral_kernel(build_laplacian(station_graph), Diffusion(eta))
-    ky = spectral_kernel(build_laplacian(band_graph(l, day_band)), Diffusion(eta))
-
-    def builder(eta_val):
-        return (spectral_kernel(build_laplacian(station_graph), Diffusion(eta_val)),
-                spectral_kernel(build_laplacian(band_graph(l, day_band)),
-                                Diffusion(eta_val)))
-
+    hops = geodesic_distances(knn_symmetric(station_distances, k))
+    builder = _diffusion_builder(build_laplacian(heat_adjacency(hops, n)),
+                                 build_laplacian(band_graph(l, day_band)))
+    kx, ky = builder(eta)
     return DatasetBundle(f, kx, ky,
                          provenance={"generator": "station-day", "k": k,
                                      "day_band": day_band, "eta": eta},
@@ -228,15 +223,12 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
     diffs = coords[:, None, :] - coords[None, :, :]
     distances = np.sqrt(np.sum(diffs**2, axis=-1))
     np.fill_diagonal(distances, 0.0)
-    placeholder = np.zeros((n_stations, n_days))
-    bundle = station_day_bundle(placeholder, distances, k=k, day_band=day_band,
-                                eta=eta)
+    bundle = station_day_bundle(np.zeros((n_stations, n_days)), distances, k=k,
+                                day_band=day_band, eta=eta)
     f = bundle.kx.matrix @ rng.normal(size=(n_stations, n_days)) @ bundle.ky.matrix
-    return DatasetBundle(f, bundle.kx, bundle.ky,
-                         provenance={**bundle.provenance,
-                                     "generator": "station-day-synthetic",
-                                     "seed": seed},
-                         kernel_builder=bundle.kernel_builder)
+    return replace(bundle, f=f, provenance={**bundle.provenance,
+                                            "generator": "station-day-synthetic",
+                                            "seed": seed})
 
 
 def class_agreement_bundle(rows, labels, subsample=400, seed=0):
@@ -461,19 +453,27 @@ _METHOD_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 
 
-def _kernels_for_eta(dataset, eta, base_eta):
-    if dataset.kernel_builder is not None and eta != base_eta:
-        return dataset.kernel_builder(eta)
-    if eta != base_eta:
-        raise InvalidInputError(
-            "dataset has no kernel builder; the kernel parameter grid must be "
-            "a single point"
-        )
-    return dataset.kx, dataset.ky
+def _kernels_for_eta(config, dataset):
+    """The builder eta -> (kx, ky) one protocol run uses: the dataset's own
+    kernels at its base eta, else its kernel builder's.  A dataset without a
+    builder has only its own kernels, so its eta grid must be one point."""
+    own = (dataset.kx, dataset.ky)
+    if dataset.kernel_builder is None:
+        if len(config.eta_grid) > 1:
+            raise InvalidInputError(
+                f"eta: the dataset has no kernel builder, so the eta grid must be "
+                f"a single point, got {config.eta_grid}")
+        return lambda eta: own
+    base_eta = dataset.provenance.get("eta")
+    return lambda eta: own if eta == base_eta else dataset.kernel_builder(eta)
 
 
-def _base_eta(dataset):
-    return dataset.provenance.get("eta", None)
+def _require_one_point(config, protocol):
+    """Reject a P_s, mu or eta grid of more than one point, naming its key."""
+    for key in ("ps", "mu", "eta"):
+        grid = getattr(config, f"{key}_grid")
+        if len(grid) > 1:
+            raise InvalidInputError(f"{key}: {protocol} runs one grid point, got {grid}")
 
 
 def _sample_count(p_s, n, l):
@@ -493,6 +493,7 @@ def grid_search(config, dataset, validation_fraction=None, p_s=None):
         raise InvalidInputError("validation fraction must lie strictly in (0, 1)")
     if p_s is None:
         p_s = config.ps_grid[0]
+    kernels_for = _kernels_for_eta(config, dataset)
     n, l = dataset.shape
     count = _sample_count(p_s, n, l)
     sampling = uniform_sample(n, l, count, derive_seed(config.seed, 9001))
@@ -513,11 +514,10 @@ def grid_search(config, dataset, validation_fraction=None, p_s=None):
     if val_norm == 0:
         raise InvalidInputError("validation values are all zero; score undefined")
 
-    base_eta = _base_eta(dataset)
     method = _METHOD_TABLE[config.method]
     best = None
     for eta in config.eta_grid:
-        state = method.prepare(*_kernels_for_eta(dataset, eta, base_eta), config)
+        state = method.prepare(*kernels_for(eta), config)
         for mu in config.mu_grid:
             model = method.fit(state, fit_obs, mu, config, derive_seed(config.seed, 9003))
             est = method.predict(model)
@@ -535,7 +535,7 @@ def run_sweep(config, dataset, keep_estimates=False):
     Fully reproducible from (config, seed).
     """
     n, l = dataset.shape
-    base_eta = _base_eta(dataset)
+    kernels_for = _kernels_for_eta(config, dataset)
     method = _METHOD_TABLE[config.method]
     result = ExperimentResult(rows=[])
     for ps_idx, p_s in enumerate(config.ps_grid):
@@ -543,7 +543,7 @@ def run_sweep(config, dataset, keep_estimates=False):
             mu, eta = config.mu_grid[0], config.eta_grid[0]
         else:
             mu, eta = grid_search(config, dataset, p_s=p_s)
-        state = method.prepare(*_kernels_for_eta(dataset, eta, base_eta), config)
+        state = method.prepare(*kernels_for(eta), config)
         count = _sample_count(p_s, n, l)
         estimates = []
         for r in range(config.realizations):
@@ -574,10 +574,11 @@ def run_sweep(config, dataset, keep_estimates=False):
 def run_online(config, dataset, stride=None):
     """Reveal one observation per iteration, cycling, and trace the error.
 
-    The reveal order is a seeded permutation of the sampling set repeated
-    circularly.  Trace rows are (iteration, elapsed seconds, nmse) recorded
-    every ``stride`` iterations and at the last one (None: last only); the
-    elapsed clock stops while a row is evaluated.
+    The config's P_s, mu and eta grids must each be one point.  The reveal
+    order is a seeded permutation of the sampling set repeated circularly.
+    Trace rows are (iteration, elapsed seconds, nmse) recorded every
+    ``stride`` iterations and at the last one (None: last only); the elapsed
+    clock stops while a row is evaluated.
     """
     method = _METHOD_TABLE[config.method]
     if method.stream is None:
@@ -585,13 +586,15 @@ def run_online(config, dataset, stride=None):
         raise InvalidInputError(f"online protocol supports {online}, got {config.method!r}")
     if stride is not None and stride < 1:
         raise InvalidInputError(f"stride must be at least 1, got {stride}")
+    _require_one_point(config, "the online protocol")
     n, l = dataset.shape
     count = _sample_count(config.ps_grid[0], n, l)
     sampling = uniform_sample(n, l, count, derive_seed(config.seed, 0, 0, 0))
     noise = replace(config.noise, seed=derive_seed(config.seed, 0, 0, 1))
     obs = observe(dataset.f, sampling, noise)
     order = np.random.default_rng(derive_seed(config.seed, 0, 0, 2)).permutation(count)
-    state = method.prepare(dataset.kx, dataset.ky, config)
+    kernels = _kernels_for_eta(config, dataset)(config.eta_grid[0])
+    state = method.prepare(*kernels, config)
     trace = []
     elapsed = 0.0
     tic = time.perf_counter()

@@ -181,14 +181,15 @@ def _cmd_fit(opts):
         raise InvalidInputError(f"--mu must be positive and finite, got {opts.mu}")
     config = _config_from({**cfg, "method": opts.method or cfg.get("method", "kkmcex")},
                           opts)
+    bench._require_one_point(config, "fit")
     if "obs" in cfg:
         obs = bench.load_triplets_csv(cfg["obs"], n, l)
     else:
         count = bench._sample_count(config.ps_grid[0], n, l)
         obs = observe(dataset.f, uniform_sample(n, l, count, opts.seed), config.noise)
     method = bench._METHOD_TABLE[config.method]
-    state = method.prepare(dataset.kx, dataset.ky, config)
-    model = method.fit(state, obs, opts.mu, config, opts.seed)
+    kernels = bench._kernels_for_eta(config, dataset)(config.eta_grid[0])
+    model = method.fit(method.prepare(*kernels, config), obs, opts.mu, config, opts.seed)
     bench.save_matrix_csv(f"{opts.out}.pred.csv", method.predict(model))
     save_model(f"{opts.out}.model.csv", model)
     print(f"wrote {opts.out}.pred.csv {opts.out}.model.csv")

@@ -6,6 +6,7 @@ and the benchmark dataset recipes in :mod:`kronmc.bench`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -55,6 +56,11 @@ class Laplacian:
     @property
     def side(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self):
+        """Eigenvalues (ascending) and eigenvectors, from one eigh on first use."""
+        return np.linalg.eigh(self.matrix)
 
 
 def build_laplacian(graph):

@@ -8,7 +8,7 @@ approximating the product kernel, built from factor eigen- or singular
 decompositions and held as one N x d and one L x d factor.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,28 +37,35 @@ SYM_TOL = 1e-8
 GATHER_BLOCK_BYTES = 1 << 20
 
 
+def _reject_non_finite(a, what):
+    """Raise naming the first non-finite entry of the 2-D array ``a``, 1-based."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        i, j = bad[0] + 1
+        raise InvalidInputError(f"{what} entry ({i}, {j}) is not finite")
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric positive semidefinite similarity matrix."""
+    """Symmetric positive semidefinite similarity matrix.  A spectral kernel
+    also carries its eigenpairs in ``_spectrum`` (see spectral_kernel)."""
 
     matrix: np.ndarray
+    _spectrum: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InvalidInputError(f"kernel matrix must be square, got shape {k.shape}")
-        bad = np.argwhere(~np.isfinite(k))
-        if len(bad):
-            i, j = bad[0] + 1
-            raise InvalidInputError(f"kernel matrix entry ({i}, {j}) is not finite")
+        _reject_non_finite(k, "kernel matrix")
         scale = max(1.0, np.abs(k).max()) if k.size else 1.0
         if np.abs(k - k.T).max() > SYM_TOL * scale:
             raise InvalidInputError("kernel matrix must be symmetric")
         k = (k + k.T) / 2.0
-        eigs = np.linalg.eigvalsh(k)
-        if eigs[0] < -PSD_TOL * max(1.0, eigs[-1]):
+        eigs = np.linalg.eigvalsh(k) if self._spectrum is None else self._spectrum[0]
+        if eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
             raise InvalidInputError(
-                f"kernel matrix is not positive semidefinite (min eigenvalue {eigs[0]:g})"
+                f"kernel matrix is not positive semidefinite (min eigenvalue {eigs.min():g})"
             )
         object.__setattr__(self, "matrix", k)
 
@@ -123,16 +130,17 @@ class Bandlimited:
 
 
 def spectral_kernel(lap, weighting):
-    """Kernel from a Laplacian eigendecomposition with inversely applied weights.
+    """Kernel Q r^-1(Lambda) Q^T from the Laplacian eigendecomposition (Lambda, Q).
 
     Eigenvalues are sorted ascending; each is mapped through the weighting's
-    inverse response (suppressed frequencies map to zero).
+    inverse response (suppressed frequencies map to zero).  The kernel
+    carries the pair (r^-1(Lambda), Q), Q being the Laplacian's cached array.
     """
-    eigvals, q = np.linalg.eigh(lap.matrix)
+    eigvals, q = lap.spectrum
     w = weighting.inverse_weights(eigvals)
     if not np.all(np.isfinite(w)):
         raise NumericalError("non-finite spectral weight; kernel undefined")
-    return KernelMatrix((q * w) @ q.T)
+    return KernelMatrix((q * w) @ q.T, _spectrum=(w, q))
 
 
 def linear_kernel(x):
@@ -319,15 +327,15 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
 def features_from_eig(kx, ky, d):
     """Feature map from the top-d eigenvalue products of the two factors.
 
-    Only the factor matrices are eigendecomposed.  Column c carries
-    sqrt(sigma_pair) times the Kronecker product of the paired eigenvectors;
-    zero eigenvalues yield all-zero columns.
+    Only the factor matrices are eigendecomposed (a spectral factor's carried
+    pair is reused).  Column c carries sqrt(sigma_pair) times the Kronecker
+    product of the paired eigenvectors; zero eigenvalues yield zero columns.
     """
     n, l = kx.side, ky.side
     if not 1 <= d <= n * l:
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
-    sx, qx = np.linalg.eigh(kx.matrix)
-    sy, qy = np.linalg.eigh(ky.matrix)
+    sx, qx = kx._spectrum or np.linalg.eigh(kx.matrix)
+    sy, qy = ky._spectrum or np.linalg.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
     return FeatureMap(qx[:, a] * np.sqrt(np.maximum(products, 0.0)), qy[:, b],
                       "eig-based")

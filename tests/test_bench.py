@@ -1,11 +1,13 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     KroneckerKernel, NoiseSpec, StepSchedule, band_graph,
-                    class_agreement_bundle, generate_synthetic, grid_search,
+                    class_agreement_bundle, features_from_eig,
+                    generate_synthetic, grid_search,
                     kkmcex_fit, kkmcex_predict, load_matrix_csv, nmse, observe,
                     onehot_features, run_online, run_sweep, save_matrix_csv,
                     synthetic_categorical_table, synthetic_station_day_bundle,
@@ -54,6 +56,33 @@ def test_dataset_bundle_shape_check():
     ds = generate_synthetic(4, 5, 0.3, 1.0, seed=0)
     with pytest.raises(InvalidInputError):
         DatasetBundle(np.zeros((5, 4)), ds.kx, ds.ky)
+
+
+def test_dataset_bundle_rejects_non_finite_matrix_entries():
+    ds = generate_synthetic(4, 5, 0.3, 1.0, seed=0)
+    for value in (np.nan, np.inf, -np.inf):
+        f = ds.f.copy()
+        f[2, 3] = value
+        with pytest.raises(InvalidInputError,
+                           match=r"data matrix entry \(3, 4\) is not finite"):
+            DatasetBundle(f, ds.kx, ds.ky)
+
+
+def test_station_day_set_up_decomposes_each_side_once(eig_calls):
+    ds = synthetic_station_day_bundle(n_stations=20, n_days=40, seed=3)
+    features_from_eig(ds.kx, ds.ky, 30)
+    assert eig_calls == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_eta_grid_search_decomposes_each_side_once(eig_calls):
+    # the builder re-weights each side's cached Laplacian spectrum, and the
+    # feature map reads the kernels' carried pairs
+    ds = generate_synthetic(10, 12, 0.3, 1.0, seed=4)
+    cfg = ExperimentConfig(method="rrmcex", ps_grid=(50.0,), mu_grid=(1e-3, 1e-1),
+                           eta_grid=(0.5, 1.0, 2.0), feature_dim=20, seed=1)
+    mu, eta = grid_search(cfg, ds)
+    assert mu in cfg.mu_grid and eta in cfg.eta_grid
+    assert eig_calls == {"eigh": 2, "eigvalsh": 0}
 
 
 def test_matrix_csv_round_trip_and_errors(tmp_path):
@@ -194,6 +223,16 @@ def test_grid_search_eta_requires_builder():
         grid_search(cfg, bare)
 
 
+def test_one_point_eta_grid_uses_the_kernels_of_a_bundle_without_builder():
+    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=7)
+    bare = DatasetBundle(ds.f, ds.kx, ds.ky)
+    cfg = ExperimentConfig(method="kkmcex", ps_grid=(50.0,), mu_grid=(0.1, 1.0),
+                           seed=0)
+    assert grid_search(cfg, bare) == grid_search(cfg, ds)
+    rows = [{**r, "seconds": 0} for r in run_sweep(cfg, bare).rows]
+    assert rows == [{**r, "seconds": 0} for r in run_sweep(cfg, ds).rows]
+
+
 def test_run_online_final_point_only_without_stride():
     ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
     cfg = ExperimentConfig(method="orrmcex", ps_grid=(50.0,), mu_grid=(1e-5,),
@@ -233,6 +272,29 @@ def test_run_online_rejects_batch_methods(method):
     cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(0.1,))
     with pytest.raises(InvalidInputError, match="online protocol"):
         run_online(cfg, ds)
+
+
+@pytest.mark.parametrize("key", ["ps", "mu", "eta"])
+def test_run_online_rejects_a_grid_of_several_points(key):
+    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
+    cfg = replace(ExperimentConfig(method="orrmcex", ps_grid=(50.0,), feature_dim=4),
+                  **{f"{key}_grid": (10.0, 50.0)})
+    with pytest.raises(InvalidInputError, match=f"^{key}: the online protocol"):
+        run_online(cfg, ds)
+
+
+def test_run_online_builds_the_kernels_at_the_config_eta():
+    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
+    built = []
+
+    def builder(eta):
+        built.append(eta)
+        return ds.kernel_builder(eta)
+
+    cfg = ExperimentConfig(method="orrmcex", ps_grid=(50.0,), eta_grid=(2.0,),
+                           feature_dim=4, epochs=1)
+    run_online(cfg, replace(ds, kernel_builder=builder))
+    assert built == [2.0]
 
 
 def test_run_online_rejects_stride_below_one():

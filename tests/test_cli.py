@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from kronmc import (KernelMatrix, KroneckerKernel, bench, factor_predict,
-                    features_from_eig, kkmcex_predict, load_factor_model,
-                    load_kkmcex_model, load_matrix_csv, load_rrmcex_model,
-                    rrmcex_predict)
+                    features_from_eig, kkmcex_fit, kkmcex_predict, load_factor_model,
+                    load_kkmcex_model, load_matrix_csv, load_rrmcex_model, observe,
+                    rrmcex_predict, uniform_sample)
 from kronmc.cli import UsageError, main, parse_args, parse_config
 
 
@@ -282,3 +282,68 @@ def test_fit_prediction_equals_the_reloaded_models_prediction(synth_dataset, met
     else:
         pred = factor_predict(load_factor_model(path))
     assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"), pred)
+
+
+def test_readme_session_runs_on_csv_kernels(tmp_path, monkeypatch):
+    # the README's typical session: CSV kernels carry no kernel builder, so
+    # the sweep and the grid search run them on the default one-point eta grid
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "synth.cfg").write_text("n = 40\nl = 40\ngraph_p = 0.18\n")
+    assert main(["synth", "--config", "synth.cfg", "--out", "data", "--seed", "7"]) == 0
+    sweep_cfg = ("f = data.f.csv\nkx = data.kx.csv\nky = data.ky.csv\nmethod = kkmcex\n"
+                 "ps = 10,25,50\nrealizations = 5\nmu = 1e-6,1e-4,1e-2\nsnr = 4\n")
+    (tmp_path / "sweep.cfg").write_text(sweep_cfg)
+    assert main(["sweep", "--config", "sweep.cfg", "--out", "results.csv",
+                 "--seed", "0"]) == 0
+    assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 3 * 5
+    assert main(["gridsearch", "--config", "sweep.cfg", "--out", "best.csv",
+                 "--seed", "0"]) == 0
+    assert (tmp_path / "best.csv").read_text().splitlines()[0] == "mu,eta"
+    (tmp_path / "eta.cfg").write_text(sweep_cfg + "eta = 0.5,1\n")
+    result = run_kronmc("sweep", "--config", "eta.cfg", "--out", "eta.csv")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "eta: the dataset has no kernel builder" in result.stderr
+
+
+def test_non_finite_data_entry_is_named_without_traceback(synth_dataset):
+    tmp_path, out = synth_dataset
+    f = load_matrix_csv(f"{out}.f.csv")
+    f[3, 6] = np.nan
+    bench.save_matrix_csv(tmp_path / "bad.f.csv", f)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"f = {tmp_path / 'bad.f.csv'}\nkx = {out}.kx.csv\n"
+                   f"ky = {out}.ky.csv\nmethod = kkmcex\nps = 20\n")
+    result = run_kronmc("sweep", "--config", cfg, "--out", tmp_path / "r.csv")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "data matrix entry (4, 7) is not finite" in result.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand,flags,protocol", [
+    ("online", [], "the online protocol"),
+    ("fit", ["--mu", "1e-3"], "fit"),
+], ids=["online", "fit"])
+def test_grid_of_several_points_is_named_without_traceback(tmp_path, subcommand, flags,
+                                                           protocol):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nmethod = orrmcex\nps = 10,50\nmu = 1e-3,1e2\n")
+    result = run_kronmc(subcommand, "--config", cfg, "--out", tmp_path / "t", *flags)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"ps: {protocol} runs one grid point" in result.stderr
+    assert not any(tmp_path.glob("t*"))
+
+
+def test_fit_builds_the_kernels_at_the_eta_flag(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nn = 12\nl = 10\ngraph_p = 0.3\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                 "--method", "kkmcex", "--mu", "1e-2", "--ps", "30", "--eta", "3",
+                 "--seed", "1"]) == 0
+    ds = bench.generate_synthetic(12, 10, 0.3, 1.0, 1)
+    obs = observe(ds.f, uniform_sample(12, 10, 36, 1))
+    model = kkmcex_fit(KroneckerKernel(*ds.kernel_builder(3.0)), obs, 1e-2)
+    assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"),
+                          kkmcex_predict(model))

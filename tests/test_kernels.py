@@ -3,7 +3,7 @@ import pytest
 
 from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError,
                     KernelMatrix, KroneckerKernel, RegularizedLaplacian,
-                    build_laplacian, features_from_eig,
+                    build_laplacian, erdos_renyi, features_from_eig,
                     features_from_svd, gaussian_kernel, kron_entry,
                     kron_submatrix, linear_kernel, pearson_kernel,
                     spectral_kernel, uniform_sample)
@@ -85,6 +85,32 @@ def test_weighting_validation():
         Diffusion(0.0)
     with pytest.raises(InvalidInputError):
         RegularizedLaplacian(-1.0)
+
+
+def test_spectral_kernel_carries_its_laplacian_spectrum():
+    lap = build_laplacian(erdos_renyi(12, 0.3, seed=2))
+    for weighting in (Diffusion(0.7), RegularizedLaplacian(2.0), Bandlimited({1, 3})):
+        k = spectral_kernel(lap, weighting)
+        w, q = k._spectrum
+        assert q is lap.spectrum[1]
+        assert np.array_equal(w, weighting.inverse_weights(lap.spectrum[0]))
+        assert np.abs((q * w) @ q.T - k.matrix).max() <= 1e-12
+
+
+def test_kernel_matrix_psd_check_reads_the_carried_spectrum():
+    with pytest.raises(InvalidInputError, match=r"min eigenvalue -0\.5"):
+        KernelMatrix(np.eye(2), _spectrum=(np.array([1.0, -0.5]), np.eye(2)))
+
+
+def test_non_spectral_kernels_are_decomposed_by_check_and_features(eig_calls):
+    # a Pearson kernel and a kernel read from a CSV carry no spectrum: the PSD
+    # check runs one eigvalsh per side and features_from_eig one eigh per side
+    rng = np.random.default_rng(4)
+    kx = pearson_kernel(rng.normal(size=(6, 4)))
+    ky = KernelMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+    assert eig_calls == {"eigh": 0, "eigvalsh": 2}
+    features_from_eig(kx, ky, 5)
+    assert eig_calls == {"eigh": 2, "eigvalsh": 2}
 
 
 def test_linear_kernel_examples():
