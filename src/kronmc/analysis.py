@@ -147,7 +147,7 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
             sq_sum += per_draw.sum()
             sq_sq_sum += np.sum(per_draw**2)
             done += b
-        empirical = sq_sum / n_draws
+        empirical = float(sq_sum / n_draws)
         var_of_draws = max(sq_sq_sum / n_draws - empirical**2, 0.0)
         std_error = float(np.sqrt(var_of_draws / n_draws))
     return MseReport(bias_sq, variance, empirical, n_draws, std_error)

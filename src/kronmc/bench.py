@@ -7,8 +7,10 @@ plus predict only; kernel and feature-map construction happen outside the
 clock and are reported separately.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -118,6 +120,9 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise InvalidInputError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.validation_fraction < 1:
+            raise InvalidInputError(f"validation_fraction must lie strictly in (0, 1), "
+                                    f"got {self.validation_fraction}")
 
 
 @dataclass
@@ -144,11 +149,9 @@ class ExperimentResult:
         }
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("method,P_s,realization,nmse,seconds,mu,eta\n")
-            for r in self.rows:
-                fh.write(f"{r['method']},{r['p_s']!r},{r['realization']},"
-                         f"{r['nmse']!r},{r['seconds']!r},{r['mu']!r},{r['eta']!r}\n")
+        keys = ("method", "p_s", "realization", "nmse", "seconds", "mu", "eta")
+        _write_csv(path, ([r[k] for k in keys] for r in self.rows),
+                   ("method", "P_s", *keys[2:]))
 
 
 def generate_synthetic(n, l, graph_p, eta, seed):
@@ -276,6 +279,59 @@ def synthetic_categorical_table(n_rows=120, n_attrs=22, seed=0):
     return rows, labels
 
 
+def _read_csv(path, convert=float, first=1, last=None):
+    """Rows of the CSV file ``path`` and their 1-based line numbers.
+
+    Reads lines ``first`` to ``last`` (None: to the end) and skips blank
+    ones.  Each line is split on commas and its fields converted by
+    ``convert``: one function for every field, with as many fields on each
+    line as on the first, or a tuple of one function per field.  A line of
+    another field count, or with a field ``convert`` rejects, raises an
+    InvalidInputError naming the path and line.
+    """
+    per_field = not callable(convert)
+    width = len(convert) if per_field else None
+    rows, linenos = [], []
+    with open(path) as fh:
+        for lineno, line in islice(enumerate(fh, start=1), first - 1, last):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            if len(fields) != width:
+                raise InvalidInputError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            try:
+                rows.append([c(v) for c, v in zip(convert, fields)] if per_field
+                            else list(map(convert, fields)))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
+            linenos.append(lineno)
+    return rows, linenos
+
+
+def _finite(text):
+    """The float ``text`` spells; NaN and infinity are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value {text.strip()!r} is not finite")
+    return value
+
+
+def _write_csv(path, rows, header=None):
+    """Write the ``header`` row, if given, and then ``rows`` to ``path``.
+
+    A row is a sequence of Python scalars, written by ``str`` and joined by
+    commas, so a float is written by its ``repr`` and reads back exactly.
+    """
+    with open(path, "w") as fh:
+        if header is not None:
+            rows = chain([header], rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def save_matrix_csv(path, m):
     np.savetxt(path, np.atleast_2d(np.asarray(m, dtype=float)),
                fmt="%.17g", delimiter=",")
@@ -283,90 +339,52 @@ def save_matrix_csv(path, m):
 
 def load_matrix_csv(path):
     """Dense CSV matrix; raises with the offending line number on bad input."""
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                row = [float(v) for v in fields]
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            rows.append(row)
+    rows, _ = _read_csv(path)
     if not rows:
         raise InvalidInputError(f"{path}: empty matrix file")
     return np.array(rows)
 
 
-def save_triplets_csv(path, obs):
-    with open(path, "w") as fh:
-        for (i, j), v in zip(obs.sampling.entries, obs.values):
-            fh.write(f"{i},{j},{float(v)!r}\n")
-
-
-def load_triplets_csv(path, n_rows, n_cols):
-    """Observation triplets ``i,j,value`` (1-based); duplicates are rejected."""
-    entries = []
-    values = []
+def _read_entries(path, n_rows, n_cols, convert, first=1):
+    """Rows ``i,j,...`` of ``path`` from line ``first`` on, read by
+    ``_read_csv``; an (i, j) outside the grid or seen on an earlier line
+    raises an InvalidInputError naming the path and line."""
+    rows, linenos = _read_csv(path, convert, first)
     seen = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected i,j,value, got {line!r}"
-                )
-            try:
-                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
-            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: index ({i}, {j}) outside "
-                    f"{n_rows} x {n_cols} grid"
-                )
-            if (i, j) in seen:
-                raise InvalidInputError(f"{path}: line {lineno}: duplicate entry ({i}, {j})")
-            seen.add((i, j))
-            entries.append((i, j))
-            values.append(v)
-    return ObservationSet(SamplingSet(n_rows, n_cols, entries), np.array(values))
+    for lineno, (i, j, *_) in zip(linenos, rows):
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            raise InvalidInputError(f"{path}: line {lineno}: index ({i}, {j}) outside "
+                                    f"{n_rows} x {n_cols} grid")
+        if (i, j) in seen:
+            raise InvalidInputError(f"{path}: line {lineno}: duplicate entry ({i}, {j})")
+        seen.add((i, j))
+    return rows
+
+
+def _triplet_rows(sampling, values):
+    return zip((sampling.row_indices0 + 1).tolist(), (sampling.col_indices0 + 1).tolist(),
+               np.asarray(values, dtype=float).tolist())
+
+
+def save_triplets_csv(path, obs):
+    _write_csv(path, _triplet_rows(obs.sampling, obs.values))
+
+
+def load_triplets_csv(path, n_rows, n_cols, first=1):
+    """Observation triplets ``i,j,value`` (1-based) from line ``first`` on;
+    duplicates and non-finite values are rejected."""
+    rows = _read_entries(path, n_rows, n_cols, (int, int, _finite), first)
+    return ObservationSet(SamplingSet(n_rows, n_cols, [r[:2] for r in rows]),
+                          np.array([r[2] for r in rows], dtype=float))
 
 
 def save_sampling_csv(path, sampling):
-    with open(path, "w") as fh:
-        for i, j in sampling.entries:
-            fh.write(f"{i},{j}\n")
+    _write_csv(path, sampling.entries)
 
 
 def load_sampling_csv(path, n_rows, n_cols):
     """Sampling pairs ``i,j`` (1-based), one per line, in sampling order."""
-    entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise InvalidInputError(f"{path}: line {lineno}: expected i,j, got {line!r}")
-            try:
-                entries.append((int(fields[0]), int(fields[1])))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
-    return SamplingSet(n_rows, n_cols, entries)
+    return SamplingSet(n_rows, n_cols, _read_entries(path, n_rows, n_cols, (int, int)))
 
 
 def onehot_features(rows):
@@ -481,16 +499,13 @@ def _sample_count(p_s, n, l):
     return min(max(count, 1), n * l)
 
 
-def grid_search(config, dataset, validation_fraction=None, p_s=None):
+def grid_search(config, dataset, p_s=None):
     """Pick (mu, eta) minimizing held-out error on one observation draw.
 
-    A fraction of the observed entries is held out; each grid point is fit
-    on the rest and scored on the holdout.  Ties break toward the larger mu.
+    The config's ``validation_fraction`` of the observed entries is held
+    out; each grid point is fit on the rest and scored on the holdout.  Ties
+    break toward the larger mu.
     """
-    if validation_fraction is None:
-        validation_fraction = config.validation_fraction
-    if not 0 < validation_fraction < 1:
-        raise InvalidInputError("validation fraction must lie strictly in (0, 1)")
     if p_s is None:
         p_s = config.ps_grid[0]
     kernels_for = _kernels_for_eta(config, dataset)
@@ -500,7 +515,7 @@ def grid_search(config, dataset, validation_fraction=None, p_s=None):
     noise = replace(config.noise, seed=derive_seed(config.seed, 9002))
     obs = observe(dataset.f, sampling, noise)
 
-    n_val = int(round(validation_fraction * count))
+    n_val = int(round(config.validation_fraction * count))
     if n_val == 0 or n_val == count:
         raise InvalidInputError(
             f"validation split is degenerate ({n_val} of {count} observations)"
@@ -617,7 +632,5 @@ def run_online(config, dataset, stride=None):
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write("iteration,seconds,nmse\n")
-        for row in trace:
-            fh.write(f"{row['iteration']},{row['seconds']!r},{row['nmse']!r}\n")
+    keys = ("iteration", "seconds", "nmse")
+    _write_csv(path, ([row[k] for k in keys] for row in trace), keys)

@@ -8,7 +8,7 @@ sweep (full protocol to CSV), online (streaming trace), gridsearch
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -105,10 +105,12 @@ def _number(cfg, key, default, convert=float):
 
 
 def _load_dataset(cfg, seed):
+    """The config's dataset: a synthetic one, drawn at the first point of
+    its eta grid, or the matrix and kernels its CSV files hold."""
     if cfg.get("synth", "0") in ("1", "true", "yes"):
         return bench.generate_synthetic(
             _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
-            _number(cfg, "graph_p", 0.2), _number(cfg, "eta", 1.0), seed)
+            _number(cfg, "graph_p", 0.2), _number(cfg, "eta", "1", _floats)[0], seed)
     for key in ("f", "kx", "ky"):
         if key not in cfg:
             raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
@@ -160,7 +162,7 @@ def _config_from(cfg, opts):
 
 def _cmd_synth(opts):
     cfg = parse_config(opts.config) if opts.config else {}
-    eta = opts.eta if opts.eta is not None else _number(cfg, "eta", 1.0)
+    eta = opts.eta if opts.eta is not None else _number(cfg, "eta", "1", _floats)[0]
     dataset = bench.generate_synthetic(
         _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
         _number(cfg, "graph_p", 0.2), eta, opts.seed)
@@ -186,7 +188,8 @@ def _cmd_fit(opts):
         obs = bench.load_triplets_csv(cfg["obs"], n, l)
     else:
         count = bench._sample_count(config.ps_grid[0], n, l)
-        obs = observe(dataset.f, uniform_sample(n, l, count, opts.seed), config.noise)
+        noise = replace(config.noise, seed=bench.derive_seed(opts.seed, 1))
+        obs = observe(dataset.f, uniform_sample(n, l, count, opts.seed), noise)
     method = bench._METHOD_TABLE[config.method]
     kernels = bench._kernels_for_eta(config, dataset)(config.eta_grid[0])
     model = method.fit(method.prepare(*kernels, config), obs, opts.mu, config, opts.seed)
@@ -225,9 +228,7 @@ def _cmd_gridsearch(opts):
     dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
     config = _config_from(cfg, opts)
     mu, eta = bench.grid_search(config, dataset)
-    with open(opts.out, "w") as fh:
-        fh.write("mu,eta\n")
-        fh.write(f"{mu!r},{eta!r}\n")
+    bench._write_csv(opts.out, [(mu, eta)], ("mu", "eta"))
     print(f"selected mu={mu:g} eta={eta:g}")
     return 0
 
@@ -239,12 +240,9 @@ def _cmd_verify(opts):
         print(f"{name}: {passed}/{total} passed")
         all_ok = all_ok and passed == total
     if opts.out:
-        with open(opts.out, "w") as fh:
-            fh.write("instance,bias_sq,variance,empirical_mse,bound,margin\n")
-            for r in rows:
-                emp = "" if r["empirical_mse"] is None else repr(r["empirical_mse"])
-                fh.write(f"{r['instance']},{r['bias_sq']!r},{r['variance']!r},"
-                         f"{emp},{r['bound']!r},{r['margin']!r}\n")
+        keys = ("instance", "bias_sq", "variance", "empirical_mse", "bound", "margin")
+        bench._write_csv(opts.out, (["" if r[k] is None else r[k] for k in keys]
+                                    for r in rows), keys)
     print("verify: PASS" if all_ok else "verify: FAIL")
     return 0 if all_ok else 2
 

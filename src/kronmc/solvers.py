@@ -418,89 +418,77 @@ def factor_predict(model):
 
 
 def save_model(path, model):
-    """Serialize a fitted model as a CSV bundle with a metadata header line."""
-    with open(path, "w") as fh:
-        if isinstance(model, KkmcexModel):
-            s = model.sampling
-            fh.write(f"kkmcex,{s.n_rows},{s.n_cols},{len(s)},{float(model.mu)!r}\n")
-            for (i, j), c in zip(s.entries, model.dual_coeffs):
-                fh.write(f"{i},{j},{float(c)!r}\n")
-        elif isinstance(model, RrmcexModel):
-            f = model.features
-            fh.write(f"rrmcex,{f.n_rows},{f.n_cols},{f.dim},{float(model.mu)!r}\n")
-            for v in model.xi:
-                fh.write(f"{float(v)!r}\n")
-        elif isinstance(model, FactorModel):
-            n, l = model.w.shape[0], model.h.shape[0]
-            fh.write(f"factor,{n},{l},{model.rank},{float(model.mu)!r}\n")
-            np.savetxt(fh, model.w, fmt="%.17g", delimiter=",")
-            np.savetxt(fh, model.h, fmt="%.17g", delimiter=",")
-        else:
-            raise InvalidInputError(f"cannot serialize model of type {type(model)!r}")
+    """Serialize a fitted model as a CSV bundle: a header line
+    ``kind,N,L,k,mu`` over a body that is a triplets file (kkmcex), a
+    one-column matrix (rrmcex) or a ``p``-column matrix (factor)."""
+    from .bench import _triplet_rows, _write_csv, save_matrix_csv
+
+    mu = float(model.mu)
+    if isinstance(model, KkmcexModel):
+        s = model.sampling
+        _write_csv(path, _triplet_rows(s, model.dual_coeffs),
+                   ("kkmcex", s.n_rows, s.n_cols, len(s), mu))
+    elif isinstance(model, RrmcexModel):
+        f = model.features
+        _write_csv(path, ([v] for v in model.xi.tolist()),
+                   ("rrmcex", f.n_rows, f.n_cols, f.dim, mu))
+    elif isinstance(model, FactorModel):
+        n, l = model.w.shape[0], model.h.shape[0]
+        _write_csv(path, (), ("factor", n, l, model.rank, mu))
+        with open(path, "a") as fh:
+            save_matrix_csv(fh, np.vstack((model.w, model.h)))
+    else:
+        raise InvalidInputError(f"cannot serialize model of type {type(model)!r}")
 
 
-def _read_bundle(path, kind):
-    """Header ``kind,N,L,k,mu`` of a model bundle as (N, L, k, mu), and its
-    numbered non-blank body lines."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != kind:
-            raise InvalidInputError(f"{path}: expected a {kind} bundle, got {header[0]!r}")
-        body = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=2)
-                if line.strip()]
-    try:
-        sizes = int(header[1]), int(header[2]), int(header[3]), float(header[4])
-    except (IndexError, ValueError) as exc:
-        raise InvalidInputError(
-            f"{path}: line 1: malformed {kind} header: {exc}") from exc
-    return sizes, body
+def _read_bundle(path, kind, grid=None):
+    """Header ``kind,N,L,k,mu`` on line 1 of a model bundle, as (N, L, k, mu);
+    N x L must equal ``grid``, the model's (N, L), when one is given."""
+    from .bench import _read_csv
+
+    header, _ = _read_csv(path, (str, int, int, int, float), last=1)
+    name, n, l, k, mu = header[0] if header else ("", 0, 0, 0, 0.0)
+    if name != kind:
+        raise InvalidInputError(f"{path}: line 1: expected a {kind} bundle, got {name!r}")
+    if min(n, l) < 1 or k < 0:
+        raise InvalidInputError(f"{path}: line 1: sizes N={n}, L={l}, k={k} out of range")
+    if grid not in (None, (n, l)):
+        raise InvalidInputError(f"{path}: line 1: grid {n} x {l} is not the model's {grid}")
+    if not (np.isfinite(mu) and mu > 0):
+        raise InvalidInputError(f"{path}: line 1: mu must be positive and finite, got {mu}")
+    return n, l, k, mu
 
 
-def _parse_fields(path, lineno, fields, convert):
-    """``fields`` converted by ``convert``; a malformed one names the line."""
-    try:
-        return [convert(v) for v in fields]
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: line {lineno}: {exc}") from exc
+def _read_body(path, width):
+    """A bundle's body, from line 2 on: a ``width``-column matrix of finite floats."""
+    from .bench import _finite, _read_csv
+
+    rows, _ = _read_csv(path, (_finite,) * width, first=2)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def load_kkmcex_model(path, kernel):
-    from .sampling import SamplingSet
+    from .bench import load_triplets_csv
 
-    (n, l, s, mu), body = _read_bundle(path, "kkmcex")
-    entries, coeffs = [], []
-    for lineno, line in body:
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise InvalidInputError(f"{path}: line {lineno}: expected i,j,coefficient, "
-                                    f"got {line!r}")
-        entries.append(_parse_fields(path, lineno, fields[:2], int))
-        coeffs.extend(_parse_fields(path, lineno, fields[2:], float))
-    if len(entries) != s:
-        raise InvalidInputError(f"{path}: expected {s} coefficients, found {len(entries)}")
-    return KkmcexModel(kernel, SamplingSet(n, l, entries), mu, np.array(coeffs))
+    n, l, s, mu = _read_bundle(path, "kkmcex", (kernel.n_rows, kernel.n_cols))
+    obs = load_triplets_csv(path, n, l, first=2)
+    if len(obs.values) != s:
+        raise InvalidInputError(f"{path}: expected {s} coefficients, found {len(obs.values)}")
+    return KkmcexModel(kernel, obs.sampling, mu, obs.values)
 
 
 def load_rrmcex_model(path, features):
-    (_, _, d, mu), body = _read_bundle(path, "rrmcex")
-    xi = np.array([_parse_fields(path, lineno, [line], float)[0]
-                   for lineno, line in body])
+    _, _, d, mu = _read_bundle(path, "rrmcex", (features.n_rows, features.n_cols))
+    xi = _read_body(path, 1).ravel()
     if xi.size != d or features.dim != d:
         raise InvalidInputError(f"{path}: coefficient count does not match d={d}")
     return RrmcexModel(features, mu, xi)
 
 
 def load_factor_model(path):
-    (n, l, p, mu), body = _read_bundle(path, "factor")
-    if len(body) != n + l:
+    n, l, p, mu = _read_bundle(path, "factor")
+    factors = _read_body(path, p)
+    if len(factors) != n + l:
         raise InvalidInputError(
-            f"{path}: expected {n + l} factor rows, found {len(body)}")
-    rows = []
-    for lineno, line in body:
-        fields = line.split(",")
-        if len(fields) != p:
-            raise InvalidInputError(f"{path}: line {lineno}: expected {p} fields "
-                                    f"for rank {p}, got {len(fields)}")
-        rows.append(_parse_fields(path, lineno, fields, float))
-    factors = np.array(rows, dtype=float).reshape(n + l, p)
+            f"{path}: expected {n + l} factor rows, found {len(factors)}")
     return FactorModel(factors[:n], factors[n:], mu)

@@ -3,8 +3,12 @@
 Everything here deliberately recomputes quantities by a different route
 than the library (dense Kronecker products, full NL x NL solves, explicit
 selector matrices, dynamic-programming shortest paths) so the two sides
-of each check stay independent.
+of each check stay independent.  ``csv_round_trip`` runs a writer and its
+reader on one object.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -116,3 +120,15 @@ def plain_als(values, rows0, cols0, n, l, p, mu, w0, h0, iters):
             h[j] = np.linalg.solve(a, wi.T @ values[mask])
         objectives.append(objective())
     return w, h, objectives
+
+
+def csv_round_trip(save, load, obj):
+    """What ``load`` reads back from the file ``save(path, obj)`` writes,
+    after checking that saving it again writes the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+        save(first, obj)
+        loaded = load(first)
+        save(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+    return loaded

@@ -1,8 +1,13 @@
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     KroneckerKernel, NoiseSpec, StepSchedule, band_graph,
@@ -13,6 +18,8 @@ from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     synthetic_categorical_table, synthetic_station_day_bundle,
                     uniform_sample)
 from kronmc.bench import derive_seed
+
+from helpers import csv_round_trip
 
 
 def test_generate_synthetic_deterministic():
@@ -85,23 +92,22 @@ def test_eta_grid_search_decomposes_each_side_once(eig_calls):
     assert eig_calls == {"eigh": 2, "eigvalsh": 0}
 
 
-def test_matrix_csv_round_trip_and_errors(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(2, 2))
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, m)
-    assert np.array_equal(load_matrix_csv(path), m)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_matrix_csv_round_trip_and_errors(m):
+    loaded = csv_round_trip(save_matrix_csv, load_matrix_csv, m)
+    assert np.array_equal(loaded, m)
+    assert np.array_equal(np.signbit(loaded), np.signbit(m))
 
-    big = rng.normal(size=(40, 25))
-    save_matrix_csv(path, big)
-    assert np.array_equal(load_matrix_csv(path), big)
-
-    path.write_text("1.0,2.0\n3.0,oops\n")
-    with pytest.raises(InvalidInputError, match="line 2"):
-        load_matrix_csv(path)
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(InvalidInputError, match="line 2"):
-        load_matrix_csv(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n")
+        with pytest.raises(InvalidInputError, match="line 2"):
+            load_matrix_csv(path)
+        path.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(InvalidInputError, match="line 2"):
+            load_matrix_csv(path)
 
 
 def test_onehot_features_examples():
@@ -206,12 +212,10 @@ def test_grid_search_recovers_planted_regularization():
 
 
 def test_grid_search_validation_fraction_errors():
-    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=7)
-    cfg = ExperimentConfig(method="kkmcex", ps_grid=(50.0,), mu_grid=(0.1,))
-    with pytest.raises(InvalidInputError):
-        grid_search(cfg, ds, validation_fraction=0.0)
-    with pytest.raises(InvalidInputError):
-        grid_search(cfg, ds, validation_fraction=1.0)
+    for fraction in (0.0, 1.0):
+        with pytest.raises(InvalidInputError, match="validation_fraction"):
+            ExperimentConfig(method="kkmcex", ps_grid=(50.0,), mu_grid=(0.1,),
+                             validation_fraction=fraction)
 
 
 def test_grid_search_eta_requires_builder():

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronmc import (KernelMatrix, KroneckerKernel, bench, factor_predict,
+from kronmc import (KernelMatrix, KroneckerKernel, NoiseSpec, bench, factor_predict,
                     features_from_eig, kkmcex_fit, kkmcex_predict, load_factor_model,
                     load_kkmcex_model, load_matrix_csv, load_rrmcex_model, observe,
                     rrmcex_predict, uniform_sample)
-from kronmc.cli import UsageError, main, parse_args, parse_config
+from kronmc.cli import UsageError, _load_dataset, main, parse_args, parse_config
+from kronmc.sampling import noise_matrix
 
 
 def run_kronmc(*args):
@@ -95,6 +96,8 @@ def test_synth_fit_verify_end_to_end(synth_dataset, capsys):
     report = (tmp_path / "report.csv").read_text().splitlines()
     assert report[0] == "instance,bias_sq,variance,empirical_mse,bound,margin"
     assert len(report) > 1
+    for line in report[1:]:
+        assert all(field == "" or np.isfinite(float(field)) for field in line.split(","))
     assert "verify: PASS" in capsys.readouterr().out
 
 
@@ -347,3 +350,72 @@ def test_fit_builds_the_kernels_at_the_eta_flag(tmp_path):
     model = kkmcex_fit(KroneckerKernel(*ds.kernel_builder(3.0)), obs, 1e-2)
     assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"),
                           kkmcex_predict(model))
+
+
+def test_fit_names_the_line_of_a_non_finite_observation(synth_dataset):
+    tmp_path, out = synth_dataset
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1,1,0.5\n2,3,nan\n")
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(f"f = {out}.f.csv\nkx = {out}.kx.csv\n"
+                       f"ky = {out}.ky.csv\nobs = {obs}\n")
+    result = run_kronmc("fit", "--config", fit_cfg, "--out", tmp_path / "x",
+                        "--method", "kkmcex", "--mu", "1e-3")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"{obs}: line 2: value 'nan' is not finite" in result.stderr
+    assert not (tmp_path / "x.pred.csv").exists()
+
+
+def test_fit_draws_its_noise_from_the_seed(synth_dataset, monkeypatch):
+    tmp_path, out = synth_dataset
+    fit_cfg = tmp_path / "fit.cfg"
+    fit_cfg.write_text(f"f = {out}.f.csv\nkx = {out}.kx.csv\nky = {out}.ky.csv\n"
+                       "nu_sq = 0.25\n")
+    f = load_matrix_csv(f"{out}.f.csv")
+    fit = bench.kkmcex_fit
+    noises = []
+
+    def noise_of_fit(kernel, obs, mu):
+        # every entry is observed (--ps 100), so the noise fills the grid
+        s = obs.sampling
+        e = np.empty(f.shape)
+        e[s.row_indices0, s.col_indices0] = obs.values - f[s.row_indices0, s.col_indices0]
+        noises.append(e)
+        return fit(kernel, obs, mu)
+
+    monkeypatch.setattr(bench, "kkmcex_fit", noise_of_fit)
+    for seed in (1, 2):
+        assert main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "m"),
+                     "--method", "kkmcex", "--mu", "1e-2", "--ps", "100",
+                     "--seed", str(seed)]) == 0
+        want = noise_matrix(f, NoiseSpec.variance(0.25, seed=bench.derive_seed(seed, 1)))
+        assert np.allclose(noises[-1], want, rtol=0, atol=1e-12)
+    assert not np.allclose(noises[0], noises[1])
+
+
+@pytest.mark.parametrize("subcommand", ["synth", "sweep", "gridsearch"])
+def test_synthetic_dataset_runs_an_eta_grid(tmp_path, subcommand):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nmethod = kkmcex\n"
+                   "ps = 50\nmu = 1e-3\neta = 1,3\n")
+    result = run_kronmc(subcommand, "--config", cfg, "--out", tmp_path / "r")
+    assert result.returncode == 0, result.stderr
+    # the data are drawn at the grid's first point, the builder's base eta
+    f = bench.generate_synthetic(10, 8, 0.3, 1.0, 0).f
+    dataset = _load_dataset(parse_config(cfg), 0)
+    assert np.array_equal(dataset.f, f) and dataset.provenance["eta"] == 1.0
+    if subcommand == "synth":
+        assert np.array_equal(load_matrix_csv(tmp_path / "r.f.csv"), f)
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "2", "-0.5"])
+def test_validation_fraction_out_of_range_is_named(tmp_path, fraction):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nmethod = kkmcex\nps = 50\nmu = 1e-3\n"
+                   f"validation_fraction = {fraction}\n")
+    result = run_kronmc("sweep", "--config", cfg, "--out", tmp_path / "r.csv")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "validation_fraction must lie strictly in (0, 1)" in result.stderr
+    assert not (tmp_path / "r.csv").exists()

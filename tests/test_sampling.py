@@ -11,6 +11,8 @@ from kronmc import (InvalidInputError, NoiseSpec, ObservationSet, SamplingSet,
                     save_sampling_csv, save_triplets_csv, uniform_sample,
                     vec_index)
 
+from helpers import csv_round_trip
+
 
 def test_vec_index_examples():
     assert vec_index(1, 1, 4) == 1
@@ -119,16 +121,6 @@ def test_observation_set_length_check():
         ObservationSet(s, np.zeros(3))
 
 
-def test_triplet_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    f = rng.normal(size=(25, 40))
-    s = uniform_sample(25, 40, 1000, seed=4)
-    obs = observe(f, s)
-    path = tmp_path / "obs.csv"
-    save_triplets_csv(path, obs)
-    loaded = load_triplets_csv(path, 25, 40)
-    assert loaded.sampling.entries == obs.sampling.entries
-    assert np.array_equal(loaded.values, obs.values)
 
 
 def test_triplet_csv_rejects_bad_lines(tmp_path):
@@ -144,16 +136,19 @@ def test_triplet_csv_rejects_bad_lines(tmp_path):
         load_triplets_csv(path, 3, 3)
 
 
-def test_sampling_csv_round_trip(tmp_path):
-    s = uniform_sample(5, 7, 12, seed=8)
-    path = tmp_path / "omega.csv"
-    save_sampling_csv(path, s)
-    assert load_sampling_csv(path, 5, 7).entries == s.entries
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_triplet_csv_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "obs.csv"
+    path.write_text(f"1,1,0.5\n2,1,{value}\n")
+    with pytest.raises(InvalidInputError, match="line 2: value .* is not finite") as info:
+        load_triplets_csv(path, 3, 3)
+    assert str(path) in str(info.value)
 
 
 def test_sampling_csv_rejects_malformed_lines(tmp_path):
     path = tmp_path / "omega.csv"
-    for text, lineno in (("1,1\n\n2,x\n", 3), ("1,1.5\n", 1), ("1,1\n2\n", 2)):
+    for text, lineno in (("1,1\n\n2,x\n", 3), ("1,1.5\n", 1), ("1,1\n2\n", 2),
+                         ("1,1\n3,4\n", 2), ("2,3\n1,1\n\n2,3\n", 4)):
         path.write_text(text)
         with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
             load_sampling_csv(path, 3, 3)
@@ -235,3 +230,25 @@ def test_out_of_range_and_duplicate_entries_are_rejected(case, data):
             with pytest.raises(InvalidInputError) as info:
                 SamplingSet(n, l, entries)
             assert str(info.value) == "sampling entries must be distinct"
+
+
+@PROPERTY_SETTINGS
+@given(samplings())
+def test_sampling_csv_round_trip(case):
+    n, l, pairs = case
+    s = SamplingSet(n, l, tuple(pairs))
+    loaded = csv_round_trip(save_sampling_csv, lambda p: load_sampling_csv(p, n, l), s)
+    assert loaded.entries == s.entries
+
+
+@PROPERTY_SETTINGS
+@given(samplings(), st.data())
+def test_triplet_csv_round_trip(case, data):
+    n, l, pairs = case
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(pairs), max_size=len(pairs)))
+    obs = ObservationSet(SamplingSet(n, l, tuple(pairs)), np.array(values))
+    loaded = csv_round_trip(save_triplets_csv, lambda p: load_triplets_csv(p, n, l), obs)
+    assert loaded.sampling.entries == obs.sampling.entries
+    assert np.array_equal(loaded.values, obs.values)
+    assert np.array_equal(np.signbit(loaded.values), np.signbit(obs.values))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kronmc import (FeatureMap, InvalidInputError, KernelMatrix, KroneckerKernel,
-                    ObservationSet, RrmcexModel, SamplingSet,
+from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
+                    KkmcexModel, KroneckerKernel, ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                     features_from_eig, kkmcex_fit, kkmcex_predict,
                     load_factor_model, load_kkmcex_model, load_rrmcex_model,
@@ -12,7 +13,8 @@ from kronmc import (FeatureMap, InvalidInputError, KernelMatrix, KroneckerKernel
                     rrmcex_predict, save_model, uniform_sample)
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
-from helpers import dense_kron, dense_krr_gamma, make_spd_kernel, plain_als, unvec
+from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, make_spd_kernel,
+                     plain_als, unvec)
 
 
 def random_problem(rng, n, l, count, mu, nu=0.0):
@@ -481,28 +483,49 @@ def test_factor_predict_examples():
 # ---------------------------------------------------------------- serialization
 
 
-def test_model_csv_round_trips(tmp_path):
-    rng = np.random.default_rng(25)
-    kk, f, obs = random_problem(rng, 4, 3, 6, mu=0.05)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+positive_floats = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 
-    kmodel = kkmcex_fit(kk, obs, 0.05)
-    save_model(tmp_path / "k.csv", kmodel)
-    loaded = load_kkmcex_model(tmp_path / "k.csv", kk)
-    assert np.allclose(loaded.dual_coeffs, kmodel.dual_coeffs, rtol=0, atol=0)
-    assert loaded.sampling.entries == kmodel.sampling.entries
-    assert np.allclose(kkmcex_predict(loaded), kkmcex_predict(kmodel))
 
-    fmap = features_from_eig(kk.kx, kk.ky, 5)
-    rmodel = rrmcex_fit(fmap, obs, 0.05)
-    save_model(tmp_path / "r.csv", rmodel)
-    rloaded = load_rrmcex_model(tmp_path / "r.csv", fmap)
-    assert np.array_equal(rloaded.xi, rmodel.xi)
+@st.composite
+def bundles(draw):
+    """(model, load): a model of any kind with arbitrary finite coefficients,
+    and the loader that reads its bundle."""
+    n, l = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mu = draw(positive_floats)
+    kind = draw(st.sampled_from(["kkmcex", "rrmcex", "factor"]))
+    if kind == "kkmcex":
+        kernel = KroneckerKernel(KernelMatrix(np.eye(n)), KernelMatrix(np.eye(l)))
+        vec = draw(st.lists(st.integers(0, n * l - 1), unique=True, max_size=n * l))
+        sampling = SamplingSet(n, l, [(v % n + 1, v // n + 1) for v in vec])
+        coeffs = draw(arrays(float, len(vec), elements=finite_floats))
+        return KkmcexModel(kernel, sampling, mu, coeffs), lambda p: load_kkmcex_model(p, kernel)
+    d = draw(st.integers(1, 6))
+    if kind == "rrmcex":
+        fmap = FeatureMap(np.ones((n, d)), np.ones((l, d)), "explicit")
+        xi = draw(arrays(float, d, elements=finite_floats))
+        return RrmcexModel(fmap, mu, xi), lambda p: load_rrmcex_model(p, fmap)
+    w = draw(arrays(float, (n, d), elements=finite_floats))
+    h = draw(arrays(float, (l, d), elements=finite_floats))
+    return FactorModel(w, h, mu), load_factor_model
 
-    fmodel = als_fit(obs, kk.kx, kk.ky, 2, 0.05, max_iters=3, seed=1)
-    save_model(tmp_path / "f.csv", fmodel)
-    floaded = load_factor_model(tmp_path / "f.csv")
-    assert np.allclose(floaded.w, fmodel.w)
-    assert np.allclose(floaded.h, fmodel.h)
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(bundles())
+def test_model_csv_round_trips(case):
+    model, load = case
+    loaded = csv_round_trip(save_model, load, model)
+    assert type(loaded) is type(model) and loaded.mu == model.mu
+    if isinstance(model, KkmcexModel):
+        assert loaded.sampling.entries == model.sampling.entries
+        pairs = [(loaded.dual_coeffs, model.dual_coeffs)]
+    elif isinstance(model, RrmcexModel):
+        pairs = [(loaded.xi, model.xi)]
+    else:
+        pairs = [(loaded.w, model.w), (loaded.h, model.h)]
+    for got, want in pairs:
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_load_kkmcex_model_names_malformed_lines(tmp_path):
@@ -512,7 +535,8 @@ def test_load_kkmcex_model_names_malformed_lines(tmp_path):
                          ("kkmcex,2,2,2,0.5\n1,1,0.25\n\n2,1\n", 4),
                          ("kkmcex,2,2,1,0.5\n1,1,abc\n", 2),
                          ("kkmcex,2,2.5,1,0.5\n1,1,0.25\n", 1),
-                         ("kkmcex,2,2\n", 1)):
+                         ("kkmcex,2,2\n", 1),
+                         ("kkmcex,3,2,1,0.5\n1,1,0.25\n", 1)):
         path.write_text(text)
         with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
             load_kkmcex_model(path, kk)
@@ -525,7 +549,8 @@ def test_load_rrmcex_model_names_malformed_lines(tmp_path):
     for text, lineno in (("rrmcex,2,2,1,0.5\nabc\n", 2),
                          ("rrmcex,2,2,2,0.5\n0.25\n\n1,2\n", 4),
                          ("rrmcex,2,2,x,0.5\n0.25\n", 1),
-                         ("rrmcex,2,2,1\n", 1)):
+                         ("rrmcex,2,2,1\n", 1),
+                         ("rrmcex,2,1,1,0.5\n0.25\n", 1)):
         path.write_text(text)
         with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
             load_rrmcex_model(path, fmap)
@@ -537,7 +562,9 @@ def test_load_factor_model_names_malformed_lines(tmp_path):
     for text, lineno in (("factor,1,1,2,0.5\n0.5,0.25\nx\n", 3),
                          ("factor,1,1,2,0.5\n0.5,0.25\n1.0,y\n", 3),
                          ("factor,1,1,2,0.5\n0.5\n1.0,2.0\n", 2),
-                         ("factor,1,one,2,0.5\n0.5,0.25\n1.0,2.0\n", 1)):
+                         ("factor,1,one,2,0.5\n0.5,0.25\n1.0,2.0\n", 1),
+                         ("factor,-1,2,1,0.5\n0.5\n", 1),
+                         ("factor,0,0,-2,0.5\n", 1)):
         path.write_text(text)
         with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
             load_factor_model(path)
@@ -545,6 +572,41 @@ def test_load_factor_model_names_malformed_lines(tmp_path):
     path.write_text("factor,1,1,2,0.5\n0.5,0.25\n")
     with pytest.raises(InvalidInputError, match="expected 2 factor rows"):
         load_factor_model(path)
+
+
+# a bundle of each kind, with its header mu and the last field of line 3 left open
+BUNDLES = {"kkmcex": "kkmcex,2,2,2,{mu}\n1,1,0.25\n2,1,{value}\n",
+           "rrmcex": "rrmcex,2,2,2,{mu}\n0.25\n{value}\n",
+           "factor": "factor,1,1,2,{mu}\n0.5,0.25\n1.0,{value}\n"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", list(BUNDLES))
+def test_model_loaders_reject_a_non_finite_coefficient_by_line(tmp_path, kind, value):
+    path = tmp_path / "m.csv"
+    path.write_text(BUNDLES[kind].format(mu=0.5, value=value))
+    with pytest.raises(InvalidInputError, match=f"line 3: value '{value}' is not finite") as info:
+        _load_bundle(kind, path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0", "-0.5"])
+@pytest.mark.parametrize("kind", list(BUNDLES))
+def test_model_loaders_reject_a_bundle_mu_not_positive_and_finite(tmp_path, kind, mu):
+    path = tmp_path / "m.csv"
+    path.write_text(BUNDLES[kind].format(mu=mu, value=0.75))
+    with pytest.raises(InvalidInputError, match="line 1: mu must be positive and finite") as info:
+        _load_bundle(kind, path)
+    assert str(path) in str(info.value)
+
+
+def _load_bundle(kind, path):
+    if kind == "kkmcex":
+        eye = KernelMatrix(np.eye(2))
+        return load_kkmcex_model(path, KroneckerKernel(eye, eye))
+    if kind == "rrmcex":
+        return load_rrmcex_model(path, FeatureMap(np.ones((2, 2)), np.ones((2, 2)), "explicit"))
+    return load_factor_model(path)
 
 
 # ---------------------------------------------------------------- factored features
