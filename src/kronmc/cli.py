@@ -104,13 +104,21 @@ def _number(cfg, key, default, convert=float):
         raise InvalidInputError(f"config key {key!r}: {exc}") from exc
 
 
-def _load_dataset(cfg, seed):
-    """The config's dataset: a synthetic one, drawn at the first point of
-    its eta grid, or the matrix and kernels its CSV files hold."""
+def _synthetic(cfg, seed, eta):
+    """The config's synthetic dataset, drawn at ``eta`` (the --eta flag) when
+    given, else at the first point of the config's eta grid."""
+    if eta is None:
+        eta = _number(cfg, "eta", "1", _floats)[0]
+    return bench.generate_synthetic(
+        _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
+        _number(cfg, "graph_p", 0.2), eta, seed)
+
+
+def _load_dataset(cfg, seed, eta=None):
+    """The config's dataset: a synthetic one (see _synthetic), or the matrix
+    and kernels its CSV files hold."""
     if cfg.get("synth", "0") in ("1", "true", "yes"):
-        return bench.generate_synthetic(
-            _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
-            _number(cfg, "graph_p", 0.2), _number(cfg, "eta", "1", _floats)[0], seed)
+        return _synthetic(cfg, seed, eta)
     for key in ("f", "kx", "ky"):
         if key not in cfg:
             raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
@@ -162,10 +170,7 @@ def _config_from(cfg, opts):
 
 def _cmd_synth(opts):
     cfg = parse_config(opts.config) if opts.config else {}
-    eta = opts.eta if opts.eta is not None else _number(cfg, "eta", "1", _floats)[0]
-    dataset = bench.generate_synthetic(
-        _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
-        _number(cfg, "graph_p", 0.2), eta, opts.seed)
+    dataset = _synthetic(cfg, opts.seed, opts.eta)
     bench.save_matrix_csv(f"{opts.out}.f.csv", dataset.f)
     bench.save_matrix_csv(f"{opts.out}.kx.csv", dataset.kx.matrix)
     bench.save_matrix_csv(f"{opts.out}.ky.csv", dataset.ky.matrix)
@@ -175,7 +180,7 @@ def _cmd_synth(opts):
 
 def _cmd_fit(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, opts.seed)
+    dataset = _load_dataset(cfg, opts.seed, opts.eta)
     n, l = dataset.shape
     if opts.mu is None:
         raise InvalidInputError("fit requires --mu")
@@ -201,7 +206,7 @@ def _cmd_fit(opts):
 
 def _cmd_sweep(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
     config = _config_from(cfg, opts)
     result = bench.run_sweep(config, dataset)
     result.write_csv(opts.out)
@@ -213,7 +218,7 @@ def _cmd_sweep(opts):
 
 def _cmd_online(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
     config = _config_from(cfg, opts)
     trace = bench.run_online(config, dataset, stride=opts.stride)
     bench.write_trace_csv(opts.out, trace)
@@ -225,7 +230,7 @@ def _cmd_online(opts):
 
 def _cmd_gridsearch(opts):
     cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int))
+    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
     config = _config_from(cfg, opts)
     mu, eta = bench.grid_search(config, dataset)
     bench._write_csv(opts.out, [(mu, eta)], ("mu", "eta"))

@@ -48,10 +48,12 @@ def _reject_non_finite(a, what):
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric positive semidefinite similarity matrix.  A spectral kernel
-    also carries its eigenpairs in ``_spectrum`` (see spectral_kernel)."""
+    also carries its eigenpairs in ``_spectrum`` (see spectral_kernel).  The
+    PSD check keeps the top eigenvalue in ``_top_eigenvalue``."""
 
     matrix: np.ndarray
     _spectrum: tuple = field(default=None, repr=False, compare=False)
+    _top_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
@@ -68,6 +70,7 @@ class KernelMatrix:
                 f"kernel matrix is not positive semidefinite (min eigenvalue {eigs.min():g})"
             )
         object.__setattr__(self, "matrix", k)
+        object.__setattr__(self, "_top_eigenvalue", float(eigs.max()))
 
     @property
     def side(self):

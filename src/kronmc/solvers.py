@@ -3,18 +3,27 @@ reduced-dimension ridge variant (batch and streaming), and the two
 factorization baselines (exact alternating minimization and row-wise SGD).
 
 All linear systems are symmetric positive definite by construction
-(PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization.
+(PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization,
+except the closed-form system, which is solved matrix-free by conjugate
+gradients when CG's worst case costs fewer flops than the Cholesky.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.linalg.blas import dsyrk
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidInputError, NumericalError
 from .kernels import kron_submatrix
 
+# relative residual tolerance tau of the closed-form CG solve, and the bound
+# on kappa * tau, hence on the relative error of the CG coefficients, that
+# admits CG at all (criterion 1's tolerance)
+CG_RTOL = 1e-12
+CG_COEFF_TOL = 1e-8
 # size of one block of gathered feature rows in _feature_blocks (of 64 KB to
 # 1 MB, 256 KB fit fastest on an 800 x 1250 grid at S = 250000, d = 50)
 FEATURE_BLOCK_BYTES = 1 << 18
@@ -141,22 +150,95 @@ def _check_grid(kernel_or_features, sampling):
             f"model grid {grid[0]} x {grid[1]}")
 
 
-def kkmcex_fit(kernel, obs, mu):
-    """Solve the S x S regularized system on the sampled kernel block.
+def _cg_iterations(kappa, s, n, l):
+    """Worst-case CG iteration count for an S x S system on an N x L grid
+    whose condition number is at most ``kappa``, or None when the Cholesky
+    path should solve it.
 
-    The dual coefficients solve (G + mu I) c = m with G the sampled S x S
-    product-kernel block; the full NL x NL kernel is never formed.  G is the
-    only S x S array: mu is added to its diagonal and it is factored in
-    place, so peak memory is about one S x S block.
+    CG's residual falls below CG_RTOL ||m|| within
+    ceil(sqrt(kappa) / 2 * ln(2 sqrt(kappa) / CG_RTOL)) iterations, each one
+    matrix-free product of 2 N L (N + L) flops.  CG is chosen when that worst
+    case costs fewer flops than the S^3 / 3 of the Cholesky and when
+    ||c - c*|| / ||c*|| <= kappa ||r|| / ||m|| holds the coefficients to
+    CG_COEFF_TOL.
     """
-    _check_fit_inputs(obs, mu)
-    sampling = obs.sampling
-    _check_grid(kernel, sampling)
+    if not kappa * CG_RTOL <= CG_COEFF_TOL:
+        return None
+    root = math.sqrt(kappa)
+    iterations = math.ceil(0.5 * root * math.log(2.0 * root / CG_RTOL))
+    return iterations if iterations * 2 * n * l * (n + l) < s**3 / 3 else None
+
+
+def _kkmcex_cholesky(kernel, sampling, values, mu):
+    """Dual coefficients from the gathered S x S block, factored in place."""
     g = kron_submatrix(kernel, sampling)
     g[np.diag_indices_from(g)] += mu
     # g is exactly symmetric, so g.T is the same matrix as a Fortran-ordered
     # view, which LAPACK factors in place
-    coeffs = _spd_solve(g.T, obs.values)
+    return _spd_solve(g.T, values)
+
+
+def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
+    """Dual coefficients by unpreconditioned CG from zero, or None when the
+    true residual misses CG_RTOL ||m|| or is not finite.
+
+    A product scatters c into one reused N x L grid, zero off the sample,
+    multiplies it by Kx on the left and Ky on the right, and gathers the
+    sampled cells: 2 N L (N + L) flops and three N x L arrays, no S x S one.
+    """
+    kx, ky = kernel.kx.matrix, kernel.ky.matrix
+    flat = sampling.row_indices0 * kernel.n_cols + sampling.col_indices0
+    grid = np.zeros((kernel.n_rows, kernel.n_cols))
+    left, full = np.empty_like(grid), np.empty_like(grid)
+
+    def matvec(c):
+        c = np.ravel(c)
+        np.put(grid, flat, c)
+        np.matmul(kx, grid, out=left)
+        np.matmul(left, ky, out=full)
+        return np.take(full, flat) + mu * c
+
+    size = len(flat)
+    op = LinearOperator((size, size), matvec=matvec, dtype=float)
+    # CG stops on its recursively updated residual, which drifts from the
+    # true one: by up to 7e-4 CG_RTOL ||m|| over 200 fits at 250 x 250,
+    # S = 6250, mu = 1e-3, where stopping at CG_RTOL left true residuals of
+    # up to 0.9999 CG_RTOL ||m||.  Stopping at half of it costs about 3
+    # iterations of some 100 and leaves the fallback to real misses
+    coeffs, _ = cg(op, values, rtol=CG_RTOL / 2, atol=0.0, maxiter=maxiter)
+    resid = np.linalg.norm(values - matvec(coeffs))
+    return coeffs if resid <= CG_RTOL * np.linalg.norm(values) else None
+
+
+def kkmcex_fit(kernel, obs, mu):
+    """Solve the S x S regularized system on the sampled kernel block.
+
+    The dual coefficients solve (G + mu I) c = m with G the sampled S x S
+    product-kernel block; the full NL x NL kernel is never formed.  The
+    condition number of G + mu I is at most kappa = (lx ly + mu) / mu, lx
+    and ly the factors' top eigenvalues.  When _cg_iterations admits CG,
+    the system is solved matrix-free, in O(S + NL) memory; a CG solve that
+    misses its residual falls back to the Cholesky path.  That path gathers
+    G as the only S x S array, adds mu to its diagonal and factors it in
+    place, so its peak memory is about one S x S block.
+    """
+    _check_fit_inputs(obs, mu)
+    sampling = obs.sampling
+    _check_grid(kernel, sampling)
+    top = max(kernel.kx._top_eigenvalue, 0.0) * max(kernel.ky._top_eigenvalue, 0.0)
+    kappa = (top + mu) / mu
+    where = f"mu={mu:g}, S={len(sampling)}, condition bound {kappa:.3g}"
+    if not np.isfinite(top + mu):
+        raise NumericalError(f"kernel eigenvalue product overflows ({where})")
+    maxiter = _cg_iterations(kappa, len(sampling), kernel.n_rows, kernel.n_cols)
+    coeffs = None
+    if maxiter is not None:
+        coeffs = _kkmcex_cg(kernel, sampling, obs.values, mu, maxiter)
+    if coeffs is None:
+        try:
+            coeffs = _kkmcex_cholesky(kernel, sampling, obs.values, mu)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} ({where})") from exc
     return KkmcexModel(kernel, sampling, mu, coeffs)
 
 

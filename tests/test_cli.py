@@ -345,11 +345,51 @@ def test_fit_builds_the_kernels_at_the_eta_flag(tmp_path):
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m"),
                  "--method", "kkmcex", "--mu", "1e-2", "--ps", "30", "--eta", "3",
                  "--seed", "1"]) == 0
-    ds = bench.generate_synthetic(12, 10, 0.3, 1.0, 1)
+    # the flag sets the eta of the data as well as that of the fit kernels
+    ds = bench.generate_synthetic(12, 10, 0.3, 3.0, 1)
     obs = observe(ds.f, uniform_sample(12, 10, 36, 1))
     model = kkmcex_fit(KroneckerKernel(*ds.kernel_builder(3.0)), obs, 1e-2)
     assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"),
                           kkmcex_predict(model))
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "sweep"])
+def test_eta_flag_and_eta_key_write_the_same_bytes(tmp_path, subcommand):
+    base = "synth = 1\nn = 12\nl = 10\ngraph_p = 0.3\nmethod = kkmcex\n"
+    flag_cfg, key_cfg = tmp_path / "flag.cfg", tmp_path / "key.cfg"
+    flag_cfg.write_text(base)
+    key_cfg.write_text(base + "eta = 3\n")
+    args = ["--mu", "1e-2", "--ps", "30", "--seed", "1"]
+    with_flag, with_key = tmp_path / "flag", tmp_path / "key"
+    assert main([subcommand, "--config", str(flag_cfg), "--out", str(with_flag),
+                 "--eta", "3", *args]) == 0
+    assert main([subcommand, "--config", str(key_cfg), "--out", str(with_key), *args]) == 0
+    if subcommand == "fit":
+        for suffix in (".pred.csv", ".model.csv"):
+            assert ((tmp_path / f"flag{suffix}").read_bytes()
+                    == (tmp_path / f"key{suffix}").read_bytes())
+    else:
+        # the sweep rows differ only in their seconds column
+        rows = [[line.split(",") for line in path.read_text().splitlines()]
+                for path in (with_flag, with_key)]
+        seconds = rows[0][0].index("seconds")
+        for a, b in zip(*rows, strict=True):
+            assert a[:seconds] + a[seconds + 1:] == b[:seconds] + b[seconds + 1:]
+
+
+def test_fit_overflowing_kernels_exit_2_naming_mu_s_and_kappa(tmp_path):
+    # finite kernels whose Kronecker product overflows
+    for key, matrix in (("f", np.ones((4, 4))), ("kx", 1e200 * np.eye(4)),
+                        ("ky", 1e200 * np.eye(4))):
+        bench.save_matrix_csv(tmp_path / f"{key}.csv", matrix)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("".join(f"{key} = {tmp_path / key}.csv\n" for key in ("f", "kx", "ky")))
+    result = run_kronmc("fit", "--config", cfg, "--out", tmp_path / "x",
+                        "--method", "kkmcex", "--ps", "50", "--mu", "1e-2")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "mu=0.01, S=8, condition bound inf" in result.stderr
+    assert not (tmp_path / "x.pred.csv").exists()
 
 
 def test_fit_names_the_line_of_a_non_finite_observation(synth_dataset):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError,
                     KernelMatrix, KroneckerKernel, RegularizedLaplacian,
                     build_laplacian, erdos_renyi, features_from_eig,
                     features_from_svd, gaussian_kernel, kron_entry,
                     kron_submatrix, linear_kernel, pearson_kernel,
-                    spectral_kernel, uniform_sample)
+                    SamplingSet, spectral_kernel, uniform_sample)
 
 from helpers import dense_kron, make_spd_kernel
 
@@ -95,6 +98,7 @@ def test_spectral_kernel_carries_its_laplacian_spectrum():
         assert q is lap.spectrum[1]
         assert np.array_equal(w, weighting.inverse_weights(lap.spectrum[0]))
         assert np.abs((q * w) @ q.T - k.matrix).max() <= 1e-12
+        assert k._top_eigenvalue == w.max()
 
 
 def test_kernel_matrix_psd_check_reads_the_carried_spectrum():
@@ -109,6 +113,7 @@ def test_non_spectral_kernels_are_decomposed_by_check_and_features(eig_calls):
     kx = pearson_kernel(rng.normal(size=(6, 4)))
     ky = KernelMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
     assert eig_calls == {"eigh": 0, "eigvalsh": 2}
+    assert ky._top_eigenvalue == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-14)
     features_from_eig(kx, ky, 5)
     assert eig_calls == {"eigh": 2, "eigvalsh": 2}
 
@@ -219,6 +224,29 @@ def test_kron_submatrix_row_blocks_match_ix_gather():
     assert g.flags.c_contiguous
     assert np.array_equal(g, ref)
     assert np.array_equal(g, g.T)
+
+
+@st.composite
+def kron_cases(draw):
+    """(kernel, sampling): random PSD factors on an N x L grid and a
+    sampling of it in arbitrary order."""
+    n, l = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    bx = draw(arrays(float, (n, n), elements=entries))
+    by = draw(arrays(float, (l, l), elements=entries))
+    vec = draw(st.lists(st.integers(0, n * l - 1), unique=True, max_size=n * l))
+    sampling = SamplingSet(n, l, [(v % n + 1, v // n + 1) for v in vec])
+    return KroneckerKernel(KernelMatrix(bx @ bx.T), KernelMatrix(by @ by.T)), sampling
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kron_cases())
+def test_kron_submatrix_is_the_dense_product_at_the_sample(case):
+    kk, sampling = case
+    v = sampling.vec_indices0
+    g = kron_submatrix(kk, sampling)
+    assert g.shape == (len(v), len(v))
+    assert np.array_equal(g, dense_kron(kk)[np.ix_(v, v)])
 
 
 def test_features_from_eig_diagonal_example():

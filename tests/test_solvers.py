@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
-                    KkmcexModel, KroneckerKernel, ObservationSet, RrmcexModel, SamplingSet,
+                    KkmcexModel, KroneckerKernel, NoiseSpec, ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                     features_from_eig, kkmcex_fit, kkmcex_predict,
                     load_factor_model, load_kkmcex_model, load_rrmcex_model,
                     nmse, observe, orrmcex_run, orrmcex_step, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
+from kronmc import solvers
+from kronmc.errors import NumericalError
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
 from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, make_spd_kernel,
@@ -79,33 +81,138 @@ def test_kkmcex_validation():
 
 def test_kkmcex_multi_block_gather_matches_dense_oracle():
     # S = 2500 spans several gather row blocks, the last one short
-    # (test_kron_submatrix_row_blocks_match_ix_gather checks the split)
+    # (test_kron_submatrix_row_blocks_match_ix_gather checks the split);
+    # kkmcex_fit would solve this system by CG, so the Cholesky path is
+    # called directly
     rng = np.random.default_rng(40)
     n, l, count, mu = 60, 50, 2500, 1e-2
     kk, f, obs = random_problem(rng, n, l, count, mu)
     kx, ky = kk.kx.matrix.copy(), kk.ky.matrix.copy()
-    model = kkmcex_fit(kk, obs, mu)
+    coeffs = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, mu)
     assert np.array_equal(kk.kx.matrix, kx) and np.array_equal(kk.ky.matrix, ky)
     oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
-    gamma = model.full_dual_vector()
+    gamma = KkmcexModel(kk, obs.sampling, mu, coeffs).full_dual_vector()
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
 def test_kkmcex_fit_peak_memory_is_about_one_gram():
     # the S x S block is the only array of its size: a gather row block is
     # GATHER_BLOCK_BYTES (0.02 of this Gram) and SciPy's finiteness check
-    # allocates a boolean S x S mask (0.125); a second S x S copy breaks 1.5
+    # allocates a boolean S x S mask (0.125); a second S x S copy breaks 1.5.
+    # kkmcex_fit would solve this system by CG, so the Cholesky path is
+    # called directly
     import tracemalloc
     rng = np.random.default_rng(41)
     count = 2500
     kk, f, obs = random_problem(rng, 60, 50, count, 1e-2)
     tracemalloc.start()
     try:
-        kkmcex_fit(kk, obs, 1e-2)
+        solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * count**2 * 8
+
+
+def unit_top_kernel(rng, n):
+    """Random SPD kernel scaled to top eigenvalue 1."""
+    k = make_spd_kernel(rng, n)
+    return KernelMatrix(k.matrix / k._top_eigenvalue)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
+    # grids of 30..40 rows and columns sampled at 80-90 % give CG budgets of
+    # over 1100 products, above the 503 iterations of kappa ~ 1e3 (mu = 1e-3
+    # on unit-top kernels), so the rule picks CG for every mu in 1e-3..10;
+    # a fallback would hide a CG that misses its tolerance, so the Cholesky
+    # path fails the test
+    rng = np.random.default_rng(300 + case)
+    n, l = int(rng.integers(30, 41)), int(rng.integers(30, 41))
+    count = int(rng.uniform(0.8, 0.9) * n * l)
+    mu = [1e-3, 10.0][case] if case < 2 else float(10.0 ** rng.uniform(-3, 1))
+    kk = KroneckerKernel(unit_top_kernel(rng, n), unit_top_kernel(rng, l))
+    f = unvec(dense_kron(kk) @ rng.normal(size=n * l), n, l)
+    obs = observe(f, uniform_sample(n, l, count, seed=case), NoiseSpec.target_snr(1.0, seed=case))
+
+    def no_cholesky(*args):
+        raise AssertionError("the CG solve fell back to Cholesky")
+
+    monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
+    gamma = kkmcex_fit(kk, obs, mu).full_dual_vector()
+    oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
+    assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, s, n, l, expected", [
+    (1e-3, 6250, 250, 250, 503),  # exact-250: CG
+    (1e-4, 6250, 250, 250, None),  # k about 1650 > 1302 products of budget
+    (1e-6, 6250, 250, 250, None),  # criterion 7: k about 17600
+    (1e-3, 625, 250, 250, None),  # cli-fit: a budget of 1.3 products
+    (1e-5, 62500, 790, 790, None),  # within budget, but kappa tau = 1e-7
+])
+def test_cg_rule_picks_the_cheaper_exact_solver(mu, s, n, l, expected):
+    kappa = (1.0 + mu) / mu  # top eigenvalues 1
+    assert solvers._cg_iterations(kappa, s, n, l) == expected
+
+
+def test_cg_rule_iteration_bound_formula():
+    # the worst-case count itself, where the coefficient tolerance admits
+    # kappa and the budget is large: ceil(sqrt(k) / 2 * ln(2 sqrt(k) / 1e-12))
+    for kappa, expected in ((1001.0, 503), (101.0, 154), (1e4, 1647)):
+        assert solvers._cg_iterations(kappa, 10**6, 100, 100) == expected
+    assert solvers._cg_iterations(1e4 * 1.0001, 10**6, 100, 100) is None
+    assert solvers._cg_iterations(np.inf, 10**6, 100, 100) is None
+
+
+def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram():
+    # at 250 x 250, S = 6250, mu = 1e-3 the rule picks CG, which holds three
+    # N x L grids (0.5 MB each) and a few length-S vectors; the S x S block
+    # it avoids is 312 MB
+    import tracemalloc
+    rng = np.random.default_rng(42)
+    n, count = 250, 6250
+    kk = KroneckerKernel(unit_top_kernel(rng, n), unit_top_kernel(rng, n))
+    obs = ObservationSet(uniform_sample(n, n, count, seed=6), rng.normal(size=count))
+    tracemalloc.start()
+    try:
+        kkmcex_fit(kk, obs, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.02 * count**2 * 8
+
+
+def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch):
+    rng = np.random.default_rng(43)
+    kk, f, obs = random_problem(rng, 30, 35, 900, mu=1e-2)
+    cg_calls, cg = [], solvers.cg
+
+    def counted_cg(*args, **kwargs):
+        cg_calls.append(kwargs["maxiter"])
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_cg_iterations", lambda *args: 1)
+    monkeypatch.setattr(solvers, "cg", counted_cg)
+    coeffs = kkmcex_fit(kk, obs, 1e-2).dual_coeffs
+    assert cg_calls == [1]
+    expected = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
+    assert np.array_equal(coeffs, expected)
+
+
+def test_kkmcex_overflow_is_a_numerical_error_naming_mu_s_and_kappa():
+    huge = KernelMatrix(1e200 * np.eye(4))
+    obs = observe(np.ones((4, 4)), uniform_sample(4, 4, 8, seed=1))
+    with pytest.raises(NumericalError, match=r"mu=0\.01, S=8, condition bound inf"):
+        kkmcex_fit(KroneckerKernel(huge, huge), obs, 1e-2)
+
+
+def test_kkmcex_failed_cholesky_names_mu_s_and_kappa():
+    # finite, but mu vanishes against the rank-one block's 1.6e301
+    big = KernelMatrix(1e150 * np.ones((4, 4)))
+    obs = observe(np.ones((4, 4)), uniform_sample(4, 4, 8, seed=1))
+    with pytest.raises(NumericalError, match=r"not positive definite .*mu=1e-100, S=8"):
+        kkmcex_fit(KroneckerKernel(big, big), obs, 1e-100)
 
 
 def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s():
