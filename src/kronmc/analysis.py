@@ -11,7 +11,9 @@ the benchmarks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from . import _blas
 from .errors import InvalidInputError
 
 __all__ = [
@@ -99,7 +101,7 @@ def regularized_nystrom(k, sampling, mu):
         return NystromApprox(np.zeros_like(k), mu)
     kc = k[:, idx]
     g = k[np.ix_(idx, idx)] + mu * np.eye(len(idx))
-    t = kc @ np.linalg.solve(g, kc.T)
+    t = _blas.gemm(kc, scipy.linalg.solve(g, kc.T, check_finite=False, assume_a="gen"))
     return NystromApprox((t + t.T) / 2.0, mu)
 
 
@@ -108,7 +110,7 @@ def _estimator_operator(k, sampling, mu):
     idx = sampling.vec_indices0
     kc = k[:, idx]
     g = k[np.ix_(idx, idx)] + mu * np.eye(len(idx))
-    return kc @ np.linalg.inv(g)
+    return _blas.gemm(kc, scipy.linalg.inv(g, check_finite=False))
 
 
 def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
@@ -125,16 +127,16 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
     k = np.asarray(k, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     resid = k - regularized_nystrom(k, sampling, mu).t_tilde
-    bias_sq = float(np.sum((resid @ gamma) ** 2))
+    bias_sq = float(np.sum(_blas.gemv(resid, gamma) ** 2))
     idx = sampling.vec_indices0
     variance = float(nu_sq / mu**2 * np.sum(resid[:, idx] ** 2))
 
     empirical = None
     std_error = None
     if n_draws > 0:
-        v = k @ gamma
+        v = _blas.gemv(k, gamma)
         a = _estimator_operator(k, sampling, mu)
-        r0 = v - a @ v[idx]
+        r0 = v - _blas.gemv(a, v[idx])
         rng = np.random.default_rng(seed)
         sq_sum = 0.0
         sq_sq_sum = 0.0
@@ -142,7 +144,7 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
         while done < n_draws:
             b = min(batch_size, n_draws - done)
             noise = rng.normal(scale=np.sqrt(nu_sq), size=(len(idx), b))
-            errs = r0[:, None] - a @ noise
+            errs = r0[:, None] - _blas.gemm(a, noise)
             per_draw = np.sum(errs**2, axis=0)
             sq_sum += per_draw.sum()
             sq_sq_sum += np.sum(per_draw**2)
@@ -160,14 +162,14 @@ def gamma_tilde(k, t_tilde, gamma):
     so the norm of gamma is preserved.
     """
     resid = np.asarray(k, dtype=float) - np.asarray(t_tilde, dtype=float)
-    _, vecs = np.linalg.eigh((resid + resid.T) / 2.0)
-    return vecs.T @ np.asarray(gamma, dtype=float)
+    _, vecs = _blas.eigh((resid + resid.T) / 2.0)
+    return _blas.gemv(vecs.T, np.asarray(gamma, dtype=float))
 
 
 def bound_inputs(k, sampling, gamma, mu, nu_sq):
     """Assemble the bound ingredients for a dense kernel and sampling set."""
     k = np.asarray(k, dtype=float)
-    eigs = np.linalg.eigvalsh(k)
+    eigs = _blas.eigvalsh(k)
     if eigs[0] <= 1e-10 * max(1.0, eigs[-1]):
         raise InvalidInputError(
             "bound requires a nonsingular kernel; rank-deficient (e.g. bandlimited) "
@@ -204,7 +206,7 @@ def eig_bound_check(k, sampling, mu, slack=1e-10):
     """
     _check_mu(mu)
     k = np.asarray(k, dtype=float)
-    eigs_k = np.linalg.eigvalsh(k)
+    eigs_k = _blas.eigvalsh(k)
     if eigs_k[0] <= 1e-10 * max(1.0, eigs_k[-1]):
         raise InvalidInputError(
             "domination check requires a nonsingular kernel; rank-deficient "
@@ -212,7 +214,7 @@ def eig_bound_check(k, sampling, mu, slack=1e-10):
         )
     sigma = float(eigs_k[-1])
     t = regularized_nystrom(k, sampling, mu).t_tilde
-    resid_eigs = np.linalg.eigvalsh(k - t)
+    resid_eigs = _blas.eigvalsh(k - t)
     s = len(sampling)
     nl = k.shape[0]
     bound = np.concatenate([
@@ -242,8 +244,8 @@ def _random_instance(rng, max_side=6):
     l = int(rng.integers(2, max_side + 1))
     bx = rng.normal(size=(n, n))
     by = rng.normal(size=(l, l))
-    kx = bx @ bx.T / n + 0.5 * np.eye(n)
-    ky = by @ by.T / l + 0.5 * np.eye(l)
+    kx = _blas.gemm(bx, bx.T) / n + 0.5 * np.eye(n)
+    ky = _blas.gemm(by, by.T) / l + 0.5 * np.eye(l)
     return n, l, np.kron(ky, kx)
 
 
@@ -283,8 +285,8 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
         eig_report = eig_bound_check(kz, sampling, mu)
         t = regularized_nystrom(kz, sampling, mu).t_tilde
         scale = max(1.0, np.abs(kz).max())
-        psd_ok = (np.linalg.eigvalsh(t)[0] >= -1e-8 * scale
-                  and np.linalg.eigvalsh(kz - t)[0] >= -1e-8 * scale)
+        psd_ok = (_blas.eigvalsh(t)[0] >= -1e-8 * scale
+                  and _blas.eigvalsh(kz - t)[0] >= -1e-8 * scale)
 
         bound_ok = report.total <= bound * (1 + 1e-10) + 1e-12
         mc_ok = True
@@ -313,7 +315,7 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
     n, l, kz = _random_instance(rng)
     full = uniform_sample(n, l, n * l, int(rng.integers(2**32)))
     gamma = rng.normal(size=n * l)
-    mu_small = 1e-5 * float(np.linalg.eigvalsh(kz)[0])
+    mu_small = 1e-5 * float(_blas.eigvalsh(kz)[0])
     b1 = mse_decomposition(kz, full, gamma, mu_small, 0.0).bias_sq
     b2 = mse_decomposition(kz, full, gamma, mu_small / 2.0, 0.0).bias_sq
     rate_ok = b2 > 0 and b1 / b2 >= 3.9

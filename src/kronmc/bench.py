@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from .analysis import nmse
 from .errors import InvalidInputError
 from .graphs import (Graph, build_laplacian, erdos_renyi, geodesic_distances,
@@ -168,7 +169,7 @@ def generate_synthetic(n, l, graph_p, eta, seed):
                                  build_laplacian(erdos_renyi(l, graph_p, seed_y)))
     kx, ky = builder(eta)
     gamma = rng.normal(size=(n, l))
-    f = kx.matrix @ gamma @ ky.matrix
+    f = _blas.gemm(_blas.gemm(kx.matrix, gamma), ky.matrix)
     return DatasetBundle(
         f, kx, ky,
         provenance={"generator": "synthetic", "n": n, "l": l,
@@ -228,7 +229,8 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
     np.fill_diagonal(distances, 0.0)
     bundle = station_day_bundle(np.zeros((n_stations, n_days)), distances, k=k,
                                 day_band=day_band, eta=eta)
-    f = bundle.kx.matrix @ rng.normal(size=(n_stations, n_days)) @ bundle.ky.matrix
+    f = _blas.gemm(_blas.gemm(bundle.kx.matrix, rng.normal(size=(n_stations, n_days))),
+                   bundle.ky.matrix)
     return replace(bundle, f=f, provenance={**bundle.provenance,
                                             "generator": "station-day-synthetic",
                                             "seed": seed})
@@ -274,7 +276,7 @@ def synthetic_categorical_table(n_rows=120, n_attrs=22, seed=0):
     rows = [tuple(f"a{a}v{rng.integers(sizes[a])}" for a in range(n_attrs))
             for _ in range(n_rows)]
     enc = onehot_features(rows)
-    score = enc @ rng.normal(size=enc.shape[1])
+    score = _blas.gemv(enc, rng.normal(size=enc.shape[1]))
     labels = [int(v) for v in score > np.median(score)]
     return rows, labels
 

@@ -7,6 +7,7 @@ sweep (full protocol to CSV), online (streaming trace), gridsearch
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -104,6 +105,14 @@ def _number(cfg, key, default, convert=float):
         raise InvalidInputError(f"config key {key!r}: {exc}") from exc
 
 
+def _config_file(cfg, key):
+    """The path the config gives under ``key``; a missing file names the key."""
+    path = cfg[key]
+    if not os.path.isfile(path):
+        raise InvalidInputError(f"config key {key!r}: file not found: {path!r}")
+    return path
+
+
 def _synthetic(cfg, seed, eta):
     """The config's synthetic dataset, drawn at ``eta`` (the --eta flag) when
     given, else at the first point of the config's eta grid."""
@@ -122,9 +131,9 @@ def _load_dataset(cfg, seed, eta=None):
     for key in ("f", "kx", "ky"):
         if key not in cfg:
             raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
-    f = bench.load_matrix_csv(cfg["f"])
-    kx = KernelMatrix(bench.load_matrix_csv(cfg["kx"]))
-    ky = KernelMatrix(bench.load_matrix_csv(cfg["ky"]))
+    f = bench.load_matrix_csv(_config_file(cfg, "f"))
+    kx = KernelMatrix(bench.load_matrix_csv(_config_file(cfg, "kx")))
+    ky = KernelMatrix(bench.load_matrix_csv(_config_file(cfg, "ky")))
     return bench.DatasetBundle(f, kx, ky, provenance={"generator": "files"})
 
 
@@ -190,7 +199,7 @@ def _cmd_fit(opts):
                           opts)
     bench._require_one_point(config, "fit")
     if "obs" in cfg:
-        obs = bench.load_triplets_csv(cfg["obs"], n, l)
+        obs = bench.load_triplets_csv(_config_file(cfg, "obs"), n, l)
     else:
         count = bench._sample_count(config.ps_grid[0], n, l)
         noise = replace(config.noise, seed=bench.derive_seed(opts.seed, 1))
@@ -264,8 +273,6 @@ _COMMANDS = {
 
 def _check_paths(options):
     """Validate input/output paths before any work starts."""
-    import os
-
     if options.config is not None and not os.path.isfile(options.config):
         raise InvalidInputError(f"config file not found: {options.config}")
     if options.out is not None:

@@ -11,6 +11,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
+from . import _blas
 from .errors import InvalidInputError
 
 __all__ = [
@@ -60,7 +61,7 @@ class Laplacian:
     @cached_property
     def spectrum(self):
         """Eigenvalues (ascending) and eigenvectors, from one eigh on first use."""
-        return np.linalg.eigh(self.matrix)
+        return _blas.eigh(self.matrix)
 
 
 def build_laplacian(graph):

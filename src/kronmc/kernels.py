@@ -6,12 +6,17 @@ of the big kernel is kappa_x(i, n) * kappa_y(j, l) for the decoded factor
 indices.  Feature maps are rank-d factorizations phi with phi @ phi.T
 approximating the product kernel, built from factor eigen- or singular
 decompositions and held as one N x d and one L x d factor.
+
+Eigendecompositions and kernel products run on SciPy's LAPACK and BLAS,
+through ``kronmc._blas``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
+from . import _blas
 from .errors import InvalidInputError, NumericalError
 
 __all__ = [
@@ -61,10 +66,14 @@ class KernelMatrix:
             raise InvalidInputError(f"kernel matrix must be square, got shape {k.shape}")
         _reject_non_finite(k, "kernel matrix")
         scale = max(1.0, np.abs(k).max()) if k.size else 1.0
-        if np.abs(k - k.T).max() > SYM_TOL * scale:
+        # one n x n buffer holds |k - k^T|, then the symmetrized kernel, so
+        # the check needs no more memory than the product that built k
+        sym = np.subtract(k, k.T)
+        if np.abs(sym, out=sym).max() > SYM_TOL * scale:
             raise InvalidInputError("kernel matrix must be symmetric")
-        k = (k + k.T) / 2.0
-        eigs = np.linalg.eigvalsh(k) if self._spectrum is None else self._spectrum[0]
+        k = np.add(k, k.T, out=sym)
+        k /= 2.0
+        eigs = _blas.eigvalsh(k) if self._spectrum is None else self._spectrum[0]
         if eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
             raise InvalidInputError(
                 f"kernel matrix is not positive semidefinite (min eigenvalue {eigs.min():g})"
@@ -88,7 +97,9 @@ class Diffusion:
             raise InvalidInputError("diffusion weight eta must be positive")
 
     def inverse_weights(self, eigenvalues):
-        return np.exp(-self.eta * eigenvalues)
+        # an overflow is reported by spectral_kernel's finiteness check
+        with np.errstate(over="ignore"):
+            return np.exp(-self.eta * eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,7 @@ def spectral_kernel(lap, weighting):
     w = weighting.inverse_weights(eigvals)
     if not np.all(np.isfinite(w)):
         raise NumericalError("non-finite spectral weight; kernel undefined")
-    return KernelMatrix((q * w) @ q.T, _spectrum=(w, q))
+    return KernelMatrix(_blas.gemm(q * w, q.T), _spectrum=(w, q))
 
 
 def linear_kernel(x):
@@ -151,7 +162,7 @@ def linear_kernel(x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] < 1:
         raise InvalidInputError("feature matrix needs at least one column")
-    return KernelMatrix(x @ x.T)
+    return KernelMatrix(_blas.gemm(x, x.T))
 
 
 def gaussian_kernel(x, eta):
@@ -160,7 +171,7 @@ def gaussian_kernel(x, eta):
         raise InvalidInputError("gaussian bandwidth eta must be positive")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     sq = np.sum(x**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * _blas.gemm(x, x.T), 0.0)
     return KernelMatrix(np.exp(-d2 / (2.0 * eta)))
 
 
@@ -173,7 +184,7 @@ def pearson_kernel(x):
         row = int(np.flatnonzero(norms == 0)[0]) + 1
         raise InvalidInputError(f"row {row} is constant; correlation is undefined")
     u = centered / norms[:, None]
-    k = u @ u.T
+    k = _blas.gemm(u, u.T)
     np.fill_diagonal(k, 1.0)
     return KernelMatrix(k)
 
@@ -337,8 +348,8 @@ def features_from_eig(kx, ky, d):
     n, l = kx.side, ky.side
     if not 1 <= d <= n * l:
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
-    sx, qx = kx._spectrum or np.linalg.eigh(kx.matrix)
-    sy, qy = ky._spectrum or np.linalg.eigh(ky.matrix)
+    sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
+    sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
     return FeatureMap(qx[:, a] * np.sqrt(np.maximum(products, 0.0)), qy[:, b],
                       "eig-based")
@@ -360,8 +371,10 @@ def features_from_svd(x, y, d):
         raise InvalidInputError(
             f"feature dimension must lie in 1..{min(n * l, tx * ty)}, got {d}"
         )
-    ux, dx, _ = np.linalg.svd(x, full_matrices=False)
-    uy, dy, _ = np.linalg.svd(y, full_matrices=False)
+    _reject_non_finite(x, "row feature matrix")
+    _reject_non_finite(y, "column feature matrix")
+    ux, dx, _ = scipy.linalg.svd(x, full_matrices=False, check_finite=False)
+    uy, dy, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
     avail = len(dx) * len(dy)
     a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
     k = len(products)

@@ -6,6 +6,11 @@ All linear systems are symmetric positive definite by construction
 (PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization,
 except the closed-form system, which is solved matrix-free by conjugate
 gradients when CG's worst case costs fewer flops than the Cholesky.
+
+Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
+through ``kronmc._blas`` (which says why) and ``scipy.linalg``.  Only 1-D
+dots run on numpy's: the per-entry SGD updates' ``@`` and the CG solve's
+inner products and norms.
 """
 
 import math
@@ -16,6 +21,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.linalg.blas import dsyrk
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import _blas
 from .errors import InvalidInputError, NumericalError
 from .kernels import kron_submatrix
 
@@ -194,8 +200,8 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
     def matvec(c):
         c = np.ravel(c)
         np.put(grid, flat, c)
-        np.matmul(kx, grid, out=left)
-        np.matmul(left, ky, out=full)
+        _blas.gemm(kx, grid, out=left)
+        _blas.gemm(left, ky, out=full)
         return np.take(full, flat) + mu * c
 
     size = len(flat)
@@ -252,7 +258,7 @@ def kkmcex_predict(model):
     kk = model.kernel
     c = np.zeros((kk.n_rows, kk.n_cols))
     c[model.sampling.row_indices0, model.sampling.col_indices0] = model.dual_coeffs
-    return kk.kx.matrix @ c @ kk.ky.matrix
+    return _blas.gemm(_blas.gemm(kk.kx.matrix, c), kk.ky.matrix)
 
 
 def _feature_blocks(features, rows0, cols0):
@@ -293,7 +299,7 @@ def rrmcex_fit(features, obs, mu):
         # block.T is Fortran-ordered, so the update reads the block in place,
         # and a Fortran-ordered a is updated in place
         a = dsyrk(1.0, block.T, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
-        rhs += block.T @ obs.values[start:start + len(block)]
+        rhs += _blas.gemv(block.T, obs.values[start:start + len(block)])
     a[np.diag_indices_from(a)] += mu
     return RrmcexModel(features, mu, _spd_solve(a, rhs))
 
@@ -302,7 +308,7 @@ def rrmcex_predict(model):
     """Full N x L estimate: entry (i, j) is (x[i] * xi) @ y[j], one N x d by
     d x L product of the feature factors."""
     f = model.features
-    return (f.x * model.xi) @ f.y.T
+    return _blas.gemm(f.x * model.xi, f.y.T)
 
 
 def orrmcex_step(model, i, j, m, t, mu):
@@ -384,8 +390,9 @@ def _kernel_inverse(kernel, name):
 
 def _als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv):
     resid = m_vals - np.sum(w[rows] * h[cols], axis=1)
-    fit = float(resid @ resid)
-    reg = mu * (float(np.sum(w * (kxinv @ w))) + float(np.sum(h * (kyinv @ h))))
+    fit = _blas.dot(resid, resid)
+    reg = mu * (float(np.sum(w * _blas.gemm(kxinv, w)))
+                + float(np.sum(h * _blas.gemm(kyinv, h))))
     return fit + reg
 
 
@@ -496,7 +503,7 @@ def factor_sgd_fit(obs, p, mu, schedule, epochs, seed):
 
 def factor_predict(model):
     """Full N x L estimate as the factor product."""
-    return model.w @ model.h.T
+    return _blas.gemm(model.w, model.h.T)
 
 
 def save_model(path, model):

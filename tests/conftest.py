@@ -1,15 +1,28 @@
+import sys
+
 import numpy as np
 import pytest
+
+import kronmc._blas
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Live counts of the calls to ``np.linalg.eigh`` and ``eigvalsh``."""
+    """Live counts of kronmc's eigendecompositions: the calls to ``eigh`` and
+    ``eigvalsh`` of ``kronmc._blas``.  A call from kronmc to numpy's own
+    ``eigh`` or ``eigvalsh``, which would bypass the count, fails the test."""
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(kronmc._blas, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        def refused(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.split(".")[0] == "kronmc":
+                pytest.fail(f"{caller} calls np.linalg.{_name}, not kronmc._blas.{_name}")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kronmc._blas, name, counted)
+        monkeypatch.setattr(np.linalg, name, refused)
     return counts

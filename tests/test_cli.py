@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kronmc import (KernelMatrix, KroneckerKernel, NoiseSpec, bench, factor_predict,
                     features_from_eig, kkmcex_fit, kkmcex_predict, load_factor_model,
@@ -459,3 +461,68 @@ def test_validation_fraction_out_of_range_is_named(tmp_path, fraction):
     assert "Traceback" not in result.stderr
     assert "validation_fraction must lie strictly in (0, 1)" in result.stderr
     assert not (tmp_path / "r.csv").exists()
+
+
+_FUZZ_JUNK = st.text(alphabet="abe01.,-+= #x", max_size=6)
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(-2.0, 12.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "0.5,2"]))
+# n and l are capped at 40 so that no draw allocates a large grid
+_FUZZ_SIDES = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["nan", "inf"]),
+                        _FUZZ_JUNK)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 6 x 5 dataset as CSV files, a triplets file on its grid, a 7 x 7
+    kernel of the wrong size and a file of junk, by config key."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = bench.generate_synthetic(6, 5, 0.5, 1.0, seed=2)
+    paths = {name: root / f"{name}.csv" for name in ("f", "kx", "ky", "big", "obs", "junk")}
+    bench.save_matrix_csv(paths["f"], data.f)
+    bench.save_matrix_csv(paths["kx"], data.kx.matrix)
+    bench.save_matrix_csv(paths["ky"], data.ky.matrix)
+    bench.save_matrix_csv(paths["big"], np.eye(7))
+    bench.save_triplets_csv(paths["obs"], observe(data.f, uniform_sample(6, 5, 9, 1)))
+    paths["junk"].write_text("1,2\nx,,\n")
+    files = st.sampled_from([str(p) for p in paths.values()]) | _FUZZ_JUNK
+    values = {"n": _FUZZ_SIDES, "l": _FUZZ_SIDES,
+              "method": st.sampled_from(bench.METHODS) | _FUZZ_JUNK,
+              "synth": st.sampled_from(["1", "0", "yes"]) | _FUZZ_JUNK,
+              "step_rule": st.sampled_from(["constant", "decay"]) | _FUZZ_JUNK,
+              **{key: files for key in ("f", "kx", "ky", "obs")}}
+    keys = ("graph_p", "eta", "ps", "mu", "rank", "dim", "epochs", "step_c", "step_n0",
+            "snr", "nu_sq", "realizations", "validation_fraction", "dataset_seed",
+            *values)
+    pair = st.one_of(
+        st.sampled_from(keys).flatmap(
+            lambda key: values.get(key, _FUZZ_NUMBERS | _FUZZ_JUNK).map(
+                lambda value: f"{key} = {value}")),
+        _FUZZ_JUNK.map(lambda key: f"{key} = 1"),
+        _FUZZ_JUNK)
+    bases = (["synth = 1"],
+             [f"{key} = {paths[key]}" for key in ("f", "kx", "ky")])
+    return root, st.tuples(st.sampled_from(bases), st.lists(pair, max_size=6))
+
+
+def test_no_fit_config_exits_other_than_0_1_2(fuzz_files):
+    # a config is a valid base (synthetic, or the 6 x 5 CSV files) with up
+    # to six lines of known keys or junk after it; kronmc fit must answer
+    # every one with status 0, 1 or 2, and an exception escaping main would
+    # be a traceback on the command line
+    root, configs = fuzz_files
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(configs)
+    def run(config):
+        base, lines = config
+        cfg = root / "fuzz.cfg"
+        cfg.write_text("\n".join(base + lines) + "\n")
+        with open(os.devnull, "w") as sink:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                status = main(["fit", "--config", str(cfg), "--out", str(root / "run"),
+                               "--mu", "1e-2"])
+        assert status in (0, 1, 2)
+
+    run()

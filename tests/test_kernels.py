@@ -310,6 +310,15 @@ def test_features_from_svd_rank_deficient_gives_zero_columns():
         features_from_svd(x, y, 5)  # d > tx * ty
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_features_from_svd_names_a_non_finite_feature(value):
+    x, y = np.ones((3, 2)), np.ones((4, 2))
+    y[2, 1] = value
+    with pytest.raises(InvalidInputError,
+                       match=r"column feature matrix entry \(3, 2\) is not finite"):
+        features_from_svd(x, y, 2)
+
+
 @pytest.mark.parametrize("n,l", [(2, 3), (4, 4), (3, 5)])
 def test_kron_spectrum_is_product_of_factor_spectra(n, l):
     rng = np.random.default_rng(100 + n + l)
