@@ -26,9 +26,8 @@ from .graphs import (Graph, Laplacian, build_laplacian, erdos_renyi,
                      geodesic_distances, heat_adjacency, knn_symmetric)
 from .kernels import (Bandlimited, Diffusion, FeatureMap, KernelMatrix,
                       KroneckerKernel, RegularizedLaplacian, features_from_eig,
-                      features_from_svd, gaussian_kernel, kron_entry,
-                      kron_submatrix, linear_kernel, pearson_kernel,
-                      spectral_kernel)
+                      features_from_svd, gaussian_kernel, kron_submatrix,
+                      linear_kernel, pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample, vec_index)
 from .solvers import (FactorModel, KkmcexModel, RrmcexModel, StepSchedule,

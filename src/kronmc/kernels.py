@@ -30,7 +30,6 @@ __all__ = [
     "linear_kernel",
     "gaussian_kernel",
     "pearson_kernel",
-    "kron_entry",
     "kron_submatrix",
     "features_from_eig",
     "features_from_svd",
@@ -211,19 +210,6 @@ class KroneckerKernel:
     @property
     def size(self):
         return self.n_rows * self.n_cols
-
-
-def _decode(index, n_rows, size):
-    if not 1 <= index <= size:
-        raise InvalidInputError(f"vector index {index} outside 1..{size}")
-    return (index - 1) % n_rows, (index - 1) // n_rows
-
-
-def kron_entry(kk, iprime, jprime):
-    """Single entry of the product kernel at 1-based vector indices."""
-    i, j = _decode(iprime, kk.n_rows, kk.size)
-    n, l = _decode(jprime, kk.n_rows, kk.size)
-    return float(kk.kx.matrix[i, n] * kk.ky.matrix[j, l])
 
 
 def kron_submatrix(kk, sampling):

@@ -110,12 +110,6 @@ class SamplingSet:
         """0-based column-major vector indices, in sampling order (read-only)."""
         return self._vec0
 
-    def selector_matrix(self):
-        """Explicit S x NL binary selector; for small problems and tests only."""
-        s = np.zeros((len(self), self.n_rows * self.n_cols))
-        s[np.arange(len(self)), self.vec_indices0] = 1.0
-        return s
-
 
 @dataclass(frozen=True)
 class ObservationSet:

@@ -9,8 +9,9 @@ gradients when CG's worst case costs fewer flops than the Cholesky.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
 through ``kronmc._blas`` (which says why) and ``scipy.linalg``.  Only 1-D
-dots run on numpy's: the per-entry SGD updates' ``@`` and the CG solve's
-inner products and norms.
+dots run on numpy's: the CG solve's inner products and norms, and the
+``@`` of the two per-observation SGD updates, ``_orrmcex_update`` and
+``_factor_sgd_update``, the one home of each SGD method's arithmetic.
 """
 
 import math
@@ -82,12 +83,6 @@ class KkmcexModel:
     mu: float
     dual_coeffs: np.ndarray
 
-    def full_dual_vector(self):
-        """Length-NL coefficient vector; exactly zero off the sampled indices."""
-        gamma = np.zeros(self.kernel.size)
-        gamma[self.sampling.vec_indices0] = self.dual_coeffs
-        return gamma
-
 
 @dataclass(frozen=True)
 class RrmcexModel:
@@ -141,6 +136,8 @@ class StepSchedule:
 
 
 def _check_fit_inputs(obs, mu):
+    if len(obs.sampling) == 0:
+        raise InvalidInputError("sampling is empty (S = 0)")
     if not np.isfinite(mu) or mu <= 0:
         raise InvalidInputError(f"ridge weight mu must be positive and finite, got {mu}")
     if not np.all(np.isfinite(obs.values)):
@@ -245,6 +242,9 @@ def kkmcex_fit(kernel, obs, mu):
             coeffs = _kkmcex_cholesky(kernel, sampling, obs.values, mu)
         except NumericalError as exc:
             raise NumericalError(f"{exc} ({where})") from exc
+        except MemoryError as exc:
+            raise NumericalError(f"the S x S block of {8 * len(sampling)**2} bytes "
+                                 f"cannot be allocated ({where})") from exc
     return KkmcexModel(kernel, sampling, mu, coeffs)
 
 
@@ -311,18 +311,22 @@ def rrmcex_predict(model):
     return _blas.gemm(f.x * model.xi, f.y.T)
 
 
-def orrmcex_step(model, i, j, m, t, mu):
-    """One streaming update from the observation m at grid entry (i, j).
+def _orrmcex_update(xi, phi_row, m, t, mu):
+    """Step ``xi`` in place by ``t`` along the gradient phi (phi^T xi - m)
+    + mu xi of the half-scaled instantaneous objective
+    (residual^2 + mu ||xi||^2) / 2 of the observation m with feature row phi."""
+    resid = phi_row @ xi - m
+    xi -= t * (phi_row * resid + mu * xi)
 
-    The update direction phi (phi^T xi - m) + mu xi is the gradient of the
-    half-scaled instantaneous objective (residual^2 + mu ||xi||^2) / 2.
-    A zero step size leaves the model unchanged.
+
+def orrmcex_step(model, i, j, m, t, mu):
+    """One streaming update from the observation m at grid entry (i, j),
+    returned as a new model.  A zero step size leaves the model unchanged.
     """
     if t < 0:
         raise InvalidInputError(f"step size must be nonnegative, got {t}")
-    phi_row = model.features.row(i, j)
-    resid = float(phi_row @ model.xi) - m
-    xi = model.xi - t * (phi_row * resid + mu * model.xi)
+    xi = np.array(model.xi, dtype=float)
+    _orrmcex_update(xi, model.features.row(i, j), m, t, mu)
     return RrmcexModel(model.features, mu, xi)
 
 
@@ -349,9 +353,7 @@ def _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook=None,
                                             s.col_indices0[order]):
             for k, phi_row in zip(order[start:start + len(block)], block):
                 n += 1
-                t = schedule.step(n)
-                resid = phi_row @ xi - values[k]
-                xi -= t * (phi_row * resid + mu * xi)
+                _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
                 if (eval_every is not None and n % eval_every == 0
                         and eval_hook is not None):
                     eval_hook(n, RrmcexModel(features, mu, xi.copy()))
@@ -457,6 +459,17 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     return model
 
 
+def _factor_sgd_update(w, h, i, j, m, t, reg_w, reg_h):
+    """Step rows w[i] and h[j] in place by ``t`` along the gradient of the
+    summand (m - w[i] @ h[j])^2 + reg_w ||w[i]||^2 + reg_h ||h[j]||^2."""
+    wi, hj = w[i], h[j]
+    err = m - wi @ hj
+    gw = -2.0 * err * hj + (2.0 * reg_w) * wi
+    gh = -2.0 * err * wi + (2.0 * reg_h) * hj
+    w[i] = wi - t * gw
+    h[j] = hj - t * gh
+
+
 def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
                        eval_every=None):
     """Factor SGD from the factors (w, h), which it updates in place,
@@ -474,14 +487,9 @@ def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
     for order in orders:
         for k in order:
             step_no += 1
-            t = schedule.step(step_no)
             i, j = rows[k], cols[k]
-            wi, hj = w[i], h[j]
-            err = m_vals[k] - wi @ hj
-            gw = -2.0 * err * hj + (2.0 * mu / row_counts[i]) * wi
-            gh = -2.0 * err * wi + (2.0 * mu / col_counts[j]) * hj
-            w[i] = wi - t * gw
-            h[j] = hj - t * gh
+            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),
+                               mu / row_counts[i], mu / col_counts[j])
             if eval_hook is not None and step_no % eval_every == 0:
                 eval_hook(step_no, FactorModel(w, h, mu))
     return FactorModel(w, h, mu)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from kronmc import KernelMatrix
+from kronmc import InvalidInputError, KernelMatrix
 
 
 def make_spd_kernel(rng, n, ridge=0.5):
@@ -27,9 +27,37 @@ def dense_kron(kk):
     return np.kron(kk.ky.matrix, kk.kx.matrix)
 
 
+def _decode(index, n_rows, size):
+    if not 1 <= index <= size:
+        raise InvalidInputError(f"vector index {index} outside 1..{size}")
+    return (index - 1) % n_rows, (index - 1) // n_rows
+
+
+def kron_entry(kk, iprime, jprime):
+    """Single entry of the product kernel at 1-based vector indices."""
+    i, j = _decode(iprime, kk.n_rows, kk.size)
+    n, l = _decode(jprime, kk.n_rows, kk.size)
+    return float(kk.kx.matrix[i, n] * kk.ky.matrix[j, l])
+
+
+def selector_matrix(sampling):
+    """Explicit S x NL binary selector of ``sampling``."""
+    s = np.zeros((len(sampling), sampling.n_rows * sampling.n_cols))
+    s[np.arange(len(sampling)), sampling.vec_indices0] = 1.0
+    return s
+
+
+def full_dual_vector(model):
+    """Length-NL coefficient vector of a fitted KkmcexModel; exactly zero
+    off the sampled indices."""
+    gamma = np.zeros(model.kernel.size)
+    gamma[model.sampling.vec_indices0] = model.dual_coeffs
+    return gamma
+
+
 def dense_krr_gamma(kz, sampling, values, mu):
     """Full-size regularized solve oracle: (S^T S Kz + mu I)^{-1} S^T m."""
-    s = sampling.selector_matrix()
+    s = selector_matrix(sampling)
     nl = kz.shape[0]
     return np.linalg.solve(s.T @ s @ kz + mu * np.eye(nl), s.T @ values)
 

@@ -30,16 +30,16 @@ import time
 import numpy as np
 import pytest
 
-from kronmc import (KernelMatrix, KroneckerKernel, NoiseSpec, RrmcexModel,
-                    StepSchedule, als_fit,
+from kronmc import (KernelMatrix, KroneckerKernel, NoiseSpec, ObservationSet,
+                    SamplingSet, StepSchedule, als_fit, factor_sgd_fit,
                     features_from_eig, generate_synthetic, kkmcex_fit,
-                    kkmcex_predict, nmse, observe, orrmcex_run, orrmcex_step,
+                    kkmcex_predict, nmse, observe, orrmcex_run,
                     rrmcex_fit, rrmcex_predict, uniform_sample)
 from kronmc.bench import ExperimentConfig, _sample_count, derive_seed, run_sweep
-from kronmc.solvers import _factor_init
+from kronmc.solvers import _factor_init, _factor_sgd_update, _orrmcex_update
 
-from helpers import (bayes_nmse_floor, dense_kron, dense_krr_gamma, make_spd_kernel,
-                     plain_als, unvec)
+from helpers import (bayes_nmse_floor, dense_kron, dense_krr_gamma, full_dual_vector,
+                     make_spd_kernel, plain_als, unvec)
 
 
 def report(number, ok, detail):
@@ -96,7 +96,7 @@ def test_criterion_1_reduced_solve_matches_dense_solve():
         obs = observe(f, sampling)
         mu = mus[trial % 3]
         model = kkmcex_fit(kk, obs, mu)
-        gamma = model.full_dual_vector()
+        gamma = full_dual_vector(model)
         oracle = dense_krr_gamma(dense_kron(kk), sampling, obs.values, mu)
         worst = max(worst, np.linalg.norm(gamma - oracle)
                     / max(np.linalg.norm(oracle), 1e-300))
@@ -409,12 +409,29 @@ def test_criterion_9_online_reaches_batch_quality(bundle250):
 # ------------------------------------------------------------ criterion 10
 
 
+def _fd_gradient(loss, z, eps=1e-6):
+    """Central-difference gradient of ``loss`` at the 1-D point ``z``."""
+    return np.array([(loss(z + eps * e) - loss(z - eps * e)) / (2 * eps)
+                     for e in np.eye(len(z))])
+
+
+def _gap(direction, fd):
+    return np.linalg.norm(direction - fd) / max(np.linalg.norm(fd), 1e-300)
+
+
 def test_criterion_10_gradient_checks():
-    """Streaming updates match central-difference gradients on 50 points each."""
+    """Each SGD method's one update steps along the central-difference
+    gradient of its instantaneous loss, on 50 points each, and so does
+    every step that orrmcex_run and factor_sgd_fit take.
+
+    The fit loops are checked over one observation, one epoch at a time
+    for three epochs with a constant step: the first ORRMCEX step starts
+    from xi = 0, where the ridge term of its gradient vanishes.
+    """
     rng = np.random.default_rng(110)
     kk = KroneckerKernel(make_spd_kernel(rng, 4), make_spd_kernel(rng, 5))
     fmap = features_from_eig(kk.kx, kk.ky, 9)
-    eps = 1e-6
+    t = 1e-4
     worst = 0.0
     for _ in range(50):
         xi = rng.normal(size=9)
@@ -427,12 +444,9 @@ def test_criterion_10_gradient_checks():
         def loss(z):
             return 0.5 * (m - phi @ z) ** 2 + 0.5 * mu * (z @ z)
 
-        fd = np.array([(loss(xi + eps * e) - loss(xi - eps * e)) / (2 * eps)
-                       for e in np.eye(9)])
-        stepped = orrmcex_step(RrmcexModel(fmap, mu, xi), i, j, m, 1e-4, mu)
-        direction = (xi - stepped.xi) / 1e-4
-        worst = max(worst, np.linalg.norm(direction - fd)
-                    / max(np.linalg.norm(fd), 1e-300))
+        stepped = xi.copy()
+        _orrmcex_update(stepped, phi, m, t, mu)
+        worst = max(worst, _gap((xi - stepped) / t, _fd_gradient(loss, xi)))
 
     n, l, p = 5, 6, 3
     f = rng.normal(size=(n, l))
@@ -442,31 +456,45 @@ def test_criterion_10_gradient_checks():
     row_counts = np.bincount(rows0, minlength=n)
     col_counts = np.bincount(cols0, minlength=l)
     for _ in range(50):
-        w = rng.normal(size=(n, p))
-        h = rng.normal(size=(l, p))
+        w0 = rng.normal(size=(n, p))
+        h0 = rng.normal(size=(l, p))
         mu = float(10.0 ** rng.uniform(-3, 0))
         k = int(rng.integers(len(obs.values)))
         i, j = rows0[k], cols0[k]
         m = obs.values[k]
+        reg_w, reg_h = mu / row_counts[i], mu / col_counts[j]
 
-        def summand(wi, hj):
-            return ((m - wi @ hj) ** 2 + mu / row_counts[i] * (wi @ wi)
-                    + mu / col_counts[j] * (hj @ hj))
+        def summand(z):
+            wi, hj = z[:p], z[p:]
+            return (m - wi @ hj) ** 2 + reg_w * (wi @ wi) + reg_h * (hj @ hj)
 
-        fd_w = np.array([(summand(w[i] + eps * e, h[j])
-                          - summand(w[i] - eps * e, h[j])) / (2 * eps)
-                         for e in np.eye(p)])
-        fd_h = np.array([(summand(w[i], h[j] + eps * e)
-                          - summand(w[i], h[j] - eps * e)) / (2 * eps)
-                         for e in np.eye(p)])
-        err = m - w[i] @ h[j]
-        gw = -2.0 * err * h[j] + 2.0 * mu / row_counts[i] * w[i]
-        gh = -2.0 * err * w[i] + 2.0 * mu / col_counts[j] * h[j]
-        worst = max(worst,
-                    np.linalg.norm(gw - fd_w) / max(np.linalg.norm(fd_w), 1e-300),
-                    np.linalg.norm(gh - fd_h) / max(np.linalg.norm(fd_h), 1e-300))
-    ok = worst <= 1e-5
-    assert report(10, ok, f"50+50 points, worst rel gradient gap {worst:.2e}")
+        w, h = w0.copy(), h0.copy()
+        _factor_sgd_update(w, h, i, j, m, t, reg_w, reg_h)
+        direction = np.concatenate((w0[i] - w[i], h0[j] - h[j])) / t
+        worst = max(worst, _gap(direction, _fd_gradient(summand, np.concatenate((w0[i], h0[j])))))
+
+    # the fit loops, over the one observation m at entry (2, 3)
+    m, mu, t = 0.8, 0.5, 1e-2
+    schedule = StepSchedule.constant(t)
+    phi = fmap.row(2, 3)
+    iterates = [np.zeros(9)]
+    orrmcex_run(fmap, ObservationSet(SamplingSet(4, 5, [(2, 3)]), [m]), schedule, mu, 3,
+                eval_hook=lambda _, model: iterates.append(model.xi), eval_every=1)
+    assert len(iterates) == 4
+    loop_worst = max(_gap((prev - cur) / t, _fd_gradient(
+        lambda z: 0.5 * (m - phi @ z) ** 2 + 0.5 * mu * (z @ z), prev))
+        for prev, cur in zip(iterates, iterates[1:]))
+    one = ObservationSet(SamplingSet(n, l, [(2, 3)]), [m])
+    fits = [factor_sgd_fit(one, p, mu, schedule, epochs, seed=5) for epochs in range(4)]
+    rows = [np.concatenate((fit.w[1], fit.h[2])) for fit in fits]
+    # one observation per row and column: both ridge weights are mu
+    loop_worst = max(loop_worst, *(_gap((prev - cur) / t, _fd_gradient(
+        lambda z: (m - z[:p] @ z[p:]) ** 2 + mu * (z @ z), prev))
+        for prev, cur in zip(rows, rows[1:])))
+
+    ok = worst <= 1e-5 and loop_worst <= 1e-5
+    assert report(10, ok, f"50+50 updates, worst rel gradient gap {worst:.2e}; "
+                          f"3+3 fit-loop steps, worst gap {loop_worst:.2e}")
 
 
 # ------------------------------------------------------------ criterion 11

@@ -7,7 +7,7 @@ from kronmc import (InvalidInputError, KroneckerKernel, SamplingSet,
                     uniform_sample, verify_theory)
 from kronmc.analysis import BoundInputs
 
-from helpers import bayes_nmse_floor, dense_kron, make_spd_kernel
+from helpers import bayes_nmse_floor, dense_kron, make_spd_kernel, selector_matrix
 
 
 def random_dense_kernel(rng, n, l):
@@ -79,7 +79,7 @@ def test_mse_decomposition_variance_matches_trace_oracle():
     mu, nu_sq = 0.3, 0.5
     report = mse_decomposition(k, s, gamma, mu, nu_sq)
     resid = k - regularized_nystrom(k, s, mu).t_tilde
-    sts = s.selector_matrix().T @ s.selector_matrix()
+    sts = selector_matrix(s).T @ selector_matrix(s)
     oracle = nu_sq / mu**2 * np.trace(resid @ resid @ sts)
     assert report.variance == pytest.approx(oracle, rel=1e-10)
 
@@ -199,7 +199,7 @@ def test_bayes_nmse_floor_matches_monte_carlo_posterior_mean():
     kx, ky = make_spd_kernel(rng, 4), make_spd_kernel(rng, 3)
     sampling = uniform_sample(4, 3, 7, seed=5)
     c = np.kron(ky.matrix @ ky.matrix, kx.matrix @ kx.matrix)
-    sel = sampling.selector_matrix()
+    sel = selector_matrix(sampling)
     draws = 100_000
     g = rng.normal(size=(draws, 4, 3))
     vec_f = np.transpose(kx.matrix @ g @ ky.matrix, (0, 2, 1)).reshape(draws, 12)

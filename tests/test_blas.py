@@ -16,9 +16,10 @@ from kronmc.graphs import build_laplacian
 from kronmc.kernels import Diffusion, spectral_kernel
 
 SRC = Path(kronmc.__file__).parent
-# the per-entry updates keep their 1-D dots of length d or p as `@`: they
-# wake no thread pool, and their rounding is the reference of the SGD paths
-PER_ENTRY = {"solvers.py": {"orrmcex_step", "_orrmcex_epochs", "_factor_sgd_epochs"}}
+# the two per-observation SGD updates keep their 1-D dots of length d or p
+# as `@`: they wake no thread pool, and their rounding is the reference of
+# the SGD paths.  The fit loops and orrmcex_step call them and hold no `@`
+PER_ENTRY = {"solvers.py": {"_orrmcex_update", "_factor_sgd_update"}}
 LINALG_KEPT = {"norm", "LinAlgError"}
 NUMPY_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
 
@@ -80,6 +81,26 @@ def test_guard_catches_a_product_reintroduced_in_kkmcex_predict():
     hits = _bypasses(source.replace(routed, "kk.kx.matrix @ c @ kk.ky.matrix"),
                      "solvers.py")
     assert [(f, w) for _, f, w in hits] == [("kkmcex_predict", "@")] * 2
+
+
+@pytest.mark.parametrize("routed, inlined, function", [
+    ("_orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)",
+     "xi -= schedule.step(n) * (phi_row * (phi_row @ xi - values[k]) + mu * xi)",
+     "_orrmcex_epochs"),
+    ("_orrmcex_update(xi, model.features.row(i, j), m, t, mu)",
+     "phi_row = model.features.row(i, j)\n"
+     "    xi -= t * (phi_row * (phi_row @ xi - m) + mu * xi)",
+     "orrmcex_step"),
+    ("            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
+     "            err = m_vals[k] - w[i] @ h[j]\n"
+     "            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
+     "_factor_sgd_epochs"),
+], ids=["_orrmcex_epochs", "orrmcex_step", "_factor_sgd_epochs"])
+def test_guard_catches_a_dot_inlined_outside_the_sgd_updates(routed, inlined, function):
+    source = (SRC / "solvers.py").read_text()
+    assert source.count(routed) == 1
+    hits = _bypasses(source.replace(routed, inlined), "solvers.py")
+    assert [(f, w) for _, f, w in hits] == [(function, "@")]
 
 
 @pytest.mark.parametrize("snippet, what", [

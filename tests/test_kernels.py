@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError,
                     KernelMatrix, KroneckerKernel, RegularizedLaplacian,
                     build_laplacian, erdos_renyi, features_from_eig,
-                    features_from_svd, gaussian_kernel, kron_entry,
-                    kron_submatrix, linear_kernel, pearson_kernel,
-                    SamplingSet, spectral_kernel, uniform_sample)
+                    features_from_svd, gaussian_kernel, kron_submatrix,
+                    linear_kernel, pearson_kernel, SamplingSet, spectral_kernel,
+                    uniform_sample)
 
-from helpers import dense_kron, make_spd_kernel
+from helpers import dense_kron, kron_entry, make_spd_kernel
 
 
 def path_laplacian(n):

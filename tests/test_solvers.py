@@ -15,8 +15,8 @@ from kronmc import solvers
 from kronmc.errors import NumericalError
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
-from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, make_spd_kernel,
-                     plain_als, unvec)
+from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, full_dual_vector,
+                     make_spd_kernel, plain_als, unvec)
 
 
 def random_problem(rng, n, l, count, mu, nu=0.0):
@@ -53,14 +53,14 @@ def test_kkmcex_matches_dense_oracle():
     kk, f, obs = random_problem(rng, 4, 3, 6, mu=1e-2)
     model = kkmcex_fit(kk, obs, 1e-2)
     oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, 1e-2)
-    gamma = model.full_dual_vector()
+    gamma = full_dual_vector(model)
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
 def test_kkmcex_gamma_is_zero_off_sampled_indices():
     rng = np.random.default_rng(2)
     kk, f, obs = random_problem(rng, 5, 4, 7, mu=0.1)
-    gamma = kkmcex_fit(kk, obs, 0.1).full_dual_vector()
+    gamma = full_dual_vector(kkmcex_fit(kk, obs, 0.1))
     mask = np.ones(20, dtype=bool)
     mask[obs.sampling.vec_indices0] = False
     assert np.all(gamma[mask] == 0.0)
@@ -91,7 +91,7 @@ def test_kkmcex_multi_block_gather_matches_dense_oracle():
     coeffs = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, mu)
     assert np.array_equal(kk.kx.matrix, kx) and np.array_equal(kk.ky.matrix, ky)
     oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
-    gamma = KkmcexModel(kk, obs.sampling, mu, coeffs).full_dual_vector()
+    gamma = full_dual_vector(KkmcexModel(kk, obs.sampling, mu, coeffs))
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
@@ -139,7 +139,7 @@ def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
         raise AssertionError("the CG solve fell back to Cholesky")
 
     monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
-    gamma = kkmcex_fit(kk, obs, mu).full_dual_vector()
+    gamma = full_dual_vector(kkmcex_fit(kk, obs, mu))
     oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
@@ -279,7 +279,7 @@ def test_kkmcex_predict_equals_dense_operator():
     kk, f, obs = random_problem(rng, 4, 3, 7, mu=0.05)
     model = kkmcex_fit(kk, obs, 0.05)
     est = kkmcex_predict(model)
-    dense_est = unvec(dense_kron(kk) @ model.full_dual_vector(), 4, 3)
+    dense_est = unvec(dense_kron(kk) @ full_dual_vector(model), 4, 3)
     assert np.allclose(est, dense_est, atol=1e-10)
 
 
@@ -744,9 +744,13 @@ def test_factored_gather_fit_and_predict_match_the_dense_table(case):
     phi_s = phi[s.vec_indices0]
     assert np.array_equal(fmap.rows(s.row_indices0, s.col_indices0), phi_s)
     mu = 0.5
-    xi = rrmcex_fit(fmap, obs, mu).xi
-    oracle = np.linalg.solve(phi_s.T @ phi_s + mu * np.eye(d), phi_s.T @ obs.values)
-    assert np.linalg.norm(xi - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1e-300)
+    if count == 0:
+        with pytest.raises(InvalidInputError, match=r"sampling is empty \(S = 0\)"):
+            rrmcex_fit(fmap, obs, mu)
+    else:
+        xi = rrmcex_fit(fmap, obs, mu).xi
+        oracle = np.linalg.solve(phi_s.T @ phi_s + mu * np.eye(d), phi_s.T @ obs.values)
+        assert np.linalg.norm(xi - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1e-300)
     xi = rng.normal(size=d)
     pred = rrmcex_predict(RrmcexModel(fmap, mu, xi))
     dense = unvec(phi @ xi, n, l)
@@ -772,6 +776,46 @@ def test_no_library_path_builds_the_dense_feature_table(monkeypatch):
     dataset = generate_synthetic(6, 5, 0.3, 1.0, seed=1)
     config = ExperimentConfig("orrmcex", (50,), feature_dim=4, epochs=2)
     assert len(run_online(config, dataset, stride=5)) == 2 * 15 // 5
+
+
+EMPTY_FITS = {
+    "kkmcex": lambda kk, fmap, obs, schedule: kkmcex_fit(kk, obs, 0.1),
+    "rrmcex": lambda kk, fmap, obs, schedule: rrmcex_fit(fmap, obs, 0.1),
+    "orrmcex": lambda kk, fmap, obs, schedule: orrmcex_run(fmap, obs, schedule, 0.1, 1),
+    "als": lambda kk, fmap, obs, schedule: als_fit(obs, kk.kx, kk.ky, 2, 0.1),
+    "factor_sgd": lambda kk, fmap, obs, schedule: factor_sgd_fit(obs, 2, 0.1, schedule,
+                                                                 1, seed=0),
+}
+
+
+@pytest.mark.parametrize("method", list(EMPTY_FITS))
+def test_every_fit_rejects_an_empty_sampling(method):
+    # with no observation, four fits would return an all-zero estimate and
+    # factor SGD its random initial factors
+    rng = np.random.default_rng(46)
+    kk = KroneckerKernel(make_spd_kernel(rng, 12), make_spd_kernel(rng, 10))
+    fmap = features_from_eig(kk.kx, kk.ky, 6)
+    empty = ObservationSet(SamplingSet(12, 10, ()), np.zeros(0))
+    with pytest.raises(InvalidInputError, match=r"sampling is empty \(S = 0\)"):
+        EMPTY_FITS[method](kk, fmap, empty, StepSchedule.constant(0.01))
+
+
+def test_an_unallocatable_kkmcex_block_is_a_numerical_error(monkeypatch, tmp_path):
+    from kronmc.cli import main
+
+    def refuse(kernel, sampling):
+        raise MemoryError(f"Unable to allocate an array of {len(sampling)}^2 floats")
+
+    monkeypatch.setattr(solvers, "kron_submatrix", refuse)
+    rng = np.random.default_rng(47)
+    kk, _, obs = random_problem(rng, 6, 5, 12, mu=0.1)
+    with pytest.raises(NumericalError, match=r"1152 bytes .*mu=0\.1, S=12"):
+        kkmcex_fit(kk, obs, 0.1)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("synth = 1\nn = 12\nl = 10\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--method", "kkmcex", "--ps", "10", "--mu", "1e-4"]) == 2
+    assert not (tmp_path / "x.pred.csv").exists()
 
 
 def test_fits_reject_a_sampling_of_another_grid():
