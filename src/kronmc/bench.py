@@ -104,7 +104,6 @@ class ExperimentConfig:
     epochs: int = 20
     schedule: StepSchedule = StepSchedule.decay(0.5, 10.0)
     max_iters: int = 500
-    rel_tol: float = 1e-6
     validation_fraction: float = 0.2
 
     def __post_init__(self):
@@ -456,8 +455,7 @@ _METHOD_TABLE = {
     "als": _Method(
         lambda kx, ky, config: (kx, ky),
         lambda kernels, obs, mu, config, seed: als_fit(
-            obs, *kernels, config.rank, mu, max_iters=config.max_iters,
-            rel_tol=config.rel_tol, seed=seed),
+            obs, *kernels, config.rank, mu, max_iters=config.max_iters, seed=seed),
         lambda model: factor_predict(model)),
     "factor_sgd": _Method(
         lambda kx, ky, config: None,

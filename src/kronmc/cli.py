@@ -9,7 +9,7 @@ sweep (full protocol to CSV), online (streaming trace), gridsearch
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -21,17 +21,11 @@ from .kernels import KernelMatrix
 from .sampling import NoiseSpec, observe, uniform_sample
 from .solvers import StepSchedule, save_model
 
-__all__ = ["CliInvocation", "parse_args", "main"]
+__all__ = ["parse_args", "main"]
 
 
 class UsageError(InvalidInputError):
     pass
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    options: argparse.Namespace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +68,7 @@ def parse_args(argv):
     if ns.subcommand is None:
         raise UsageError("a subcommand is required "
                          "(synth | fit | sweep | online | verify | gridsearch)")
-    return CliInvocation(ns.subcommand, ns)
+    return ns
 
 
 def parse_config(path):
@@ -286,9 +280,9 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        invocation = parse_args(list(argv))
-        _check_paths(invocation.options)
-        return _COMMANDS[invocation.subcommand](invocation.options)
+        ns = parse_args(list(argv))
+        _check_paths(ns)
+        return _COMMANDS[ns.subcommand](ns)
     except (UsageError, InvalidInputError) as exc:
         print(f"kronmc: error: {exc}", file=sys.stderr)
         return 1

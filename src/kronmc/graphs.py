@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from . import _blas
 from .errors import InvalidInputError
+from .kernels import _reject_non_finite
 
 __all__ = [
     "Graph",
@@ -25,6 +26,20 @@ __all__ = [
 ]
 
 
+def _symmetric_nonnegative(m, what):
+    """``m`` as a float array, checked square, finite, symmetric and
+    nonnegative; ``what`` names it in the errors."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInputError(f"{what} must be square, got shape {a.shape}")
+    _reject_non_finite(a, what)
+    if not np.array_equal(a, a.T):
+        raise InvalidInputError(f"{what} must be symmetric")
+    if np.any(a < 0):
+        raise InvalidInputError(f"{what} entries must be nonnegative")
+    return a
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph given by its dense adjacency matrix."""
@@ -32,13 +47,7 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError(f"adjacency must be square, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise InvalidInputError("adjacency must be symmetric")
-        if np.any(a < 0):
-            raise InvalidInputError("adjacency weights must be nonnegative")
+        a = _symmetric_nonnegative(self.adjacency, "adjacency")
         if np.any(np.diag(a) != 0):
             raise InvalidInputError("adjacency diagonal must be zero (no self loops)")
         object.__setattr__(self, "adjacency", a)
@@ -96,14 +105,8 @@ def knn_symmetric(distances, k):
     ties broken by index); the result is the unweighted symmetrization
     sign(P + P^T) with zero diagonal.
     """
-    d = np.asarray(distances, dtype=float)
+    d = _symmetric_nonnegative(distances, "distance matrix")
     n = d.shape[0]
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.array_equal(d, d.T):
-        raise InvalidInputError("distance matrix must be symmetric")
-    if np.any(d < 0):
-        raise InvalidInputError("distances must be nonnegative")
     if np.any(np.diag(d) != 0):
         raise InvalidInputError("distance matrix must have a zero diagonal")
     if not 0 <= k < n:
@@ -136,13 +139,7 @@ def geodesic_distances(graph):
 
 def heat_adjacency(distances, n):
     """Heat-weighted adjacency exp(-n^2 d_ij / sum(d)) with zero diagonal."""
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
-    if not np.array_equal(d, d.T):
-        raise InvalidInputError("distance matrix must be symmetric")
-    if np.any(d < 0):
-        raise InvalidInputError("distances must be nonnegative")
+    d = _symmetric_nonnegative(distances, "distance matrix")
     total = d.sum()
     if total <= 0:
         raise InvalidInputError("distance matrix sums to zero; weights are undefined")

@@ -43,9 +43,8 @@ GATHER_BLOCK_BYTES = 1 << 20
 
 def _reject_non_finite(a, what):
     """Raise naming the first non-finite entry of the 2-D array ``a``, 1-based."""
-    bad = np.argwhere(~np.isfinite(a))
-    if len(bad):
-        i, j = bad[0] + 1
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0] + 1
         raise InvalidInputError(f"{what} entry ({i}, {j}) is not finite")
 
 

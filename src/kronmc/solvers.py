@@ -24,7 +24,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import _blas
 from .errors import InvalidInputError, NumericalError
-from .kernels import kron_submatrix
+from .kernels import KroneckerKernel, kron_submatrix
 
 # relative residual tolerance tau of the closed-form CG solve, and the bound
 # on kappa * tau, hence on the relative error of the CG coefficients, that
@@ -405,15 +405,20 @@ def _als_half_step(m_vals, own_idx, other_idx, other, n_own, p, mu, kinv):
     inverse-kernel regularizer, so all n_own * p unknowns are solved at once.
     """
     size = n_own * p
-    a = mu * np.kron(kinv, np.eye(p))
+    # at is the system's transpose: LAPACK factors at.reshape(size, size).T, a
+    # Fortran-ordered view, in place.  kinv is not exactly symmetric, so the .T
+    # goes on kinv; the diagonal blocks are exactly (v[s] * v[r] == v[r] * v[s])
+    at = np.zeros((n_own, p, n_own, p))
+    for r in range(p):
+        at[:, r, :, r] = mu * kinv.T
+    diag = np.arange(n_own)
+    blocks = at[diag, :, diag, :]
+    v = other[other_idx]
+    np.add.at(blocks, own_idx, v[:, :, None] * v[:, None, :])
+    at[diag, :, diag, :] = blocks
     rhs = np.zeros(size)
-    for k in range(len(m_vals)):
-        i = own_idx[k]
-        v = other[other_idx[k]]
-        block = slice(i * p, (i + 1) * p)
-        a[block, block] += np.outer(v, v)
-        rhs[block.start:block.stop] += m_vals[k] * v
-    return _spd_solve(a, rhs).reshape(n_own, p)
+    np.add.at(rhs.reshape(n_own, p), own_idx, m_vals[:, None] * v)
+    return _spd_solve(at.reshape(size, size).T, rhs).reshape(n_own, p)
 
 
 def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
@@ -429,6 +434,7 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     _check_fit_inputs(obs, mu)
     sampling = obs.sampling
     n, l = sampling.n_rows, sampling.n_cols
+    _check_grid(KroneckerKernel(kx, ky), sampling)
     kxinv = _kernel_inverse(kx, "row")
     kyinv = _kernel_inverse(ky, "column")
     rows = sampling.row_indices0

@@ -26,10 +26,10 @@ def run_kronmc(*args):
 
 
 def test_parse_args_sweep_invocation():
-    inv = parse_args(["sweep", "--config", "c.cfg", "--out", "r.csv"])
-    assert inv.subcommand == "sweep"
-    assert inv.options.config == "c.cfg"
-    assert inv.options.out == "r.csv"
+    ns = parse_args(["sweep", "--config", "c.cfg", "--out", "r.csv"])
+    assert ns.subcommand == "sweep"
+    assert ns.config == "c.cfg"
+    assert ns.out == "r.csv"
 
 
 def test_parse_args_missing_required_flag():

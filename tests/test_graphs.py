@@ -15,6 +15,8 @@ def test_graph_rejects_bad_adjacency():
         Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
     with pytest.raises(InvalidInputError):
         Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))  # self loop
+    with pytest.raises(InvalidInputError, match=r"adjacency entry \(1, 2\) is not finite"):
+        Graph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_laplacian_empty_graph_is_zero():
@@ -82,6 +84,20 @@ def test_knn_extremes():
         knn_symmetric(d, 4)
 
 
+def _with_entry(d, value):
+    """``d`` with entries (1, 3) and (3, 1) set to ``value``."""
+    d = d.copy()
+    d[0, 2] = d[2, 0] = value
+    return d
+
+
+def test_knn_rejects_nonfinite_distances_by_entry():
+    d = _pairwise_distances([0.0, 1.0, 2.5, 4.0])
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match=r"entry \(1, 3\) is not finite"):
+            knn_symmetric(_with_entry(d, value), 1)
+
+
 def test_knn_collinear_points():
     # nearest neighbors: 1->2, 2->1, 3->2; symmetrized edges {1-2, 2-3}
     d = _pairwise_distances([0.0, 1.0, 3.0])
@@ -140,6 +156,10 @@ def test_heat_adjacency_rejects_bad_input():
     bad = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(InvalidInputError):
         heat_adjacency(bad, 2)  # asymmetric
+    d = _pairwise_distances([0.0, 1.0, 2.5])
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match=r"entry \(1, 3\) is not finite"):
+            heat_adjacency(_with_entry(d, value), 3)
 
 
 def test_adjacency_csv_round_trip(tmp_path):

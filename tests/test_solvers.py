@@ -497,6 +497,45 @@ def test_als_objective_monotone_with_kernel_regularizers():
         assert np.all(diffs <= 1e-10)
 
 
+def test_als_half_steps_solve_the_coupled_normal_equations():
+    # each half step is the exact minimizer over its factor, so the gradient
+    # -2 sum_Omega (m - w_i . h_j) e_i h_j^T + 2 mu Kx^-1 W vanishes at
+    # (W, h0), and its column-side twin at the returned (W, H).  The ratios
+    # read 1.5e-15 and 2.5e-15; scaling the off-diagonal mu Kinv blocks of the
+    # system by 0.99 moves the first to 2.0e-3
+    rng = np.random.default_rng(21)
+    n, l, p, mu = 6, 5, 2, 0.05
+    kx, ky = make_spd_kernel(rng, n), make_spd_kernel(rng, l)
+    s = uniform_sample(n, l, 18, seed=3)
+    obs = observe(rng.normal(size=(n, l)), s)
+    rows, cols = s.row_indices0, s.col_indices0
+    w0, h0 = _factor_init(n, l, p, seed=4)
+    model = als_fit(obs, kx, ky, p, mu, max_iters=1, rel_tol=0.0,
+                    init_w=w0, init_h=h0)
+    w, h = model.w, model.h
+
+    def residual(w, h):
+        r = np.zeros((n, l))
+        r[rows, cols] = obs.values - np.sum(w[rows] * h[cols], axis=1)
+        return r
+
+    for data, reg in ((-2 * residual(w, h0) @ h0, 2 * mu * np.linalg.inv(kx.matrix) @ w),
+                      (-2 * residual(w, h).T @ w, 2 * mu * np.linalg.inv(ky.matrix) @ h)):
+        scale = np.linalg.norm(data) + np.linalg.norm(reg)
+        assert np.linalg.norm(data + reg) <= 1e-10 * scale
+
+
+def test_als_rejects_kernels_of_another_grid():
+    rng = np.random.default_rng(22)
+    obs = observe(rng.normal(size=(10, 8)), uniform_sample(10, 8, 30, seed=0))
+    for kx_side, ky_side in ((12, 8), (9, 8), (10, 9)):
+        with pytest.raises(InvalidInputError,
+                           match=f"sampling grid 10 x 8 does not match "
+                                 f"model grid {kx_side} x {ky_side}"):
+            als_fit(obs, KernelMatrix(np.eye(kx_side)), KernelMatrix(np.eye(ky_side)),
+                    2, 0.1)
+
+
 def test_als_rejects_singular_kernel():
     rng = np.random.default_rng(20)
     n, l = 4, 3
