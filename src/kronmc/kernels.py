@@ -246,11 +246,15 @@ class FeatureMap:
     x[i] * y[j], so the implied NL x d matrix phi, whose rows follow the
     column-major vectorization order, has phi @ phi.T approximating the
     product kernel.  phi itself is never stored: memory is O((N + L) d).
+
+    A map built from factor decompositions also keeps, in ``_factors``, the
+    factorization that x and y are built from (see _factored_map).
     """
 
     x: np.ndarray
     y: np.ndarray
     provenance: str
+    _factors: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
@@ -323,6 +327,25 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
     return order % n_rows, order // n_rows, products[order]
 
 
+def _factored_map(ux, a, uy, b, w, d, provenance):
+    """Feature map whose column c < len(w) is ux[:, a[c]] * w[c] kron
+    uy[:, b[c]], and zero beyond.
+
+    It keeps the factorization as ``_factors = (ux, ia, uy, ib, w)``: ``ux``
+    and ``uy`` hold only the distinct basis columns, and ``ia`` and ``ib``
+    index them, so x[:, :len(w)] = ux[:, ia] * w and y[:, :len(w)] =
+    uy[:, ib] exactly.
+    """
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    ux, uy = ux[:, ua], uy[:, ub]
+    k = len(w)
+    x, y = np.zeros((ux.shape[0], d)), np.zeros((uy.shape[0], d))
+    x[:, :k] = ux[:, ia] * w
+    y[:, :k] = uy[:, ib]
+    return FeatureMap(x, y, provenance, _factors=(ux, ia, uy, ib, w))
+
+
 def features_from_eig(kx, ky, d):
     """Feature map from the top-d eigenvalue products of the two factors.
 
@@ -336,8 +359,7 @@ def features_from_eig(kx, ky, d):
     sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
     sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
-    return FeatureMap(qx[:, a] * np.sqrt(np.maximum(products, 0.0)), qy[:, b],
-                      "eig-based")
+    return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)), d, "eig-based")
 
 
 def features_from_svd(x, y, d):
@@ -362,8 +384,4 @@ def features_from_svd(x, y, d):
     uy, dy, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
     avail = len(dx) * len(dy)
     a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
-    k = len(products)
-    fx, fy = np.zeros((n, d)), np.zeros((l, d))
-    fx[:, :k] = ux[:, a] * products
-    fy[:, :k] = uy[:, b]
-    return FeatureMap(fx, fy, "svd-based")
+    return _factored_map(ux, a, uy, b, products, d, "svd-based")

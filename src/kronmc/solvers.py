@@ -31,9 +31,17 @@ from .kernels import KroneckerKernel, kron_submatrix
 # admits CG at all (criterion 1's tolerance)
 CG_RTOL = 1e-12
 CG_COEFF_TOL = 1e-8
-# size of one block of gathered feature rows in _feature_blocks (of 64 KB to
-# 1 MB, 256 KB fit fastest on an 800 x 1250 grid at S = 250000, d = 50)
+# size of one block of gathered feature rows in _feature_blocks, which
+# ORRMCEX and the dsyrk path of rrmcex_fit run (of 64 KB to 1 MB, 256 KB fit
+# fastest on an 800 x 1250 grid at S = 250000, d = 50, a fit that now takes
+# the grouped path)
 FEATURE_BLOCK_BYTES = 1 << 18
+# cost of one (pair, sample) step of _grouped_gram, in flops of _syrk_gram:
+# on the 800 x 1250 station grid at S = 250000 (2 cores, OpenBLAS), one
+# pair's two gathers, product and weighted bincount took 2.0-2.7 ms
+# (8-11 ns a sample), and _syrk_gram at d = 50 took 41-65 ms for its
+# S d^2 = 6.25e8 flops (66-104 ps a flop), a ratio of 100-125
+GROUPED_PAIR_COST = 100
 
 __all__ = [
     "KkmcexModel",
@@ -277,29 +285,123 @@ def _feature_blocks(features, rows0, cols0):
                                    out=buf[:stop - start])
 
 
+def _syrk_gram(features, rows0, cols0, values):
+    """Lower triangle of the Gram Phi_S^T Phi_S, Fortran-ordered, and
+    Phi_S^T m, from the feature rows gathered one block at a time.
+
+    Each block adds a rank-k symmetric update (half the flops of a full
+    multiply) to the Gram and its product with the block's observations to
+    the right-hand side: S d^2 flops, and memory beyond the inputs of one
+    block plus the d x d Gram.
+    """
+    d = features.dim
+    a = np.zeros((d, d), order="F")
+    rhs = np.zeros(d)
+    for start, block in _feature_blocks(features, rows0, cols0):
+        # block.T is Fortran-ordered, so the update reads the block in place,
+        # and a Fortran-ordered a is updated in place
+        a = dsyrk(1.0, block.T, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
+        rhs += _blas.gemv(block.T, values[start:start + len(block)])
+    return a, rhs
+
+
+def _pairing(features):
+    """The side of a factored map (see kernels._factored_map) with fewer
+    distinct basis columns, as (on_cols, basis, groups, other): whether it
+    is the column side, its distinct basis columns, the basis column of each
+    feature, and the length of the other side.  None for a map without
+    factors.
+    """
+    if features._factors is None:
+        return None
+    ux, ia, uy, ib, _ = features._factors
+    if ux.shape[1] <= uy.shape[1]:
+        return False, ux, ia, uy.shape[0]
+    return True, uy, ib, ux.shape[0]
+
+
+def _grouped_gram(features, rows0, cols0, values):
+    """The Gram Phi_S^T Phi_S, Fortran-ordered, and Phi_S^T m of a factored
+    map, with no S x d array.
+
+    Say the row side pairs (``_pairing``): feature c is w[c] ux[:, a] kron
+    y[:, c], a = ia[c], so the features of group a share ux[:, a].  For
+    groups a <= a', the weight c[j] = sum of ux[i, a] ux[i, a'] over the
+    samples (i, j) is one bincount over the S samples, and the Gram block
+    of the two groups is Z_a^T diag(c) Z_a', Z_a = (y * w)[:, group a], one
+    product over the L grid columns.  The right-hand side of group a is
+    Z_a^T times the bincount of ux[i, a] m.  The column side pairs the same
+    way with Z_b = x[:, group b].  Features beyond len(w) are zero, and so
+    are their Gram rows.
+    """
+    on_cols, basis, groups, other = _pairing(features)
+    w = features._factors[4]
+    k = len(w)
+    if on_cols:
+        pair0, other0, z = cols0, rows0, features.x[:, :k]
+    else:
+        pair0, other0, z = rows0, cols0, features.y[:, :k] * w
+    basis_rows = np.ascontiguousarray(basis.T)
+    members = [np.flatnonzero(groups == g) for g in range(basis.shape[1])]
+    d = features.dim
+    gram = np.zeros((d, d), order="F")
+    rhs = np.zeros(d)
+    left, right = np.empty(len(pair0)), np.empty(len(pair0))
+    for g, mine in enumerate(members):
+        # mode="clip" lets np.take write into out directly; the indices
+        # of a sampling of this grid lie on it
+        np.take(basis_rows[g], pair0, out=left, mode="clip")
+        zg = z[:, mine]
+        np.multiply(left, values, out=right)
+        rhs[mine] = _blas.gemv(zg.T, np.bincount(other0, right, minlength=other))
+        for h in range(g, len(members)):
+            theirs = members[h]
+            np.take(basis_rows[h], pair0, out=right, mode="clip")
+            right *= left
+            weight = np.bincount(other0, right, minlength=other)
+            block = _blas.gemm(zg.T, z[:, theirs] * weight[:, None])
+            gram[np.ix_(mine, theirs)] = block
+            gram[np.ix_(theirs, mine)] = block.T
+    return gram, rhs
+
+
+def _grouped_gram_pays(s, d, pairs, other):
+    """Whether _grouped_gram builds the Gram of S sampled rows of a d-column
+    map, whose paired side has ``pairs`` index pairs and whose other side
+    ``other`` entries, in less time than the S d^2 flops of _syrk_gram.
+
+    Its cost is GROUPED_PAIR_COST per pair and sample, plus at most
+    2 other d^2 flops for the products of its blocks.
+    """
+    return GROUPED_PAIR_COST * pairs * s + 2 * other * d * d < s * d * d
+
+
 def rrmcex_fit(features, obs, mu):
     """Ridge regression on the sampled feature rows.
 
     Solves (Phi_S^T Phi_S + mu I) xi = Phi_S^T m where Phi_S holds the
-    feature rows at the sampled entries (cost O(d^2 S)).  Phi_S is never
-    formed: its rows are gathered from the two factors one block at a time,
-    and each block adds a rank-k symmetric update (half the flops of a full
-    multiply) to the lower triangle of the Gram and its product with the
-    block's observations to the right-hand side, so memory beyond the
-    inputs is one block plus the d x d Gram.  The Cholesky solve reads only
-    the lower triangle and factors it in place.
+    feature rows at the sampled entries; Phi_S is never formed.  A map
+    built by features_from_eig or features_from_svd keeps its Kronecker
+    factors.  When _grouped_gram_pays, the Gram is summed over the P index
+    pairs of the side with fewer distinct basis columns (_grouped_gram):
+    O(P S + L' d^2), L' the other side's length, in length-S temporaries.
+    Otherwise, and for a map built from x and y alone, the rows are
+    gathered in blocks into dsyrk (_syrk_gram): O(d^2 S), in one block.
+    The Cholesky solve reads only the lower triangle and factors it in
+    place.
     """
     _check_fit_inputs(obs, mu)
     s = obs.sampling
     _check_grid(features, s)
     d = features.dim
-    a = np.zeros((d, d), order="F")
-    rhs = np.zeros(d)
-    for start, block in _feature_blocks(features, s.row_indices0, s.col_indices0):
-        # block.T is Fortran-ordered, so the update reads the block in place,
-        # and a Fortran-ordered a is updated in place
-        a = dsyrk(1.0, block.T, beta=1.0, c=a, trans=0, lower=1, overwrite_c=1)
-        rhs += _blas.gemv(block.T, obs.values[start:start + len(block)])
+    gram = _syrk_gram
+    pairing = _pairing(features)
+    if pairing is not None:
+        _, basis, _, other = pairing
+        m = basis.shape[1]
+        if _grouped_gram_pays(len(s), d, m * (m + 1) // 2, other):
+            gram = _grouped_gram
+    a, rhs = gram(features, s.row_indices0, s.col_indices0, obs.values)
     a[np.diag_indices_from(a)] += mu
     return RrmcexModel(features, mu, _spd_solve(a, rhs))
 

@@ -121,6 +121,18 @@ def floyd_warshall_hops(adjacency):
     return d
 
 
+def knn_loop(distances, k):
+    """Symmetrized k-nearest-neighbour adjacency, one stable sort per row."""
+    n = distances.shape[0]
+    p = np.zeros((n, n))
+    for i in range(n):
+        order = np.argsort(distances[i], kind="stable")
+        p[i, order[order != i][:k]] = 1.0
+    adj = np.sign(p + p.T)
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
 def plain_als(values, rows0, cols0, n, l, p, mu, w0, h0, iters):
     """Exact alternating minimization of the plain ridge factorization.
 

@@ -305,9 +305,11 @@ def test_criterion_7_runtime_shape(bundle250, features250):
 
     Bounds from the stated complexities, for the 10x step in S:
 
-    - Ridge: ``rrmcex_fit`` costs O(d^2 S) (row gather and syrk) plus an
-      S-independent d x d solve, and predict an S-independent O(NL d), so
-      no part grows faster than S: rr_ratio < 10.  Measured 3.1-3.3 with
+    - Ridge: ``rrmcex_fit`` costs O(d^2 S) (row gather and syrk; at this
+      grid and d the grouped Gram would cost more, O(P S) for P = 861 index
+      pairs, and is not chosen) plus an S-independent d x d solve, and
+      predict an S-independent O(NL d), so no part grows faster than S:
+      rr_ratio < 10.  Measured 3.1-3.3 with
       the factored predict, one 250 x 250 product of about 1 ms (2.4-3.3
       while predict read the dense NL x d table, a fixed 3-10 ms).
     - Closed form: the S x S gather is Theta(S^2) and its Cholesky

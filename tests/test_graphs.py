@@ -5,7 +5,7 @@ from kronmc import (Graph, InvalidInputError, build_laplacian, erdos_renyi,
                     geodesic_distances, heat_adjacency, knn_symmetric,
                     load_matrix_csv, save_matrix_csv)
 
-from helpers import floyd_warshall_hops
+from helpers import floyd_warshall_hops, knn_loop
 
 
 def test_graph_rejects_bad_adjacency():
@@ -104,6 +104,21 @@ def test_knn_collinear_points():
     adj = knn_symmetric(d, 1).adjacency
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     assert np.array_equal(adj, expected)
+
+
+def test_knn_matches_the_per_row_loop_under_ties():
+    # integer distances in 0..2 tie everywhere, and a 0 off the diagonal
+    # ties a vertex with its own index; at n = 300 the rows go in 6 blocks
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 9, 24, 60, 300):
+        upper = np.triu(rng.integers(0, 3, size=(n, n)), k=1).astype(float)
+        d = upper + upper.T
+        for k in range(min(n, 9)):
+            assert np.array_equal(knn_symmetric(d, k).adjacency, knn_loop(d, k)), (n, k)
+    points = rng.random((200, 2))
+    d = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+    for k in (1, 8):
+        assert np.array_equal(knn_symmetric(d, k).adjacency, knn_loop(d, k))
 
 
 def test_geodesic_path_graph():

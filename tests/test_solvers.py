@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
                     KkmcexModel, KroneckerKernel, NoiseSpec, ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
-                    features_from_eig, kkmcex_fit, kkmcex_predict,
+                    features_from_eig, features_from_svd, kkmcex_fit, kkmcex_predict,
                     load_factor_model, load_kkmcex_model, load_rrmcex_model,
                     nmse, observe, orrmcex_run, orrmcex_step, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
@@ -815,6 +815,97 @@ def test_no_library_path_builds_the_dense_feature_table(monkeypatch):
     dataset = generate_synthetic(6, 5, 0.3, 1.0, seed=1)
     config = ExperimentConfig("orrmcex", (50,), feature_dim=4, epochs=2)
     assert len(run_online(config, dataset, stride=5)) == 2 * 15 // 5
+
+
+def _kernel_with_spectrum(rng, eigenvalues):
+    q = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))[0]
+    return KernelMatrix((q * eigenvalues) @ q.T)
+
+
+def _paired_map(kind, rng):
+    """A factored map on a rectangular grid: one dominant row (column)
+    eigenvalue makes every feature share its eigenvector, so the row
+    (column) side pairs; "both" has several basis columns on each side; and
+    "svd" asks for two columns beyond its spectrum of 3 x 3."""
+    if kind == "row":
+        kx = _kernel_with_spectrum(rng, [1e3] + [1e-3] * 6)
+        return features_from_eig(kx, _kernel_with_spectrum(rng, rng.uniform(1, 2, 5)), 4)
+    if kind == "col":
+        ky = _kernel_with_spectrum(rng, [1e3] + [1e-3] * 8)
+        return features_from_eig(_kernel_with_spectrum(rng, rng.uniform(1, 2, 6)), ky, 5)
+    if kind == "both":
+        return features_from_eig(make_spd_kernel(rng, 6), make_spd_kernel(rng, 5), 12)
+    return features_from_svd(rng.normal(size=(3, 5)), rng.normal(size=(4, 3)), 11)
+
+
+@pytest.mark.parametrize("kind, pairs_on", [("row", "rows"), ("col", "cols"),
+                                            ("both", None), ("svd", None)])
+def test_both_ridge_grams_match_the_dense_table(kind, pairs_on):
+    # a Gram entry's rounding error is a few eps times sum_s |phi_sc phi_sc'|,
+    # at most sqrt(G_cc G_c'c') by Cauchy-Schwarz, and a right-hand side
+    # entry's a few eps times sqrt(G_cc) ||m||; both are checked to 1e-12 of
+    # those scales.  Scaling one off-diagonal group block by 1 + 1e-9 fails
+    # on "both" and "svd", and pairing a side with the other side's sample
+    # indices fails on all four maps
+    rng = np.random.default_rng(48)
+    fmap = _paired_map(kind, rng)
+    on_cols, basis, _, _ = solvers._pairing(fmap)
+    assert {"rows": not on_cols, "cols": on_cols, None: basis.shape[1] > 1}[pairs_on]
+    n, l = fmap.n_rows, fmap.n_cols
+    phi = fmap.phi
+    lower = np.tril_indices(fmap.dim)
+    for count in sorted({1, 2, n * l // 3, n * l - 1, n * l}):
+        s = uniform_sample(n, l, count, seed=count)
+        values = rng.normal(size=count)
+        phi_s = phi[s.vec_indices0]
+        gram, rhs = phi_s.T @ phi_s, phi_s.T @ values
+        scale = np.sqrt(np.diag(gram))
+        for helper in (solvers._syrk_gram, solvers._grouped_gram):
+            a, r = helper(fmap, s.row_indices0, s.col_indices0, values)
+            error = np.abs(a - gram)[lower]
+            assert np.all(error <= 1e-12 * np.outer(scale, scale)[lower]), (helper, count)
+            assert np.all(np.abs(r - rhs) <= 1e-12 * scale * np.linalg.norm(values))
+        # the grouped Gram is filled on both sides of the diagonal
+        assert np.all(np.abs(a - gram) <= 1e-12 * np.outer(scale, scale))
+    if kind == "svd":
+        assert not np.any(fmap.x[:, 9:]) and not np.any(a[9:]) and not np.any(r[9:])
+
+
+@pytest.mark.parametrize("s, d, pairs, other, grouped", [
+    (250_000, 50, 1, 1250, True),    # ridge-stations
+    (10_000, 50, 1, 1250, True),     # the station grid at P_s = 1 %
+    (625, 250, 861, 250, False),     # criterion 7 at P_s = 1 %
+    (6250, 250, 861, 250, False),    # and at 10 %
+    (6250, 50, 91, 250, False),      # 250 x 250 at d = 50
+    (62_410, 50, 276, 790, False),   # 790 x 790 at d = 50
+])
+def test_ridge_gram_rule_picks_the_faster_path(s, d, pairs, other, grouped):
+    # the paths' times (min-median of 10 interleaved, 2 cores), dsyrk ->
+    # grouped: 45-50 -> 4.0-4.3 ms, 1.7-1.8 -> 0.56-0.61 ms, 1.4-1.7 ->
+    # 19-25 ms, 14-16 -> 45-54 ms, 1.1-1.2 -> 3.8-4.5 ms, 12-15 -> 77-94 ms
+    assert solvers._grouped_gram_pays(s, d, pairs, other) is grouped
+
+
+def test_rrmcex_grouped_fit_holds_no_s_by_d_array():
+    # at S = 40000, d = 50 and three row basis columns (6 pairs), Phi_S
+    # would take 16 MB and an S x P array 1.92 MB; the grouped fit holds two
+    # length-S buffers of 0.32 MB and one transient length-S array at a time
+    import tracemalloc
+    rng = np.random.default_rng(49)
+    kx = _kernel_with_spectrum(rng, [1e3, 0.9995e3, 0.999e3] + [1e-3] * 197)
+    fmap = features_from_eig(kx, _kernel_with_spectrum(rng, rng.uniform(1, 1.1, 250)), 50)
+    on_cols, basis, _, other = solvers._pairing(fmap)
+    assert not on_cols and basis.shape[1] == 3
+    count = 40000
+    assert solvers._grouped_gram_pays(count, 50, 6, other)
+    obs = ObservationSet(uniform_sample(200, 250, count, seed=6), rng.normal(size=count))
+    tracemalloc.start()
+    try:
+        rrmcex_fit(fmap, obs, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * count * 8
 
 
 EMPTY_FITS = {
