@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _blas
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 
 __all__ = [
     "NystromApprox",
@@ -70,10 +70,9 @@ class BoundInputs:
     nu_sq: float
 
     def __post_init__(self):
-        if self.sigma_max <= 0:
-            raise InvalidInputError("bound requires a nonsingular kernel (sigma_max > 0)")
-        if self.mu <= 0:
-            raise InvalidInputError("bound requires mu > 0")
+        check_number("sigma_max", self.sigma_max)
+        check_number("mu", self.mu)
+        check_number("nu_sq", self.nu_sq, "nonnegative")
         if not 0 <= self.s_count <= len(self.gamma_tilde):
             raise InvalidInputError("sample count outside 0..NL")
 
@@ -87,14 +86,9 @@ class EigBoundReport:
     slack: float = 1e-10
 
 
-def _check_mu(mu):
-    if mu <= 0:
-        raise InvalidInputError(f"mu must be positive, got {mu}")
-
-
 def regularized_nystrom(k, sampling, mu):
     """Sampled-block approximation K S^T (S K S^T + mu I)^{-1} S K."""
-    _check_mu(mu)
+    check_number("mu", mu)
     k = np.asarray(k, dtype=float)
     idx = sampling.vec_indices0
     if len(idx) == 0:
@@ -123,7 +117,8 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
     estimate of the MSE over fresh noise realizations is attached, computed
     in independent batches, along with its standard error.
     """
-    _check_mu(mu)
+    check_number("mu", mu)
+    check_number("nu_sq", nu_sq, "nonnegative")
     k = np.asarray(k, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     resid = k - regularized_nystrom(k, sampling, mu).t_tilde
@@ -166,18 +161,22 @@ def gamma_tilde(k, t_tilde, gamma):
     return _blas.gemv(vecs.T, np.asarray(gamma, dtype=float))
 
 
+def _sigma_max(k, what):
+    """Top eigenvalue of the dense kernel ``k``, which ``what`` requires to
+    be nonsingular."""
+    eigs = _blas.eigvalsh(k)
+    if eigs[0] <= 1e-10 * max(1.0, eigs[-1]):
+        raise InvalidInputError(f"{what} requires a nonsingular kernel; rank-deficient "
+                                "(e.g. bandlimited) kernels are not supported")
+    return float(eigs[-1])
+
+
 def bound_inputs(k, sampling, gamma, mu, nu_sq):
     """Assemble the bound ingredients for a dense kernel and sampling set."""
     k = np.asarray(k, dtype=float)
-    eigs = _blas.eigvalsh(k)
-    if eigs[0] <= 1e-10 * max(1.0, eigs[-1]):
-        raise InvalidInputError(
-            "bound requires a nonsingular kernel; rank-deficient (e.g. bandlimited) "
-            "kernels are not supported"
-        )
+    sigma = _sigma_max(k, "bound")
     t = regularized_nystrom(k, sampling, mu).t_tilde
-    return BoundInputs(float(eigs[-1]), gamma_tilde(k, t, gamma), len(sampling),
-                       mu, nu_sq)
+    return BoundInputs(sigma, gamma_tilde(k, t, gamma), len(sampling), mu, nu_sq)
 
 
 def mse_bound(inputs):
@@ -204,15 +203,9 @@ def eig_bound_check(k, sampling, mu, slack=1e-10):
     ascending entry of the diagonal bound: mu sigma/(sigma+mu) on the first
     S coordinates, sigma on the rest.  Reports the worst margin.
     """
-    _check_mu(mu)
+    check_number("mu", mu)
     k = np.asarray(k, dtype=float)
-    eigs_k = _blas.eigvalsh(k)
-    if eigs_k[0] <= 1e-10 * max(1.0, eigs_k[-1]):
-        raise InvalidInputError(
-            "domination check requires a nonsingular kernel; rank-deficient "
-            "(e.g. bandlimited) kernels are not supported"
-        )
-    sigma = float(eigs_k[-1])
+    sigma = _sigma_max(k, "domination check")
     t = regularized_nystrom(k, sampling, mu).t_tilde
     resid_eigs = _blas.eigvalsh(k - t)
     s = len(sampling)

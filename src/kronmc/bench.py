@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blas
 from .analysis import nmse
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .graphs import (Graph, build_laplacian, erdos_renyi, geodesic_distances,
                      heat_adjacency, knn_symmetric)
 from .kernels import (Diffusion, KroneckerKernel, _reject_non_finite,
@@ -114,6 +114,9 @@ class ExperimentConfig:
                 f"sampling percentages ps must lie in (0, 100], got {self.ps_grid}")
         if not self.mu_grid or not self.eta_grid:
             raise InvalidInputError("parameter grids must be nonempty")
+        for name in ("mu", "eta"):
+            for point in getattr(self, f"{name}_grid"):
+                check_number(name, point)
         if self.realizations < 1:
             raise InvalidInputError("need at least one realization")
         for name in ("rank", "feature_dim", "epochs"):

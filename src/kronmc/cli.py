@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgError
 
 from . import bench
 from .analysis import verify_theory
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, check_number
 from .kernels import KernelMatrix
 from .sampling import NoiseSpec, observe, uniform_sample
 from .solvers import StepSchedule, save_model
@@ -33,46 +33,56 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+# Every option, by name: the type of its flag --name, the conversion of its
+# config key "name = value", and the ExperimentConfig field it sets (None:
+# no such flag, key or field).  A given flag overrides its key; the flag of
+# a grid key (ps, mu, eta) gives a grid of one point.
+_OPTIONS = {
+    **dict.fromkeys(("config", "out"), (str, None, None)),
+    **dict.fromkeys(("seed", "stride"), (int, None, None)),
+    "method": (str, str, "method"),
+    "ps": (float, _floats, "ps_grid"),
+    "mu": (float, _floats, "mu_grid"),
+    "eta": (float, _floats, "eta_grid"),
+    "rank": (int, int, "rank"),
+    "dim": (int, int, "feature_dim"),
+    "epochs": (int, int, "epochs"),
+    "realizations": (None, int, "realizations"),
+    "validation_fraction": (None, float, "validation_fraction"),
+    "snr": (float, float, None),
+    **dict.fromkeys(("n", "l", "dataset_seed"), (None, int, None)),
+    **dict.fromkeys(("graph_p", "nu_sq", "step_c", "step_n0"), (None, float, None)),
+    **dict.fromkeys(("synth", "step_rule", "f", "kx", "ky", "obs"), (None, str, None)),
+}
+# the flags of fit, sweep, online and gridsearch besides --config and --out
+_RUN = ("seed", "method", "ps", "mu", "eta", "rank", "dim", "snr", "epochs")
+
+
 def _build_parser():
     parser = _Parser(prog="kronmc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def add(name, **required):
+    for name, (_, required, optional) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=required.get("config", False))
-        p.add_argument("--out", required=required.get("out", False))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--method", default=None)
-        p.add_argument("--ps", type=float, default=None)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--snr", type=float, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
-        return p
-
-    add("synth", out=True)
-    add("fit", config=True, out=True)
-    add("sweep", config=True, out=True)
-    add("online", config=True, out=True)
-    add("gridsearch", config=True, out=True)
-    add("verify")
+        for flag in dict.fromkeys(required + optional):
+            p.add_argument(f"--{flag}", type=_OPTIONS[flag][0], required=flag in required,
+                           default=0 if flag == "seed" else None)
     return parser
 
 
 def parse_args(argv):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
-        raise UsageError("a subcommand is required "
-                         "(synth | fit | sweep | online | verify | gridsearch)")
+        raise UsageError(f"a subcommand is required ({' | '.join(_SUBCOMMANDS)})")
     return ns
 
 
 def parse_config(path):
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored.  A key that
+    no subcommand reads is rejected, naming its line."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,98 +92,97 @@ def parse_config(path):
             if "=" not in line:
                 raise InvalidInputError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if _OPTIONS.get(key, (None, None))[1] is None:
+                raise InvalidInputError(f"{path}: line {lineno}: unknown config key {key!r}")
+            out[key] = value.strip()
     return out
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _number(cfg, key, default, convert=float):
-    """Config value of ``key`` (``default`` when absent) through ``convert``
-    (int, float or _floats); a malformed value is an input error naming the key."""
+def _option(name, cfg, opts=None, default=None):
+    """Option ``name``: its flag in ``opts`` when given, else its config key
+    converted, else ``default``; a malformed key value is an input error
+    naming the key."""
+    _, convert, _ = _OPTIONS[name]
+    flag = getattr(opts, name, None)
+    if flag is not None:
+        return (flag,) if convert is _floats else flag
+    if name not in cfg:
+        return default
     try:
-        return convert(cfg.get(key, default))
+        return convert(cfg[name])
     except ValueError as exc:
-        raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+        raise InvalidInputError(f"config key {name!r}: {exc}") from exc
 
 
 def _config_file(cfg, key):
-    """The path the config gives under ``key``; a missing file names the key."""
+    """The path the config gives under ``key``; a missing key or file names
+    the key."""
+    if key not in cfg:
+        raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
     path = cfg[key]
     if not os.path.isfile(path):
         raise InvalidInputError(f"config key {key!r}: file not found: {path!r}")
     return path
 
 
-def _synthetic(cfg, seed, eta):
-    """The config's synthetic dataset, drawn at ``eta`` (the --eta flag) when
-    given, else at the first point of the config's eta grid."""
-    if eta is None:
-        eta = _number(cfg, "eta", "1", _floats)[0]
-    return bench.generate_synthetic(
-        _number(cfg, "n", 10, int), _number(cfg, "l", 10, int),
-        _number(cfg, "graph_p", 0.2), eta, seed)
-
-
 def _load_dataset(cfg, seed, eta=None):
-    """The config's dataset: a synthetic one (see _synthetic), or the matrix
-    and kernels its CSV files hold."""
-    if cfg.get("synth", "0") in ("1", "true", "yes"):
-        return _synthetic(cfg, seed, eta)
-    for key in ("f", "kx", "ky"):
-        if key not in cfg:
-            raise InvalidInputError(f"config needs {key}=<path> (or synth=1)")
-    f = bench.load_matrix_csv(_config_file(cfg, "f"))
-    kx = KernelMatrix(bench.load_matrix_csv(_config_file(cfg, "kx")))
-    ky = KernelMatrix(bench.load_matrix_csv(_config_file(cfg, "ky")))
-    return bench.DatasetBundle(f, kx, ky, provenance={"generator": "files"})
+    """The config's dataset: the matrix and kernels its CSV files hold, or,
+    with synth = 1, a synthetic one drawn from ``seed`` at ``eta`` when
+    given, else at the first point of the config's eta grid."""
+    if cfg.get("synth", "0") not in ("1", "true", "yes"):
+        f = bench.load_matrix_csv(_config_file(cfg, "f"))
+        kx, ky = (KernelMatrix(bench.load_matrix_csv(_config_file(cfg, key)))
+                  for key in ("kx", "ky"))
+        return bench.DatasetBundle(f, kx, ky, provenance={"generator": "files"})
+    if eta is None:
+        eta = _option("eta", cfg, default=bench.ExperimentConfig.eta_grid)[0]
+    return bench.generate_synthetic(
+        _option("n", cfg, default=10), _option("l", cfg, default=10),
+        _option("graph_p", cfg, default=0.2), eta, seed)
 
 
 def _noise_from(cfg, opts):
-    if opts.snr is not None:
-        return NoiseSpec.target_snr(opts.snr)
-    if "snr" in cfg:
-        return NoiseSpec.target_snr(_number(cfg, "snr", None))
-    if "nu_sq" in cfg:
-        return NoiseSpec.variance(_number(cfg, "nu_sq", None))
-    return NoiseSpec.none()
+    snr = _option("snr", cfg, opts)
+    if snr is not None:
+        return NoiseSpec.target_snr(snr)
+    nu_sq = _option("nu_sq", cfg)
+    return NoiseSpec.none() if nu_sq is None else NoiseSpec.variance(nu_sq)
 
 
 def _schedule_from(cfg):
-    rule = cfg.get("step_rule", "decay")
-    if rule == "constant":
-        return StepSchedule.constant(_number(cfg, "step_c", 0.1))
-    return StepSchedule.decay(_number(cfg, "step_c", 0.5), _number(cfg, "step_n0", 10.0))
+    default = bench.ExperimentConfig.schedule
+    rule = cfg.get("step_rule", default.rule)
+    c = _option("step_c", cfg, default=0.1 if rule == "constant" else default.c)
+    return StepSchedule(rule, c, _option("step_n0", cfg, default=default.n0))
 
 
 def _config_from(cfg, opts):
-    method = opts.method or cfg.get("method")
-    if method is None:
+    """The ExperimentConfig of the options given; ExperimentConfig's own
+    defaults stand for the others (P_s defaults to 10 %)."""
+    given = {field: _option(name, cfg, opts)
+             for name, (_, _, field) in _OPTIONS.items() if field is not None}
+    given = {"ps_grid": (10.0,), **{k: v for k, v in given.items() if v is not None}}
+    if "method" not in given:
         raise InvalidInputError("a method is required (--method or method= in config)")
-    ps_grid = (opts.ps,) if opts.ps is not None else _number(cfg, "ps", "10", _floats)
-    mu_grid = (opts.mu,) if opts.mu is not None else _number(cfg, "mu", "1e-3", _floats)
-    eta_grid = (opts.eta,) if opts.eta is not None else _number(cfg, "eta", "1", _floats)
-    return bench.ExperimentConfig(
-        method=method,
-        ps_grid=ps_grid,
-        realizations=_number(cfg, "realizations", 1, int),
-        mu_grid=mu_grid,
-        eta_grid=eta_grid,
-        rank=opts.rank if opts.rank is not None else _number(cfg, "rank", 10, int),
-        feature_dim=opts.dim if opts.dim is not None else _number(cfg, "dim", 10, int),
-        noise=_noise_from(cfg, opts),
-        seed=opts.seed,
-        epochs=opts.epochs if opts.epochs is not None else _number(cfg, "epochs", 20, int),
-        schedule=_schedule_from(cfg),
-        validation_fraction=_number(cfg, "validation_fraction", 0.2),
-    )
+    return bench.ExperimentConfig(noise=_noise_from(cfg, opts), seed=opts.seed,
+                                  schedule=_schedule_from(cfg), **given)
+
+
+def _experiment(opts, **defaults):
+    """The config keys (over ``defaults``), the ExperimentConfig and the
+    dataset of a run subcommand; the options are checked before any data
+    file is read.  A synthetic dataset is drawn from ``dataset_seed``
+    (default --seed) at the first point of the eta grid."""
+    cfg = {**defaults, **parse_config(opts.config)}
+    config = _config_from(cfg, opts)
+    seed = _option("dataset_seed", cfg, default=opts.seed)
+    return cfg, config, _load_dataset(cfg, seed, config.eta_grid[0])
 
 
 def _cmd_synth(opts):
     cfg = parse_config(opts.config) if opts.config else {}
-    dataset = _synthetic(cfg, opts.seed, opts.eta)
+    dataset = _load_dataset({**cfg, "synth": "1"}, opts.seed, opts.eta)
     bench.save_matrix_csv(f"{opts.out}.f.csv", dataset.f)
     bench.save_matrix_csv(f"{opts.out}.kx.csv", dataset.kx.matrix)
     bench.save_matrix_csv(f"{opts.out}.ky.csv", dataset.ky.matrix)
@@ -182,16 +191,10 @@ def _cmd_synth(opts):
 
 
 def _cmd_fit(opts):
-    cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, opts.seed, opts.eta)
-    n, l = dataset.shape
-    if opts.mu is None:
-        raise InvalidInputError("fit requires --mu")
-    if not np.isfinite(opts.mu) or opts.mu <= 0:
-        raise InvalidInputError(f"--mu must be positive and finite, got {opts.mu}")
-    config = _config_from({**cfg, "method": opts.method or cfg.get("method", "kkmcex")},
-                          opts)
+    check_number("--mu", opts.mu)
+    cfg, config, dataset = _experiment(opts, method="kkmcex")
     bench._require_one_point(config, "fit")
+    n, l = dataset.shape
     if "obs" in cfg:
         obs = bench.load_triplets_csv(_config_file(cfg, "obs"), n, l)
     else:
@@ -208,9 +211,7 @@ def _cmd_fit(opts):
 
 
 def _cmd_sweep(opts):
-    cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
-    config = _config_from(cfg, opts)
+    _, config, dataset = _experiment(opts)
     result = bench.run_sweep(config, dataset)
     result.write_csv(opts.out)
     for key, agg in sorted(result.summary().items()):
@@ -220,9 +221,7 @@ def _cmd_sweep(opts):
 
 
 def _cmd_online(opts):
-    cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
-    config = _config_from(cfg, opts)
+    _, config, dataset = _experiment(opts)
     trace = bench.run_online(config, dataset, stride=opts.stride)
     bench.write_trace_csv(opts.out, trace)
     final = trace[-1]
@@ -232,9 +231,7 @@ def _cmd_online(opts):
 
 
 def _cmd_gridsearch(opts):
-    cfg = parse_config(opts.config)
-    dataset = _load_dataset(cfg, _number(cfg, "dataset_seed", opts.seed, int), opts.eta)
-    config = _config_from(cfg, opts)
+    _, config, dataset = _experiment(opts)
     mu, eta = bench.grid_search(config, dataset)
     bench._write_csv(opts.out, [(mu, eta)], ("mu", "eta"))
     print(f"selected mu={mu:g} eta={eta:g}")
@@ -255,22 +252,24 @@ def _cmd_verify(opts):
     return 0 if all_ok else 2
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "sweep": _cmd_sweep,
-    "online": _cmd_online,
-    "gridsearch": _cmd_gridsearch,
-    "verify": _cmd_verify,
+# Every subcommand: its handler, its required flags and its other flags
+_SUBCOMMANDS = {
+    "synth": (_cmd_synth, ("out",), ("config", "seed", "eta")),
+    "fit": (_cmd_fit, ("config", "out", "mu"), _RUN),
+    "sweep": (_cmd_sweep, ("config", "out"), _RUN),
+    "online": (_cmd_online, ("config", "out"), (*_RUN, "stride")),
+    "gridsearch": (_cmd_gridsearch, ("config", "out"), _RUN),
+    "verify": (_cmd_verify, (), ("out", "seed")),
 }
 
 
 def _check_paths(options):
     """Validate input/output paths before any work starts."""
-    if options.config is not None and not os.path.isfile(options.config):
-        raise InvalidInputError(f"config file not found: {options.config}")
-    if options.out is not None:
-        parent = os.path.dirname(os.path.abspath(options.out))
+    config, out = getattr(options, "config", None), options.out
+    if config is not None and not os.path.isfile(config):
+        raise InvalidInputError(f"config file not found: {config}")
+    if out is not None:
+        parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):
             raise InvalidInputError(f"output directory does not exist: {parent}")
 
@@ -282,7 +281,7 @@ def main(argv=None):
     try:
         ns = parse_args(list(argv))
         _check_paths(ns)
-        return _COMMANDS[ns.subcommand](ns)
+        return _SUBCOMMANDS[ns.subcommand][0](ns)
     except (UsageError, InvalidInputError) as exc:
         print(f"kronmc: error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _blas
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, check_number
 
 __all__ = [
     "KernelMatrix",
@@ -91,8 +91,7 @@ class Diffusion:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise InvalidInputError("diffusion weight eta must be positive")
+        check_number("eta", self.eta)
 
     def inverse_weights(self, eigenvalues):
         # an overflow is reported by spectral_kernel's finiteness check
@@ -107,8 +106,7 @@ class RegularizedLaplacian:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise InvalidInputError("regularization weight eta must be positive")
+        check_number("eta", self.eta)
 
     def inverse_weights(self, eigenvalues):
         r = 1.0 + self.eta * eigenvalues
@@ -165,8 +163,7 @@ def linear_kernel(x):
 
 def gaussian_kernel(x, eta):
     """Gaussian similarity exp(-||x_i - x_j||^2 / (2 eta)) between rows of ``x``."""
-    if eta <= 0:
-        raise InvalidInputError("gaussian bandwidth eta must be positive")
+    check_number("eta", eta)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     sq = np.sum(x**2, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * _blas.gemm(x, x.T), 0.0)
@@ -265,8 +262,8 @@ class FeatureMap:
         if x.shape[1] != y.shape[1]:
             raise InvalidInputError(
                 f"feature factors disagree on d: {x.shape[1]} and {y.shape[1]} columns")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidInputError("feature factors contain non-finite entries")
+        _reject_non_finite(x, "row feature factor")
+        _reject_non_finite(y, "column feature factor")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 
 __all__ = [
     "vec_index",
@@ -139,10 +139,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("none", "variance", "target_snr"):
             raise InvalidInputError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "variance" and self.nu_sq < 0:
-            raise InvalidInputError("noise variance must be nonnegative")
-        if self.mode == "target_snr" and self.snr <= 0:
-            raise InvalidInputError("target snr must be positive")
+        if self.mode == "variance":
+            check_number("nu_sq", self.nu_sq, "nonnegative")
+        if self.mode == "target_snr":
+            check_number("snr", self.snr)
 
     @classmethod
     def none(cls):

@@ -23,8 +23,8 @@ from scipy.linalg.blas import dsyrk
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import _blas
-from .errors import InvalidInputError, NumericalError
-from .kernels import KroneckerKernel, kron_submatrix
+from .errors import InvalidInputError, NumericalError, check_number
+from .kernels import kron_submatrix
 
 # relative residual tolerance tau of the closed-form CG solve, and the bound
 # on kappa * tau, hence on the relative error of the CG coefficients, that
@@ -124,9 +124,10 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.rule not in ("constant", "decay"):
-            raise InvalidInputError(f"unknown step rule {self.rule!r}")
-        if self.c <= 0 or (self.rule == "decay" and self.n0 <= 0):
-            raise InvalidInputError("step-size parameters must be positive")
+            raise InvalidInputError(f"step_rule must be 'constant' or 'decay', got {self.rule!r}")
+        check_number("step_c", self.c)
+        if self.rule == "decay":
+            check_number("step_n0", self.n0)
 
     @classmethod
     def constant(cls, t):
@@ -143,18 +144,16 @@ class StepSchedule:
         return self.c / (n + self.n0)
 
 
-def _check_fit_inputs(obs, mu):
-    if len(obs.sampling) == 0:
+def _check_fit_inputs(obs, mu, grid):
+    """Reject an empty sampling, a ridge weight ``mu`` that is not positive
+    and finite, a non-finite observation, or a sampling of another grid
+    than ``grid``, the model's (N, L)."""
+    sampling = obs.sampling
+    if len(sampling) == 0:
         raise InvalidInputError("sampling is empty (S = 0)")
-    if not np.isfinite(mu) or mu <= 0:
-        raise InvalidInputError(f"ridge weight mu must be positive and finite, got {mu}")
+    check_number("mu", mu)
     if not np.all(np.isfinite(obs.values)):
         raise InvalidInputError("observations contain non-finite values")
-
-
-def _check_grid(kernel_or_features, sampling):
-    """Reject a sampling of another grid than the kernel's or feature map's."""
-    grid = (kernel_or_features.n_rows, kernel_or_features.n_cols)
     if (sampling.n_rows, sampling.n_cols) != grid:
         raise InvalidInputError(
             f"sampling grid {sampling.n_rows} x {sampling.n_cols} does not match "
@@ -233,9 +232,8 @@ def kkmcex_fit(kernel, obs, mu):
     G as the only S x S array, adds mu to its diagonal and factors it in
     place, so its peak memory is about one S x S block.
     """
-    _check_fit_inputs(obs, mu)
+    _check_fit_inputs(obs, mu, (kernel.n_rows, kernel.n_cols))
     sampling = obs.sampling
-    _check_grid(kernel, sampling)
     top = max(kernel.kx._top_eigenvalue, 0.0) * max(kernel.ky._top_eigenvalue, 0.0)
     kappa = (top + mu) / mu
     where = f"mu={mu:g}, S={len(sampling)}, condition bound {kappa:.3g}"
@@ -390,9 +388,8 @@ def rrmcex_fit(features, obs, mu):
     The Cholesky solve reads only the lower triangle and factors it in
     place.
     """
-    _check_fit_inputs(obs, mu)
+    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
     s = obs.sampling
-    _check_grid(features, s)
     d = features.dim
     gram = _syrk_gram
     pairing = _pairing(features)
@@ -425,8 +422,9 @@ def orrmcex_step(model, i, j, m, t, mu):
     """One streaming update from the observation m at grid entry (i, j),
     returned as a new model.  A zero step size leaves the model unchanged.
     """
-    if t < 0:
-        raise InvalidInputError(f"step size must be nonnegative, got {t}")
+    check_number("step size t", t, "nonnegative")
+    check_number("mu", mu)
+    check_number("observation m", m, "any")
     xi = np.array(model.xi, dtype=float)
     _orrmcex_update(xi, model.features.row(i, j), m, t, mu)
     return RrmcexModel(model.features, mu, xi)
@@ -444,9 +442,8 @@ def _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook=None,
                     eval_every=None):
     """ORRMCEX from xi = 0, visiting the observations in each order of
     ``orders`` in turn (one per epoch); ``eval_hook`` as in orrmcex_run."""
-    _check_fit_inputs(obs, mu)
+    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
     s = obs.sampling
-    _check_grid(features, s)
     values = obs.values
     xi = np.zeros(features.dim)
     n = 0
@@ -533,10 +530,9 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     """
     if p < 1:
         raise InvalidInputError(f"rank bound must be at least 1, got {p}")
-    _check_fit_inputs(obs, mu)
+    _check_fit_inputs(obs, mu, (kx.side, ky.side))
     sampling = obs.sampling
     n, l = sampling.n_rows, sampling.n_cols
-    _check_grid(KroneckerKernel(kx, ky), sampling)
     kxinv = _kernel_inverse(kx, "row")
     kyinv = _kernel_inverse(ky, "column")
     rows = sampling.row_indices0
@@ -584,7 +580,7 @@ def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
     visiting the observations in each order of ``orders`` in turn (one per
     epoch); ``eval_hook(iteration, model)`` fires every ``eval_every``
     iterations."""
-    _check_fit_inputs(obs, mu)
+    _check_fit_inputs(obs, mu, (len(w), len(h)))
     sampling = obs.sampling
     rows = sampling.row_indices0
     cols = sampling.col_indices0
@@ -659,8 +655,7 @@ def _read_bundle(path, kind, grid=None):
         raise InvalidInputError(f"{path}: line 1: sizes N={n}, L={l}, k={k} out of range")
     if grid not in (None, (n, l)):
         raise InvalidInputError(f"{path}: line 1: grid {n} x {l} is not the model's {grid}")
-    if not (np.isfinite(mu) and mu > 0):
-        raise InvalidInputError(f"{path}: line 1: mu must be positive and finite, got {mu}")
+    check_number(f"{path}: line 1: mu", mu)
     return n, l, k, mu
 
 

@@ -526,3 +526,78 @@ def test_no_fit_config_exits_other_than_0_1_2(fuzz_files):
         assert status in (0, 1, 2)
 
     run()
+
+
+_PROBE_BASE = "synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nps = 40\n"
+
+
+@pytest.mark.parametrize("subcommand,lines,flags,message", [
+    ("online", "method = orrmcex\nstep_c = nan\n", [],
+     "step_c must be positive and finite, got nan"),
+    ("sweep", "method = orrmcex\nstep_c = nan\n", [],
+     "step_c must be positive and finite, got nan"),
+    ("online", "method = factor_sgd\nstep_n0 = inf\n", [],
+     "step_n0 must be positive and finite, got inf"),
+    ("sweep", "method = factor_sgd\nstep_n0 = inf\n", [],
+     "step_n0 must be positive and finite, got inf"),
+    ("sweep", "method = kkmcex\neta = nan\n", [], "eta must be positive and finite, got nan"),
+    ("sweep", "method = kkmcex\nnu_sq = nan\n", [],
+     "nu_sq must be nonnegative and finite, got nan"),
+    ("sweep", "method = kkmcex\nsnr = nan\n", [], "snr must be positive and finite, got nan"),
+    ("sweep", "method = kkmcex\nmu = 1e-3,nan\n", [], "mu must be positive and finite, got nan"),
+    ("gridsearch", "method = kkmcex\nmu = 1e-3,nan\n", [],
+     "mu must be positive and finite, got nan"),
+    ("fit", "method = kkmcex\n", ["--mu", "1e-3", "--eta", "inf"],
+     "eta must be positive and finite, got inf"),
+    ("fit", "method = kkmcex\n", ["--mu", "1e-3", "--snr", "nan"],
+     "snr must be positive and finite, got nan"),
+    ("sweep", "method = kkmcex\nstep_rule = decy\n", [],
+     "step_rule must be 'constant' or 'decay', got 'decy'"),
+    ("verify", None, ["--mu", "5", "--method", "x"], "unrecognized arguments: --mu 5 --method x"),
+    ("synth", None, ["--stride", "9"], "unrecognized arguments: --stride 9"),
+    ("sweep", "method = kkmcex\nmu_grid = 1e-2\n", [],
+     "{cfg}: line 7: unknown config key 'mu_grid'"),
+    ("synth", "n = 6\nl = 6\nmethd = kkmcex\n", [], "{cfg}: line 3: unknown config key 'methd'"),
+])
+def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, flags, message):
+    # each is rejected before any fit, naming its key or flag
+    cfg = tmp_path / "c.cfg"
+    args = [subcommand, "--out", tmp_path / "r", *flags]
+    if lines is not None:
+        cfg.write_text((_PROBE_BASE if subcommand != "synth" else "") + lines)
+        args += ["--config", cfg]
+    result = run_kronmc(*args)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"kronmc: error: {message.format(cfg=cfg)}\n"
+    assert not any(tmp_path.glob("r*"))
+
+
+def test_each_subcommand_takes_only_its_flags():
+    every = {"config", "out", "seed", "method", "ps", "mu", "eta", "rank", "dim", "snr",
+             "epochs", "stride"}
+    run = every - {"stride"}
+    takes = {"synth": {"config", "out", "seed", "eta"}, "fit": run, "sweep": run,
+             "online": every, "gridsearch": run, "verify": {"out", "seed"}}
+    for subcommand, flags in takes.items():
+        required = {"synth": ["--out", "x"], "verify": []}.get(
+            subcommand, ["--config", "c", "--out", "x", "--mu", "1"])
+        for flag in every:
+            argv = [subcommand, *required, f"--{flag}", "1"]
+            if flag in flags:
+                assert getattr(parse_args(argv), flag) in ("1", 1, 1.0)
+            else:
+                with pytest.raises(UsageError, match=f"unrecognized arguments: --{flag} 1"):
+                    parse_args(argv)
+
+
+def test_fit_draws_its_synthetic_data_from_dataset_seed(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nn = 12\nl = 10\ngraph_p = 0.3\ndataset_seed = 8\n")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                 "--method", "kkmcex", "--mu", "1e-2", "--ps", "30", "--seed", "1"]) == 0
+    # the data come from dataset_seed, the sampling from --seed
+    ds = bench.generate_synthetic(12, 10, 0.3, 1.0, 8)
+    obs = observe(ds.f, uniform_sample(12, 10, 36, 1))
+    model = kkmcex_fit(KroneckerKernel(ds.kx, ds.ky), obs, 1e-2)
+    assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"), kkmcex_predict(model))

@@ -341,8 +341,11 @@ def test_feature_map_holds_validated_factors():
     for i, j in ((0, 1), (4, 1), (1, 5)):
         with pytest.raises(InvalidInputError, match="outside"):
             fm.row(i, j)
+    inf_x = x.copy()
+    inf_x[2, 1] = np.inf
     for bad_x, bad_y, message in ((x[0], y, "2-D"), (x, y[:, :1], "disagree"),
-                                  (np.where(x > 0, np.inf, x), y, "non-finite"),
-                                  (x, np.full((4, 2), np.nan), "non-finite")):
+                                  (inf_x, y, r"row feature factor entry \(3, 2\) is not finite"),
+                                  (x, np.full((4, 2), np.nan),
+                                   r"column feature factor entry \(1, 1\) is not finite")):
         with pytest.raises(InvalidInputError, match=message):
             FeatureMap(bad_x, bad_y, "bad")
