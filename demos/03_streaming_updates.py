@@ -24,8 +24,9 @@ batch = rrmcex_predict(rrmcex_fit(features, observe(dataset.f, sampling), mu_bat
 print(f"batch ridge solution: nmse={nmse(batch, dataset.f):.4e}")
 
 # step size scaled to the feature energy: per-step curvature is ~ ||phi||^2,
-# so start near the stability edge and let t_n = c / (n + n0) decay from there
-peak_energy = float(np.max(np.sum(features.phi**2, axis=1)))
+# so start near the stability edge and let t_n = c / (n + n0) decay from there;
+# entry (i, j) has energy sum_c x[i, c]^2 y[j, c]^2
+peak_energy = float(np.max((features.x**2) @ (features.y**2).T))
 t0 = 0.8 / peak_energy
 n0 = 5.0 * count
 config = ExperimentConfig(

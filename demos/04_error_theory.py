@@ -37,6 +37,6 @@ check = eig_bound_check(kz, sampling, mu)
 print(f"eigen domination  : passed={check.passed}, worst margin "
       f"{check.worst_margin:.2e}")
 
-resid = kz - regularized_nystrom(kz, sampling, mu).t_tilde
+resid = kz - regularized_nystrom(kz, sampling, mu)
 print(f"residual kernel   : min eigenvalue {np.linalg.eigvalsh(resid)[0]:.2e} "
       f"(stays PSD)")

@@ -10,17 +10,16 @@ row-wise SGD factorization baselines are included, together with numerical
 verification of the estimator's bias/variance theory.
 """
 
-from .analysis import (BoundInputs, EigBoundReport, MseReport, NystromApprox,
-                       bound_inputs, eig_bound_check, gamma_tilde, mse_bound,
+from .analysis import (BoundInputs, EigBoundReport, MseReport, bound_inputs,
+                       eig_bound_check, gamma_tilde, mse_bound,
                        mse_decomposition, nmse, regularized_nystrom,
                        verify_theory)
 from .bench import (DatasetBundle, ExperimentConfig, ExperimentResult,
                     band_graph, class_agreement_bundle, generate_synthetic,
-                    grid_search, load_matrix_csv, load_sampling_csv,
-                    load_triplets_csv, onehot_features, run_online, run_sweep,
-                    save_matrix_csv, save_sampling_csv, save_triplets_csv,
-                    station_day_bundle, synthetic_categorical_table,
-                    synthetic_station_day_bundle)
+                    grid_search, load_matrix_csv, load_triplets_csv,
+                    onehot_features, run_online, run_sweep, save_matrix_csv,
+                    save_triplets_csv, station_day_bundle,
+                    synthetic_categorical_table, synthetic_station_day_bundle)
 from .errors import InvalidInputError, NumericalError
 from .graphs import (Graph, Laplacian, build_laplacian, erdos_renyi,
                      geodesic_distances, heat_adjacency, knn_symmetric)
@@ -29,7 +28,7 @@ from .kernels import (Bandlimited, Diffusion, FeatureMap, KernelMatrix,
                       features_from_svd, gaussian_kernel, kron_submatrix,
                       linear_kernel, pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
-                       uniform_sample, vec_index)
+                       uniform_sample)
 from .solvers import (FactorModel, KkmcexModel, RrmcexModel, StepSchedule,
                       als_fit, factor_predict, factor_sgd_fit, kkmcex_fit,
                       kkmcex_predict, load_factor_model, load_kkmcex_model,

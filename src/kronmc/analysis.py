@@ -17,7 +17,6 @@ from . import _blas
 from .errors import InvalidInputError, check_number
 
 __all__ = [
-    "NystromApprox",
     "MseReport",
     "BoundInputs",
     "EigBoundReport",
@@ -30,18 +29,6 @@ __all__ = [
     "nmse",
     "verify_theory",
 ]
-
-
-@dataclass(frozen=True)
-class NystromApprox:
-    """Regularized sampled-block approximation of a kernel matrix.
-
-    Both the approximation and the residual (kernel minus approximation)
-    are symmetric PSD.
-    """
-
-    t_tilde: np.ndarray
-    mu: float
 
 
 @dataclass(frozen=True)
@@ -87,16 +74,20 @@ class EigBoundReport:
 
 
 def regularized_nystrom(k, sampling, mu):
-    """Sampled-block approximation K S^T (S K S^T + mu I)^{-1} S K."""
+    """Sampled-block approximation K S^T (S K S^T + mu I)^{-1} S K.
+
+    Both the approximation and the residual (kernel minus approximation)
+    are symmetric PSD.
+    """
     check_number("mu", mu)
     k = np.asarray(k, dtype=float)
     idx = sampling.vec_indices0
     if len(idx) == 0:
-        return NystromApprox(np.zeros_like(k), mu)
+        return np.zeros_like(k)
     kc = k[:, idx]
     g = k[np.ix_(idx, idx)] + mu * np.eye(len(idx))
     t = _blas.gemm(kc, scipy.linalg.solve(g, kc.T, check_finite=False, assume_a="gen"))
-    return NystromApprox((t + t.T) / 2.0, mu)
+    return (t + t.T) / 2.0
 
 
 def _estimator_operator(k, sampling, mu):
@@ -121,7 +112,7 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
     check_number("nu_sq", nu_sq, "nonnegative")
     k = np.asarray(k, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    resid = k - regularized_nystrom(k, sampling, mu).t_tilde
+    resid = k - regularized_nystrom(k, sampling, mu)
     bias_sq = float(np.sum(_blas.gemv(resid, gamma) ** 2))
     idx = sampling.vec_indices0
     variance = float(nu_sq / mu**2 * np.sum(resid[:, idx] ** 2))
@@ -175,7 +166,7 @@ def bound_inputs(k, sampling, gamma, mu, nu_sq):
     """Assemble the bound ingredients for a dense kernel and sampling set."""
     k = np.asarray(k, dtype=float)
     sigma = _sigma_max(k, "bound")
-    t = regularized_nystrom(k, sampling, mu).t_tilde
+    t = regularized_nystrom(k, sampling, mu)
     return BoundInputs(sigma, gamma_tilde(k, t, gamma), len(sampling), mu, nu_sq)
 
 
@@ -206,7 +197,7 @@ def eig_bound_check(k, sampling, mu, slack=1e-10):
     check_number("mu", mu)
     k = np.asarray(k, dtype=float)
     sigma = _sigma_max(k, "domination check")
-    t = regularized_nystrom(k, sampling, mu).t_tilde
+    t = regularized_nystrom(k, sampling, mu)
     resid_eigs = _blas.eigvalsh(k - t)
     s = len(sampling)
     nl = k.shape[0]
@@ -276,7 +267,7 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
                                    n_draws=draws, seed=int(rng.integers(2**32)))
         bound = mse_bound(bound_inputs(kz, sampling, gamma, mu, nu_sq))
         eig_report = eig_bound_check(kz, sampling, mu)
-        t = regularized_nystrom(kz, sampling, mu).t_tilde
+        t = regularized_nystrom(kz, sampling, mu)
         scale = max(1.0, np.abs(kz).max())
         psd_ok = (_blas.eigvalsh(t)[0] >= -1e-8 * scale
                   and _blas.eigvalsh(kz - t)[0] >= -1e-8 * scale)

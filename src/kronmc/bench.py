@@ -44,8 +44,6 @@ __all__ = [
     "save_matrix_csv",
     "load_triplets_csv",
     "save_triplets_csv",
-    "load_sampling_csv",
-    "save_sampling_csv",
     "onehot_features",
     "run_sweep",
     "grid_search",
@@ -117,9 +115,7 @@ class ExperimentConfig:
         for name in ("mu", "eta"):
             for point in getattr(self, f"{name}_grid"):
                 check_number(name, point)
-        if self.realizations < 1:
-            raise InvalidInputError("need at least one realization")
-        for name in ("rank", "feature_dim", "epochs"):
+        for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
@@ -133,7 +129,6 @@ class ExperimentResult:
     """Per-realization rows plus aggregate views."""
 
     rows: list
-    estimates: dict = field(default_factory=dict)
 
     def summary(self):
         """Mean error and total seconds per (method, P_s)."""
@@ -163,8 +158,11 @@ def generate_synthetic(n, l, graph_p, eta, seed):
     G has iid standard Gaussian entries.  Deterministic for a fixed seed; the
     bundle carries a kernel builder so the diffusion weight can be re-swept.
     """
-    if n < 2 or l < 2:
-        raise InvalidInputError("synthetic grids need at least 2 rows and columns")
+    for name, value in (("n", n), ("l", l)):
+        if value < 2:
+            raise InvalidInputError(f"{name} must be at least 2, got {value}")
+    if not 0 <= graph_p <= 1:
+        raise InvalidInputError(f"graph_p must lie in [0, 1], got {graph_p}")
     rng = np.random.default_rng(seed)
     seed_x, seed_y = (int(s) for s in rng.integers(2**63, size=2))
     builder = _diffusion_builder(build_laplacian(erdos_renyi(n, graph_p, seed_x)),
@@ -349,22 +347,6 @@ def load_matrix_csv(path):
     return np.array(rows)
 
 
-def _read_entries(path, n_rows, n_cols, convert, first=1):
-    """Rows ``i,j,...`` of ``path`` from line ``first`` on, read by
-    ``_read_csv``; an (i, j) outside the grid or seen on an earlier line
-    raises an InvalidInputError naming the path and line."""
-    rows, linenos = _read_csv(path, convert, first)
-    seen = set()
-    for lineno, (i, j, *_) in zip(linenos, rows):
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise InvalidInputError(f"{path}: line {lineno}: index ({i}, {j}) outside "
-                                    f"{n_rows} x {n_cols} grid")
-        if (i, j) in seen:
-            raise InvalidInputError(f"{path}: line {lineno}: duplicate entry ({i}, {j})")
-        seen.add((i, j))
-    return rows
-
-
 def _triplet_rows(sampling, values):
     return zip((sampling.row_indices0 + 1).tolist(), (sampling.col_indices0 + 1).tolist(),
                np.asarray(values, dtype=float).tolist())
@@ -375,20 +357,21 @@ def save_triplets_csv(path, obs):
 
 
 def load_triplets_csv(path, n_rows, n_cols, first=1):
-    """Observation triplets ``i,j,value`` (1-based) from line ``first`` on;
-    duplicates and non-finite values are rejected."""
-    rows = _read_entries(path, n_rows, n_cols, (int, int, _finite), first)
+    """Observation triplets ``i,j,value`` (1-based) from line ``first`` on.
+    A malformed line, an (i, j) outside the grid or seen on an earlier line
+    and a non-finite value raise an InvalidInputError naming the path and
+    line."""
+    rows, linenos = _read_csv(path, (int, int, _finite), first)
+    seen = set()
+    for lineno, (i, j, _) in zip(linenos, rows):
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            raise InvalidInputError(f"{path}: line {lineno}: index ({i}, {j}) outside "
+                                    f"{n_rows} x {n_cols} grid")
+        if (i, j) in seen:
+            raise InvalidInputError(f"{path}: line {lineno}: duplicate entry ({i}, {j})")
+        seen.add((i, j))
     return ObservationSet(SamplingSet(n_rows, n_cols, [r[:2] for r in rows]),
                           np.array([r[2] for r in rows], dtype=float))
-
-
-def save_sampling_csv(path, sampling):
-    _write_csv(path, sampling.entries)
-
-
-def load_sampling_csv(path, n_rows, n_cols):
-    """Sampling pairs ``i,j`` (1-based), one per line, in sampling order."""
-    return SamplingSet(n_rows, n_cols, _read_entries(path, n_rows, n_cols, (int, int)))
 
 
 def onehot_features(rows):
@@ -545,7 +528,7 @@ def grid_search(config, dataset, p_s=None):
     return best[1], best[2]
 
 
-def run_sweep(config, dataset, keep_estimates=False):
+def run_sweep(config, dataset):
     """Run the full protocol: per P_s and realization, sample, observe, fit.
 
     Wall-clock seconds cover fit plus predict only.  When a parameter grid
@@ -563,7 +546,6 @@ def run_sweep(config, dataset, keep_estimates=False):
             mu, eta = grid_search(config, dataset, p_s=p_s)
         state = method.prepare(*kernels_for(eta), config)
         count = _sample_count(p_s, n, l)
-        estimates = []
         for r in range(config.realizations):
             sampling = uniform_sample(n, l, count,
                                       derive_seed(config.seed, ps_idx, r, 0))
@@ -582,10 +564,6 @@ def run_sweep(config, dataset, keep_estimates=False):
                 "mu": float(mu),
                 "eta": float(eta),
             })
-            if keep_estimates:
-                estimates.append(est)
-        if keep_estimates:
-            result.estimates[(config.method, float(p_s))] = estimates
     return result
 
 

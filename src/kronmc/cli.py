@@ -126,14 +126,24 @@ def _config_file(cfg, key):
     return path
 
 
+def _kernel_file(cfg, key):
+    """The kernel matrix in the config's ``key`` file; a matrix that is no
+    kernel is an input error naming the key and the path."""
+    path = _config_file(cfg, key)
+    matrix = bench.load_matrix_csv(path)
+    try:
+        return KernelMatrix(matrix)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"config key {key!r}: {path}: {exc}") from exc
+
+
 def _load_dataset(cfg, seed, eta=None):
     """The config's dataset: the matrix and kernels its CSV files hold, or,
     with synth = 1, a synthetic one drawn from ``seed`` at ``eta`` when
     given, else at the first point of the config's eta grid."""
     if cfg.get("synth", "0") not in ("1", "true", "yes"):
         f = bench.load_matrix_csv(_config_file(cfg, "f"))
-        kx, ky = (KernelMatrix(bench.load_matrix_csv(_config_file(cfg, key)))
-                  for key in ("kx", "ky"))
+        kx, ky = (_kernel_file(cfg, key) for key in ("kx", "ky"))
         return bench.DatasetBundle(f, kx, ky, provenance={"generator": "files"})
     if eta is None:
         eta = _option("eta", cfg, default=bench.ExperimentConfig.eta_grid)[0]

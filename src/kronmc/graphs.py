@@ -52,10 +52,6 @@ class Graph:
             raise InvalidInputError("adjacency diagonal must be zero (no self loops)")
         object.__setattr__(self, "adjacency", a)
 
-    @property
-    def num_vertices(self):
-        return self.adjacency.shape[0]
-
 
 @dataclass(frozen=True)
 class Laplacian:

@@ -203,10 +203,6 @@ class KroneckerKernel:
     def n_cols(self):
         return self.ky.side
 
-    @property
-    def size(self):
-        return self.n_rows * self.n_cols
-
 
 def kron_submatrix(kk, sampling):
     """S x S block of the product kernel at the sampled positions.
@@ -250,7 +246,6 @@ class FeatureMap:
 
     x: np.ndarray
     y: np.ndarray
-    provenance: str
     _factors: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -324,7 +319,7 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
     return order % n_rows, order // n_rows, products[order]
 
 
-def _factored_map(ux, a, uy, b, w, d, provenance):
+def _factored_map(ux, a, uy, b, w, d):
     """Feature map whose column c < len(w) is ux[:, a[c]] * w[c] kron
     uy[:, b[c]], and zero beyond.
 
@@ -340,7 +335,7 @@ def _factored_map(ux, a, uy, b, w, d, provenance):
     x, y = np.zeros((ux.shape[0], d)), np.zeros((uy.shape[0], d))
     x[:, :k] = ux[:, ia] * w
     y[:, :k] = uy[:, ib]
-    return FeatureMap(x, y, provenance, _factors=(ux, ia, uy, ib, w))
+    return FeatureMap(x, y, _factors=(ux, ia, uy, ib, w))
 
 
 def features_from_eig(kx, ky, d):
@@ -356,7 +351,7 @@ def features_from_eig(kx, ky, d):
     sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
     sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
-    return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)), d, "eig-based")
+    return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)), d)
 
 
 def features_from_svd(x, y, d):
@@ -381,4 +376,4 @@ def features_from_svd(x, y, d):
     uy, dy, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
     avail = len(dx) * len(dy)
     a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
-    return _factored_map(ux, a, uy, b, products, d, "svd-based")
+    return _factored_map(ux, a, uy, b, products, d)

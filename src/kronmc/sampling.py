@@ -13,7 +13,6 @@ import numpy as np
 from .errors import InvalidInputError, check_number
 
 __all__ = [
-    "vec_index",
     "SamplingSet",
     "ObservationSet",
     "NoiseSpec",
@@ -22,25 +21,15 @@ __all__ = [
 ]
 
 
-def vec_index(i, j, n_rows):
-    """Column-major vector index of entry (i, j), all 1-based."""
-    if not 1 <= i <= n_rows:
-        raise InvalidInputError(f"row index {i} outside 1..{n_rows}")
-    if j < 1:
-        raise InvalidInputError(f"column index {j} must be >= 1")
-    return (j - 1) * n_rows + i
-
-
 class SamplingSet:
     """Ordered set of observed (i, j) positions in an N x L matrix (1-based).
 
     ``entries`` holds the 1-based pairs, as a sequence of (i, j) or an
     S x 2 integer array.  They are validated once and kept as read-only
-    0-based index arrays; the ``entries`` tuple is rebuilt from those on
-    first use.  Instances are immutable.
+    0-based index arrays.  Instances are immutable.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_rows0", "_cols0", "_vec0", "_entries")
+    __slots__ = ("n_rows", "n_cols", "_rows0", "_cols0", "_vec0")
 
     def __init__(self, n_rows, n_cols, entries):
         try:
@@ -66,7 +55,7 @@ class SamplingSet:
         if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidInputError("sampling entries must be distinct")
         rows0.flags.writeable = cols0.flags.writeable = vec0.flags.writeable = False
-        for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0, None)):
+        for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -86,14 +75,6 @@ class SamplingSet:
 
     def __len__(self):
         return len(self._vec0)
-
-    @property
-    def entries(self):
-        """The 1-based (i, j) pairs as a tuple of int tuples, in sampling order."""
-        if self._entries is None:
-            pairs = tuple(zip((self._rows0 + 1).tolist(), (self._cols0 + 1).tolist()))
-            object.__setattr__(self, "_entries", pairs)
-        return self._entries
 
     @property
     def row_indices0(self):

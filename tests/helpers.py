@@ -27,6 +27,15 @@ def dense_kron(kk):
     return np.kron(kk.ky.matrix, kk.kx.matrix)
 
 
+def vec_index(i, j, n_rows):
+    """Column-major vector index of entry (i, j), all 1-based."""
+    if not 1 <= i <= n_rows:
+        raise InvalidInputError(f"row index {i} outside 1..{n_rows}")
+    if j < 1:
+        raise InvalidInputError(f"column index {j} must be >= 1")
+    return (j - 1) * n_rows + i
+
+
 def _decode(index, n_rows, size):
     if not 1 <= index <= size:
         raise InvalidInputError(f"vector index {index} outside 1..{size}")
@@ -35,8 +44,9 @@ def _decode(index, n_rows, size):
 
 def kron_entry(kk, iprime, jprime):
     """Single entry of the product kernel at 1-based vector indices."""
-    i, j = _decode(iprime, kk.n_rows, kk.size)
-    n, l = _decode(jprime, kk.n_rows, kk.size)
+    size = kk.n_rows * kk.n_cols
+    i, j = _decode(iprime, kk.n_rows, size)
+    n, l = _decode(jprime, kk.n_rows, size)
     return float(kk.kx.matrix[i, n] * kk.ky.matrix[j, l])
 
 
@@ -50,7 +60,7 @@ def selector_matrix(sampling):
 def full_dual_vector(model):
     """Length-NL coefficient vector of a fitted KkmcexModel; exactly zero
     off the sampled indices."""
-    gamma = np.zeros(model.kernel.size)
+    gamma = np.zeros(model.kernel.n_rows * model.kernel.n_cols)
     gamma[model.sampling.vec_indices0] = model.dual_coeffs
     return gamma
 

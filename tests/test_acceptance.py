@@ -392,7 +392,7 @@ def test_criterion_9_online_reaches_batch_quality(bundle250):
     mu_batch = 1e-4
     batch_nmse = nmse(rrmcex_predict(rrmcex_fit(fmap, obs, mu_batch)), bundle250.f)
 
-    peak = float(np.max(np.sum(fmap.phi**2, axis=1)))
+    peak = float(np.max((fmap.x**2) @ (fmap.y**2).T))
     t0 = 1.5 / peak
     n0 = 5.0 * len(obs.values)
     traj = []

@@ -19,7 +19,7 @@ def test_nystrom_empty_sampling_is_zero():
     rng = np.random.default_rng(0)
     k = random_dense_kernel(rng, 2, 3)
     s = SamplingSet(2, 3, ())
-    t = regularized_nystrom(k, s, 0.1).t_tilde
+    t = regularized_nystrom(k, s, 0.1)
     assert np.array_equal(t, np.zeros_like(k))
 
 
@@ -27,7 +27,7 @@ def test_nystrom_full_sampling_tiny_mu_recovers_kernel():
     rng = np.random.default_rng(1)
     k = random_dense_kernel(rng, 3, 2)
     s = uniform_sample(3, 2, 6, seed=0)
-    t = regularized_nystrom(k, s, 1e-10).t_tilde
+    t = regularized_nystrom(k, s, 1e-10)
     assert np.linalg.norm(t - k) / np.linalg.norm(k) <= 1e-6
 
 
@@ -39,7 +39,7 @@ def test_nystrom_residual_and_approximation_are_psd():
         k = random_dense_kernel(rng, n, l)
         count = int(rng.integers(1, n * l + 1))
         s = uniform_sample(n, l, count, seed=trial)
-        t = regularized_nystrom(k, s, 10.0 ** rng.uniform(-3, 0)).t_tilde
+        t = regularized_nystrom(k, s, 10.0 ** rng.uniform(-3, 0))
         scale = max(1.0, np.abs(k).max())
         assert np.linalg.eigvalsh(t)[0] >= -1e-8 * scale
         assert np.linalg.eigvalsh(k - t)[0] >= -1e-8 * scale
@@ -78,7 +78,7 @@ def test_mse_decomposition_variance_matches_trace_oracle():
     gamma = rng.normal(size=9)
     mu, nu_sq = 0.3, 0.5
     report = mse_decomposition(k, s, gamma, mu, nu_sq)
-    resid = k - regularized_nystrom(k, s, mu).t_tilde
+    resid = k - regularized_nystrom(k, s, mu)
     sts = selector_matrix(s).T @ selector_matrix(s)
     oracle = nu_sq / mu**2 * np.trace(resid @ resid @ sts)
     assert report.variance == pytest.approx(oracle, rel=1e-10)
@@ -88,7 +88,7 @@ def test_gamma_tilde_properties():
     rng = np.random.default_rng(6)
     k = random_dense_kernel(rng, 3, 2)
     s = uniform_sample(3, 2, 3, seed=4)
-    t = regularized_nystrom(k, s, 0.1).t_tilde
+    t = regularized_nystrom(k, s, 0.1)
     assert np.array_equal(gamma_tilde(k, t, np.zeros(6)), np.zeros(6))
     gamma = rng.normal(size=6)
     gt = gamma_tilde(k, t, gamma)
@@ -139,8 +139,7 @@ def test_eig_bound_check_examples():
     full = uniform_sample(3, 2, 6, seed=0)
     report_full = eig_bound_check(k, full, 0.5)
     assert report_full.passed
-    resid_max = np.linalg.eigvalsh(
-        k - regularized_nystrom(k, full, 0.5).t_tilde)[-1]
+    resid_max = np.linalg.eigvalsh(k - regularized_nystrom(k, full, 0.5))[-1]
     assert resid_max <= 0.5 * sigma / (sigma + 0.5) + 1e-10
 
 

@@ -143,7 +143,7 @@ def test_experiment_config_validation():
         ExperimentConfig(method="kkmcex", ps_grid=(0.0,))
     with pytest.raises(InvalidInputError):
         ExperimentConfig(method="kkmcex", ps_grid=(10.0,), mu_grid=())
-    for name in ("rank", "feature_dim", "epochs"):
+    for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
         with pytest.raises(InvalidInputError, match=f"{name} must be at least 1, got 0"):
             ExperimentConfig(method="kkmcex", ps_grid=(10.0,), **{name: 0})
 
@@ -173,10 +173,14 @@ def test_run_sweep_nmse_matches_analysis_metric():
     ds = generate_synthetic(8, 8, 0.3, 1.0, seed=6)
     cfg = ExperimentConfig(method="kkmcex", ps_grid=(40.0,), realizations=4,
                            mu_grid=(1e-6,), seed=1)
-    result = run_sweep(cfg, ds, keep_estimates=True)
-    stored = result.estimates[("kkmcex", 40.0)]
+    result = run_sweep(cfg, ds)
+    # realization r samples with seed (1, 0, r, 0) and fits noiseless at mu
+    kernel = KroneckerKernel(ds.kx, ds.ky)
+    estimates = [kkmcex_predict(kkmcex_fit(kernel, observe(ds.f, uniform_sample(
+        8, 8, 26, derive_seed(1, 0, r, 0))), 1e-6)) for r in range(4)]
     per_row = [r["nmse"] for r in result.rows]
-    assert np.mean(per_row) == pytest.approx(nmse(stored, ds.f), rel=1e-12)
+    assert per_row == [nmse(est, ds.f) for est in estimates]
+    assert np.mean(per_row) == pytest.approx(nmse(estimates, ds.f), rel=1e-12)
 
 
 def test_run_sweep_result_csv(tmp_path):

@@ -558,6 +558,13 @@ _PROBE_BASE = "synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nps = 40\n"
     ("sweep", "method = kkmcex\nmu_grid = 1e-2\n", [],
      "{cfg}: line 7: unknown config key 'mu_grid'"),
     ("synth", "n = 6\nl = 6\nmethd = kkmcex\n", [], "{cfg}: line 3: unknown config key 'methd'"),
+    ("sweep", "method = kkmcex\ngraph_p = nan\n", [], "graph_p must lie in [0, 1], got nan"),
+    ("synth", "graph_p = 1.5\n", [], "graph_p must lie in [0, 1], got 1.5"),
+    ("sweep", "method = kkmcex\nn = 1\n", [], "n must be at least 2, got 1"),
+    ("synth", "l = 1\n", [], "l must be at least 2, got 1"),
+    ("online", "method = orrmcex\nl = 1\n", [], "l must be at least 2, got 1"),
+    ("sweep", "method = kkmcex\nrealizations = 0\n", [],
+     "realizations must be at least 1, got 0"),
 ])
 def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, flags, message):
     # each is rejected before any fit, naming its key or flag
@@ -571,6 +578,26 @@ def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, f
     assert "Traceback" not in result.stderr
     assert result.stderr == f"kronmc: error: {message.format(cfg=cfg)}\n"
     assert not any(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("key", ["kx", "ky"])
+@pytest.mark.parametrize("bad,message", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "kernel matrix must be square, got shape (2, 3)"),
+    ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "kernel matrix must be symmetric"),
+    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+     "kernel matrix is not positive semidefinite (min eigenvalue -1)"),
+], ids=["non-square", "non-symmetric", "non-psd"])
+def test_bad_kernel_file_names_its_key_and_path(tmp_path, capsys, key, bad, message):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("f", "kx", "ky")}
+    for name, path in paths.items():
+        bench.save_matrix_csv(path, bad if name == key else np.eye(3))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("method = kkmcex\n" + "".join(f"{name} = {path}\n"
+                                                  for name, path in paths.items()))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"kronmc: error: config key {key!r}: {paths[key]}: {message}\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_each_subcommand_takes_only_its_flags():

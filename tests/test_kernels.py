@@ -194,11 +194,10 @@ def test_kron_submatrix_examples():
     kk = KroneckerKernel(make_spd_kernel(rng, 3), make_spd_kernel(rng, 2))
     # singleton
     s1 = uniform_sample(3, 2, 1, seed=1)
-    (i, j), = s1.entries
+    i, j = s1.row_indices0[0], s1.col_indices0[0]
     g1 = kron_submatrix(kk, s1)
     assert g1.shape == (1, 1)
-    assert g1[0, 0] == pytest.approx(
-        kk.kx.matrix[i - 1, i - 1] * kk.ky.matrix[j - 1, j - 1], abs=1e-14)
+    assert g1[0, 0] == pytest.approx(kk.kx.matrix[i, i] * kk.ky.matrix[j, j], abs=1e-14)
     # full sampling in vectorization order equals the dense product
     from kronmc import SamplingSet
     full = SamplingSet(3, 2, tuple((i, j) for j in range(1, 3) for i in range(1, 4)))
@@ -333,7 +332,7 @@ def test_kron_spectrum_is_product_of_factor_spectra(n, l):
 def test_feature_map_holds_validated_factors():
     rng = np.random.default_rng(14)
     x, y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-    fm = FeatureMap(x, y, "random")
+    fm = FeatureMap(x, y)
     assert (fm.n_rows, fm.n_cols, fm.dim) == (3, 4, 2)
     # row (j - 1) * N + i of the dense table is the feature row of entry (i, j)
     assert np.array_equal(fm.phi[2 * 3 + 1], fm.row(2, 3))
@@ -348,4 +347,4 @@ def test_feature_map_holds_validated_factors():
                                   (x, np.full((4, 2), np.nan),
                                    r"column feature factor entry \(1, 1\) is not finite")):
         with pytest.raises(InvalidInputError, match=message):
-            FeatureMap(bad_x, bad_y, "bad")
+            FeatureMap(bad_x, bad_y)

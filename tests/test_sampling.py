@@ -1,17 +1,13 @@
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronmc import (InvalidInputError, NoiseSpec, ObservationSet, SamplingSet,
-                    load_sampling_csv, load_triplets_csv, observe,
-                    save_sampling_csv, save_triplets_csv, uniform_sample,
-                    vec_index)
+                    load_triplets_csv, observe, save_triplets_csv,
+                    uniform_sample)
 
-from helpers import csv_round_trip, selector_matrix
+from helpers import csv_round_trip, selector_matrix, vec_index
 
 
 def test_vec_index_examples():
@@ -39,7 +35,7 @@ def test_sampling_set_validation():
 
 def test_uniform_sample_extremes():
     full = uniform_sample(3, 4, 12, seed=0)
-    assert sorted(full.entries) == [(i, j) for i in range(1, 4) for j in range(1, 5)]
+    assert sorted(full.vec_indices0.tolist()) == list(range(12))
     assert len(uniform_sample(3, 4, 0, seed=0)) == 0
     with pytest.raises(InvalidInputError):
         uniform_sample(3, 4, 13, seed=0)
@@ -48,7 +44,7 @@ def test_uniform_sample_extremes():
 def test_uniform_sample_deterministic():
     a = uniform_sample(6, 5, 10, seed=42)
     b = uniform_sample(6, 5, 10, seed=42)
-    assert a.entries == b.entries
+    assert a == b
 
 
 def test_uniform_sample_marginal_frequencies():
@@ -121,19 +117,21 @@ def test_observation_set_length_check():
         ObservationSet(s, np.zeros(3))
 
 
-
-
 def test_triplet_csv_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1,1,0.5\n1,1,0.7\n")
-    with pytest.raises(InvalidInputError, match="line 2"):
-        load_triplets_csv(path, 3, 3)
-    path.write_text("1,4,0.5\n")
-    with pytest.raises(InvalidInputError, match="outside"):
-        load_triplets_csv(path, 3, 3)
-    path.write_text("1,1\n")
-    with pytest.raises(InvalidInputError, match="line 1"):
-        load_triplets_csv(path, 3, 3)
+    for text, message in (
+            ("1,1,0.5\n1,1,0.7\n", "line 2: duplicate entry (1, 1)"),
+            ("2,3,0.5\n1,1,0.5\n\n2,3,0.5\n", "line 4: duplicate entry (2, 3)"),
+            ("1,4,0.5\n", "line 1: index (1, 4) outside 3 x 3 grid"),
+            ("1,1,0.5\n3,4,0.5\n", "line 2: index (3, 4) outside 3 x 3 grid"),
+            ("1,1\n", "line 1: expected 3 fields, got 2"),
+            ("1,1,0.5\n2,0.5\n", "line 2: expected 3 fields, got 2"),
+            ("1,1,0.5\n\n2,x,0.5\n", "line 3: invalid literal for int"),
+            ("1,1.5,0.5\n", "line 1: invalid literal for int")):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as info:
+            load_triplets_csv(path, 3, 3)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
@@ -145,21 +143,11 @@ def test_triplet_csv_rejects_non_finite_values(tmp_path, value):
     assert str(path) in str(info.value)
 
 
-def test_sampling_csv_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "omega.csv"
-    for text, lineno in (("1,1\n\n2,x\n", 3), ("1,1.5\n", 1), ("1,1\n2\n", 2),
-                         ("1,1\n3,4\n", 2), ("2,3\n1,1\n\n2,3\n", 4)):
-        path.write_text(text)
-        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
-            load_sampling_csv(path, 3, 3)
-        assert str(path) in str(info.value)
-
-
 def test_index_properties_return_one_stored_read_only_array():
     pairs = np.array([[2, 1], [1, 2], [3, 2]])
     s = SamplingSet(3, 2, pairs)
     pairs[0] = (1, 1)  # the set keeps its own arrays
-    assert s.entries == ((2, 1), (1, 2), (3, 2))
+    assert s.row_indices0.tolist() == [1, 0, 2] and s.col_indices0.tolist() == [0, 1, 1]
     for name in ("row_indices0", "col_indices0", "vec_indices0"):
         assert isinstance(vars(SamplingSet)[name], property)
         first = getattr(s, name)
@@ -192,17 +180,11 @@ def test_pairs_and_array_build_the_same_set(case):
     n, l, pairs = case
     from_pairs = SamplingSet(n, l, tuple(pairs))
     from_array = SamplingSet(n, l, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    assert from_pairs.entries == from_array.entries == tuple(pairs)
-    assert all(type(v) is int for pair in from_array.entries for v in pair)
+    assert list(zip(from_array.row_indices0 + 1, from_array.col_indices0 + 1)) == pairs
     assert from_pairs == from_array and len(from_pairs) == len(pairs)
     for name in ("row_indices0", "col_indices0", "vec_indices0"):
         assert np.array_equal(getattr(from_pairs, name), getattr(from_array, name))
     assert from_pairs.vec_indices0.tolist() == [vec_index(i, j, n) - 1 for i, j in pairs]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "omega.csv"
-        save_sampling_csv(path, from_array)
-        loaded = load_sampling_csv(path, n, l)
-    assert loaded.entries == from_pairs.entries
 
 
 @PROPERTY_SETTINGS
@@ -233,15 +215,6 @@ def test_out_of_range_and_duplicate_entries_are_rejected(case, data):
 
 
 @PROPERTY_SETTINGS
-@given(samplings())
-def test_sampling_csv_round_trip(case):
-    n, l, pairs = case
-    s = SamplingSet(n, l, tuple(pairs))
-    loaded = csv_round_trip(save_sampling_csv, lambda p: load_sampling_csv(p, n, l), s)
-    assert loaded.entries == s.entries
-
-
-@PROPERTY_SETTINGS
 @given(samplings(), st.data())
 def test_triplet_csv_round_trip(case, data):
     n, l, pairs = case
@@ -249,6 +222,6 @@ def test_triplet_csv_round_trip(case, data):
                                 min_size=len(pairs), max_size=len(pairs)))
     obs = ObservationSet(SamplingSet(n, l, tuple(pairs)), np.array(values))
     loaded = csv_round_trip(save_triplets_csv, lambda p: load_triplets_csv(p, n, l), obs)
-    assert loaded.sampling.entries == obs.sampling.entries
+    assert loaded.sampling == obs.sampling
     assert np.array_equal(loaded.values, obs.values)
     assert np.array_equal(np.signbit(loaded.values), np.signbit(obs.values))

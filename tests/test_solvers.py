@@ -223,7 +223,7 @@ def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s():
     import tracemalloc
     rng = np.random.default_rng(43)
     n, l, d, count = 200, 250, 20, 40000
-    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)), "random")
+    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)))
     obs = ObservationSet(uniform_sample(n, l, count, seed=5), rng.normal(size=count))
     tracemalloc.start()
     try:
@@ -307,7 +307,7 @@ def test_rrmcex_orthonormal_features_full_observation():
     n, l = 3, 2
     qx = np.linalg.qr(np.random.default_rng(8).normal(size=(n, n)))[0]
     qy = np.linalg.qr(np.random.default_rng(18).normal(size=(l, l)))[0]
-    fmap = FeatureMap(qx[:, [0, 1, 2, 0]], qy[:, [0, 0, 1, 1]], "explicit")
+    fmap = FeatureMap(qx[:, [0, 1, 2, 0]], qy[:, [0, 0, 1, 1]])
     q = fmap.phi
     assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
     f = unvec(np.arange(6, dtype=float) + 1.0, n, l)
@@ -648,7 +648,7 @@ def bundles(draw):
         return KkmcexModel(kernel, sampling, mu, coeffs), lambda p: load_kkmcex_model(p, kernel)
     d = draw(st.integers(1, 6))
     if kind == "rrmcex":
-        fmap = FeatureMap(np.ones((n, d)), np.ones((l, d)), "explicit")
+        fmap = FeatureMap(np.ones((n, d)), np.ones((l, d)))
         xi = draw(arrays(float, d, elements=finite_floats))
         return RrmcexModel(fmap, mu, xi), lambda p: load_rrmcex_model(p, fmap)
     w = draw(arrays(float, (n, d), elements=finite_floats))
@@ -663,7 +663,7 @@ def test_model_csv_round_trips(case):
     loaded = csv_round_trip(save_model, load, model)
     assert type(loaded) is type(model) and loaded.mu == model.mu
     if isinstance(model, KkmcexModel):
-        assert loaded.sampling.entries == model.sampling.entries
+        assert loaded.sampling == model.sampling
         pairs = [(loaded.dual_coeffs, model.dual_coeffs)]
     elif isinstance(model, RrmcexModel):
         pairs = [(loaded.xi, model.xi)]
@@ -690,7 +690,7 @@ def test_load_kkmcex_model_names_malformed_lines(tmp_path):
 
 
 def test_load_rrmcex_model_names_malformed_lines(tmp_path):
-    fmap = FeatureMap(np.ones((2, 1)), np.ones((2, 1)), "explicit")
+    fmap = FeatureMap(np.ones((2, 1)), np.ones((2, 1)))
     path = tmp_path / "r.csv"
     for text, lineno in (("rrmcex,2,2,1,0.5\nabc\n", 2),
                          ("rrmcex,2,2,2,0.5\n0.25\n\n1,2\n", 4),
@@ -751,7 +751,7 @@ def _load_bundle(kind, path):
         eye = KernelMatrix(np.eye(2))
         return load_kkmcex_model(path, KroneckerKernel(eye, eye))
     if kind == "rrmcex":
-        return load_rrmcex_model(path, FeatureMap(np.ones((2, 2)), np.ones((2, 2)), "explicit"))
+        return load_rrmcex_model(path, FeatureMap(np.ones((2, 2)), np.ones((2, 2))))
     return load_factor_model(path)
 
 
@@ -776,7 +776,7 @@ def factored_problems(draw):
 def test_factored_gather_fit_and_predict_match_the_dense_table(case):
     d, count, n, l, seed = case
     rng = np.random.default_rng(seed)
-    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)), "random")
+    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)))
     s = uniform_sample(n, l, count, seed=seed) if count else SamplingSet(n, l, ())
     obs = ObservationSet(s, rng.normal(size=count))
     phi = fmap.phi
@@ -951,7 +951,7 @@ def test_an_unallocatable_kkmcex_block_is_a_numerical_error(monkeypatch, tmp_pat
 def test_fits_reject_a_sampling_of_another_grid():
     # a 3 x 4 sampling on a 4 x 3 model indexes valid but wrong entries
     rng = np.random.default_rng(45)
-    fmap = FeatureMap(rng.normal(size=(4, 2)), rng.normal(size=(3, 2)), "random")
+    fmap = FeatureMap(rng.normal(size=(4, 2)), rng.normal(size=(3, 2)))
     obs = ObservationSet(uniform_sample(3, 4, 5, seed=1), rng.normal(size=5))
     kk = KroneckerKernel(make_spd_kernel(rng, 4), make_spd_kernel(rng, 3))
     with pytest.raises(InvalidInputError, match="grid"):
