@@ -17,8 +17,8 @@ from .analysis import (BoundInputs, EigBoundReport, MseReport, bound_inputs,
 from .bench import (DatasetBundle, ExperimentConfig, ExperimentResult,
                     band_graph, class_agreement_bundle, generate_synthetic,
                     grid_search, load_matrix_csv, load_triplets_csv,
-                    onehot_features, run_online, run_sweep, save_matrix_csv,
-                    save_triplets_csv, station_day_bundle,
+                    onehot_features, run_fit, run_online, run_sweep,
+                    save_matrix_csv, save_triplets_csv, station_day_bundle,
                     synthetic_categorical_table, synthetic_station_day_bundle)
 from .errors import InvalidInputError, NumericalError
 from .graphs import (Graph, Laplacian, build_laplacian, erdos_renyi,

@@ -15,6 +15,9 @@ import scipy.linalg
 
 from . import _blas
 from .errors import InvalidInputError, check_number
+from .sampling import uniform_sample
+
+_MC_BATCH = 20000  # Monte-Carlo noise draws per batch in mse_decomposition
 
 __all__ = [
     "MseReport",
@@ -98,8 +101,7 @@ def _estimator_operator(k, sampling, mu):
     return _blas.gemm(kc, scipy.linalg.inv(g, check_finite=False))
 
 
-def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
-                      batch_size=20000):
+def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0):
     """Exact bias and variance of the closed-form estimator.
 
     bias_sq = ||(K - T) gamma||^2 and
@@ -128,7 +130,7 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0,
         sq_sq_sum = 0.0
         done = 0
         while done < n_draws:
-            b = min(batch_size, n_draws - done)
+            b = min(_MC_BATCH, n_draws - done)
             noise = rng.normal(scale=np.sqrt(nu_sq), size=(len(idx), b))
             errs = r0[:, None] - _blas.gemm(a, noise)
             per_draw = np.sum(errs**2, axis=0)
@@ -246,8 +248,6 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
     Returns (rows, summary) where rows carry per-instance numbers and
     summary maps check name to (passed, total) counts.
     """
-    from .sampling import uniform_sample
-
     rng = np.random.default_rng(seed)
     rows = []
     summary = {"bound": [0, 0], "eig_domination": [0, 0], "psd": [0, 0],
@@ -272,19 +272,14 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
         psd_ok = (_blas.eigvalsh(t)[0] >= -1e-8 * scale
                   and _blas.eigvalsh(kz - t)[0] >= -1e-8 * scale)
 
-        bound_ok = report.total <= bound * (1 + 1e-10) + 1e-12
-        mc_ok = True
+        checks = {"bound": report.total <= bound * (1 + 1e-10) + 1e-12,
+                  "eig_domination": eig_report.passed, "psd": psd_ok}
         if draws > 0:
             tol = max(3 * report.std_error, 0.03 * report.total)
-            mc_ok = abs(report.empirical_mse - report.total) <= tol
-            summary["monte_carlo"][0] += int(mc_ok)
-            summary["monte_carlo"][1] += 1
-        summary["bound"][0] += int(bound_ok)
-        summary["bound"][1] += 1
-        summary["eig_domination"][0] += int(eig_report.passed)
-        summary["eig_domination"][1] += 1
-        summary["psd"][0] += int(psd_ok)
-        summary["psd"][1] += 1
+            checks["monte_carlo"] = abs(report.empirical_mse - report.total) <= tol
+        for name, ok in checks.items():
+            summary[name][0] += int(ok)
+            summary[name][1] += 1
         rows.append({
             "instance": idx,
             "bias_sq": report.bias_sq,
@@ -292,7 +287,7 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
             "empirical_mse": report.empirical_mse,
             "bound": bound,
             "margin": eig_report.worst_margin,
-            "ok": bool(bound_ok and eig_report.passed and psd_ok and mc_ok),
+            "ok": bool(all(checks.values())),
         })
 
     # bias decay under full sampling: quartering per halving of mu

@@ -9,8 +9,9 @@ clock and are reported separately.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, islice
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "load_triplets_csv",
     "save_triplets_csv",
     "onehot_features",
+    "run_fit",
     "run_sweep",
     "grid_search",
     "run_online",
@@ -59,8 +61,9 @@ def derive_seed(*parts):
 class DatasetBundle:
     """Ground truth matrix with its row/column kernels and optional features.
 
-    ``kernel_builder``, when present, rebuilds (kx, ky) for a new kernel
-    parameter so grid search can sweep it.
+    ``kernel_builder``, when present, builds (kx, ky) for a kernel parameter
+    eta, and every protocol takes its kernels from it, so an eta grid can be
+    swept; without one the bundle's own kernels are used as they are.
     """
 
     f: np.ndarray
@@ -68,7 +71,6 @@ class DatasetBundle:
     ky: object
     x: np.ndarray = None
     y: np.ndarray = None
-    provenance: dict = field(default_factory=dict)
     kernel_builder: object = None
 
     def __post_init__(self):
@@ -116,9 +118,12 @@ class ExperimentConfig:
             for point in getattr(self, f"{name}_grid"):
                 check_number(name, point)
         for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be at least 1, got {value}")
+        check_number("seed", self.seed, "nonnegative")
         if not 0 < self.validation_fraction < 1:
             raise InvalidInputError(f"validation_fraction must lie strictly in (0, 1), "
                                     f"got {self.validation_fraction}")
@@ -170,12 +175,7 @@ def generate_synthetic(n, l, graph_p, eta, seed):
     kx, ky = builder(eta)
     gamma = rng.normal(size=(n, l))
     f = _blas.gemm(_blas.gemm(kx.matrix, gamma), ky.matrix)
-    return DatasetBundle(
-        f, kx, ky,
-        provenance={"generator": "synthetic", "n": n, "l": l,
-                    "graph_p": graph_p, "eta": eta, "seed": seed},
-        kernel_builder=builder,
-    )
+    return DatasetBundle(f, kx, ky, kernel_builder=builder)
 
 
 def _diffusion_builder(lap_x, lap_y):
@@ -209,10 +209,7 @@ def station_day_bundle(f, station_distances, k=8, day_band=10, eta=1.0):
     builder = _diffusion_builder(build_laplacian(heat_adjacency(hops, n)),
                                  build_laplacian(band_graph(l, day_band)))
     kx, ky = builder(eta)
-    return DatasetBundle(f, kx, ky,
-                         provenance={"generator": "station-day", "k": k,
-                                     "day_band": day_band, "eta": eta},
-                         kernel_builder=builder)
+    return DatasetBundle(f, kx, ky, kernel_builder=builder)
 
 
 def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
@@ -231,9 +228,7 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
                                 day_band=day_band, eta=eta)
     f = _blas.gemm(_blas.gemm(bundle.kx.matrix, rng.normal(size=(n_stations, n_days))),
                    bundle.ky.matrix)
-    return replace(bundle, f=f, provenance={**bundle.provenance,
-                                            "generator": "station-day-synthetic",
-                                            "seed": seed})
+    return replace(bundle, f=f)
 
 
 def class_agreement_bundle(rows, labels, subsample=400, seed=0):
@@ -259,9 +254,7 @@ def class_agreement_bundle(rows, labels, subsample=400, seed=0):
     kx = pearson_kernel(x)
     lab = np.array(labels)
     f = np.where(lab[:, None] == lab[None, :], 1.0, -1.0)
-    return DatasetBundle(f, kx, kx, x=x, y=x,
-                         provenance={"generator": "class-agreement",
-                                     "subsample": len(rows), "seed": seed})
+    return DatasetBundle(f, kx, kx, x=x, y=x)
 
 
 def synthetic_categorical_table(n_rows=120, n_attrs=22, seed=0):
@@ -403,14 +396,14 @@ def onehot_features(rows):
 
 
 class _Method(NamedTuple):
-    """How every protocol drives one method: ``prepare(kx, ky, config)``
-    builds its state before the clock starts, ``fit(state, obs, mu, config,
-    seed)`` returns a model and ``predict(model)`` its N x L estimate, and
-    ``stream(state, obs, mu, config, seed, orders, eval_hook, eval_every)``
-    runs an SGD method over one visit order per epoch (None: batch only).
-    Each field names its solver inside a function, so the name is looked up
-    here at call time and a solver patched in this module (by a tracer or a
-    test) is seen by every protocol."""
+    """How every protocol, ``run_fit`` among them, drives one method:
+    ``prepare(kx, ky, config)`` builds its state before the clock starts,
+    ``fit(state, obs, mu, config, seed)`` returns a model, ``predict(model)``
+    its N x L estimate, and ``stream(state, obs, mu, config, seed, orders,
+    eval_hook, eval_every)`` runs an SGD method over one visit order per epoch
+    (None: batch only).  Each field names its solver inside a function, so a
+    solver patched in this module (by a tracer or a test) is looked up at call
+    time and seen by every protocol."""
 
     prepare: object
     fit: object
@@ -457,19 +450,17 @@ _METHOD_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 
 
-def _kernels_for_eta(config, dataset):
-    """The builder eta -> (kx, ky) one protocol run uses: the dataset's own
-    kernels at its base eta, else its kernel builder's.  A dataset without a
-    builder has only its own kernels, so its eta grid must be one point."""
-    own = (dataset.kx, dataset.ky)
-    if dataset.kernel_builder is None:
-        if len(config.eta_grid) > 1:
-            raise InvalidInputError(
-                f"eta: the dataset has no kernel builder, so the eta grid must be "
-                f"a single point, got {config.eta_grid}")
-        return lambda eta: own
-    base_eta = dataset.provenance.get("eta")
-    return lambda eta: own if eta == base_eta else dataset.kernel_builder(eta)
+def _kernels_for_eta(config, dataset, eta):
+    """(kx, ky) at ``eta``: the dataset's kernel builder's, else its own
+    kernels.  A dataset without a builder has only its own kernels, so its
+    eta grid must be one point."""
+    if dataset.kernel_builder is not None:
+        return dataset.kernel_builder(eta)
+    if len(config.eta_grid) > 1:
+        raise InvalidInputError(
+            f"eta: the dataset has no kernel builder, so the eta grid must be "
+            f"a single point, got {config.eta_grid}")
+    return dataset.kx, dataset.ky
 
 
 def _require_one_point(config, protocol):
@@ -485,6 +476,28 @@ def _sample_count(p_s, n, l):
     return min(max(count, 1), n * l)
 
 
+def _draw(config, dataset, p_s, sample_seed, noise_seed):
+    """Observations of ``p_s`` percent of the dataset's entries: a uniform
+    sampling drawn from ``sample_seed`` under the config's noise drawn from
+    ``noise_seed``."""
+    n, l = dataset.shape
+    sampling = uniform_sample(n, l, _sample_count(p_s, n, l), sample_seed)
+    return observe(dataset.f, sampling, replace(config.noise, seed=noise_seed))
+
+
+def run_fit(config, dataset, seed, obs=None):
+    """One fit at the config's single grid point, seeded by ``seed``: the
+    model and its N x L estimate.  Fits ``obs``, else draws the sampling
+    from ``seed`` and the noise from ``derive_seed(seed, 1)``."""
+    _require_one_point(config, "fit")
+    if obs is None:
+        obs = _draw(config, dataset, config.ps_grid[0], seed, derive_seed(seed, 1))
+    method = _METHOD_TABLE[config.method]
+    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
+    model = method.fit(state, obs, config.mu_grid[0], config, seed)
+    return model, method.predict(model)
+
+
 def grid_search(config, dataset, p_s=None):
     """Pick (mu, eta) minimizing held-out error on one observation draw.
 
@@ -494,13 +507,9 @@ def grid_search(config, dataset, p_s=None):
     """
     if p_s is None:
         p_s = config.ps_grid[0]
-    kernels_for = _kernels_for_eta(config, dataset)
-    n, l = dataset.shape
-    count = _sample_count(p_s, n, l)
-    sampling = uniform_sample(n, l, count, derive_seed(config.seed, 9001))
-    noise = replace(config.noise, seed=derive_seed(config.seed, 9002))
-    obs = observe(dataset.f, sampling, noise)
-
+    obs = _draw(config, dataset, p_s, derive_seed(config.seed, 9001),
+                derive_seed(config.seed, 9002))
+    count = len(obs.values)
     n_val = int(round(config.validation_fraction * count))
     if n_val == 0 or n_val == count:
         raise InvalidInputError(
@@ -510,7 +519,7 @@ def grid_search(config, dataset, p_s=None):
     val_rows, val_cols = rows0[:n_val], cols0[:n_val]
     val_values = obs.values[:n_val]
     fit_pairs = np.column_stack((rows0[n_val:], cols0[n_val:])) + 1
-    fit_obs = ObservationSet(SamplingSet(n, l, fit_pairs), obs.values[n_val:])
+    fit_obs = ObservationSet(SamplingSet(*dataset.shape, fit_pairs), obs.values[n_val:])
     val_norm = float(np.sum(val_values**2))
     if val_norm == 0:
         raise InvalidInputError("validation values are all zero; score undefined")
@@ -518,7 +527,7 @@ def grid_search(config, dataset, p_s=None):
     method = _METHOD_TABLE[config.method]
     best = None
     for eta in config.eta_grid:
-        state = method.prepare(*kernels_for(eta), config)
+        state = method.prepare(*_kernels_for_eta(config, dataset, eta), config)
         for mu in config.mu_grid:
             model = method.fit(state, fit_obs, mu, config, derive_seed(config.seed, 9003))
             est = method.predict(model)
@@ -535,8 +544,6 @@ def run_sweep(config, dataset):
     has several points the choice is made once per P_s by grid search.
     Fully reproducible from (config, seed).
     """
-    n, l = dataset.shape
-    kernels_for = _kernels_for_eta(config, dataset)
     method = _METHOD_TABLE[config.method]
     result = ExperimentResult(rows=[])
     for ps_idx, p_s in enumerate(config.ps_grid):
@@ -544,13 +551,10 @@ def run_sweep(config, dataset):
             mu, eta = config.mu_grid[0], config.eta_grid[0]
         else:
             mu, eta = grid_search(config, dataset, p_s=p_s)
-        state = method.prepare(*kernels_for(eta), config)
-        count = _sample_count(p_s, n, l)
+        state = method.prepare(*_kernels_for_eta(config, dataset, eta), config)
         for r in range(config.realizations):
-            sampling = uniform_sample(n, l, count,
-                                      derive_seed(config.seed, ps_idx, r, 0))
-            noise = replace(config.noise, seed=derive_seed(config.seed, ps_idx, r, 1))
-            obs = observe(dataset.f, sampling, noise)
+            obs = _draw(config, dataset, p_s, derive_seed(config.seed, ps_idx, r, 0),
+                        derive_seed(config.seed, ps_idx, r, 1))
             fit_seed = derive_seed(config.seed, ps_idx, r, 2)
             tic = time.perf_counter()
             est = method.predict(method.fit(state, obs, mu, config, fit_seed))
@@ -583,14 +587,11 @@ def run_online(config, dataset, stride=None):
     if stride is not None and stride < 1:
         raise InvalidInputError(f"stride must be at least 1, got {stride}")
     _require_one_point(config, "the online protocol")
-    n, l = dataset.shape
-    count = _sample_count(config.ps_grid[0], n, l)
-    sampling = uniform_sample(n, l, count, derive_seed(config.seed, 0, 0, 0))
-    noise = replace(config.noise, seed=derive_seed(config.seed, 0, 0, 1))
-    obs = observe(dataset.f, sampling, noise)
+    obs = _draw(config, dataset, config.ps_grid[0], derive_seed(config.seed, 0, 0, 0),
+                derive_seed(config.seed, 0, 0, 1))
+    count = len(obs.values)
     order = np.random.default_rng(derive_seed(config.seed, 0, 0, 2)).permutation(count)
-    kernels = _kernels_for_eta(config, dataset)(config.eta_grid[0])
-    state = method.prepare(*kernels, config)
+    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     trace = []
     elapsed = 0.0
     tic = time.perf_counter()

@@ -9,7 +9,6 @@ sweep (full protocol to CSV), online (streaming trace), gridsearch
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -18,7 +17,7 @@ from . import bench
 from .analysis import verify_theory
 from .errors import InvalidInputError, NumericalError, check_number
 from .kernels import KernelMatrix
-from .sampling import NoiseSpec, observe, uniform_sample
+from .sampling import NoiseSpec
 from .solvers import StepSchedule, save_model
 
 __all__ = ["parse_args", "main"]
@@ -77,6 +76,7 @@ def parse_args(argv):
     ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
         raise UsageError(f"a subcommand is required ({' | '.join(_SUBCOMMANDS)})")
+    check_number("--seed", ns.seed, "nonnegative")
     return ns
 
 
@@ -144,7 +144,11 @@ def _load_dataset(cfg, seed, eta=None):
     if cfg.get("synth", "0") not in ("1", "true", "yes"):
         f = bench.load_matrix_csv(_config_file(cfg, "f"))
         kx, ky = (_kernel_file(cfg, key) for key in ("kx", "ky"))
-        return bench.DatasetBundle(f, kx, ky, provenance={"generator": "files"})
+        try:
+            return bench.DatasetBundle(f, kx, ky)
+        except InvalidInputError as exc:
+            files = ", ".join(f"{key!r} ({cfg[key]})" for key in ("f", "kx", "ky"))
+            raise InvalidInputError(f"config keys {files}: {exc}") from exc
     if eta is None:
         eta = _option("eta", cfg, default=bench.ExperimentConfig.eta_grid)[0]
     return bench.generate_synthetic(
@@ -187,6 +191,7 @@ def _experiment(opts, **defaults):
     cfg = {**defaults, **parse_config(opts.config)}
     config = _config_from(cfg, opts)
     seed = _option("dataset_seed", cfg, default=opts.seed)
+    check_number("dataset_seed", seed, "nonnegative")
     return cfg, config, _load_dataset(cfg, seed, config.eta_grid[0])
 
 
@@ -203,18 +208,10 @@ def _cmd_synth(opts):
 def _cmd_fit(opts):
     check_number("--mu", opts.mu)
     cfg, config, dataset = _experiment(opts, method="kkmcex")
-    bench._require_one_point(config, "fit")
-    n, l = dataset.shape
-    if "obs" in cfg:
-        obs = bench.load_triplets_csv(_config_file(cfg, "obs"), n, l)
-    else:
-        count = bench._sample_count(config.ps_grid[0], n, l)
-        noise = replace(config.noise, seed=bench.derive_seed(opts.seed, 1))
-        obs = observe(dataset.f, uniform_sample(n, l, count, opts.seed), noise)
-    method = bench._METHOD_TABLE[config.method]
-    kernels = bench._kernels_for_eta(config, dataset)(config.eta_grid[0])
-    model = method.fit(method.prepare(*kernels, config), obs, opts.mu, config, opts.seed)
-    bench.save_matrix_csv(f"{opts.out}.pred.csv", method.predict(model))
+    obs = (bench.load_triplets_csv(_config_file(cfg, "obs"), *dataset.shape)
+           if "obs" in cfg else None)
+    model, estimate = bench.run_fit(config, dataset, opts.seed, obs)
+    bench.save_matrix_csv(f"{opts.out}.pred.csv", estimate)
     save_model(f"{opts.out}.model.csv", model)
     print(f"wrote {opts.out}.pred.csv {opts.out}.model.csv")
     return 0

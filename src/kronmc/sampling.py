@@ -7,6 +7,7 @@ selector, and every downstream object indexed by observations inherits it.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class SamplingSet:
         # a sort costs O(S log S) whatever the grid size; np.unique is far slower
         ordered = np.sort(vec0)
         if np.any(ordered[1:] == ordered[:-1]):
-            raise InvalidInputError("sampling entries must be distinct")
+            k = np.setdiff1d(np.arange(len(vec0)), np.unique(vec0, return_index=True)[1])[0]
+            raise InvalidInputError(f"sampling entries must be distinct: entry {k + 1}, "
+                                    f"({pairs[k, 0]}, {pairs[k, 1]}), repeats an earlier one")
         rows0.flags.writeable = cols0.flags.writeable = vec0.flags.writeable = False
         for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0)):
             object.__setattr__(self, name, value)
@@ -144,8 +147,8 @@ def uniform_sample(n_rows, n_cols, count, seed):
     The sampling order is the draw order; deterministic for a fixed seed.
     """
     total = n_rows * n_cols
-    if not 0 <= count <= total:
-        raise InvalidInputError(f"count must lie in 0..{total}, got {count}")
+    if not (isinstance(count, Integral) and 0 <= count <= total):
+        raise InvalidInputError(f"count must be an integer in 0..{total}, got {count}")
     rng = np.random.default_rng(seed)
     flat = rng.choice(total, size=count, replace=False)
     pairs = np.column_stack((flat % n_rows + 1, flat // n_rows + 1))

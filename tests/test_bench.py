@@ -14,10 +14,10 @@ from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     class_agreement_bundle, features_from_eig,
                     generate_synthetic, grid_search,
                     kkmcex_fit, kkmcex_predict, load_matrix_csv, nmse, observe,
-                    onehot_features, run_online, run_sweep, save_matrix_csv,
+                    onehot_features, run_fit, run_online, run_sweep, save_matrix_csv,
                     synthetic_categorical_table, synthetic_station_day_bundle,
                     uniform_sample)
-from kronmc.bench import derive_seed
+from kronmc.bench import METHODS, derive_seed
 
 from helpers import csv_round_trip
 
@@ -146,6 +146,14 @@ def test_experiment_config_validation():
     for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
         with pytest.raises(InvalidInputError, match=f"{name} must be at least 1, got 0"):
             ExperimentConfig(method="kkmcex", ps_grid=(10.0,), **{name: 0})
+
+
+def test_experiment_config_rejects_negative_seed_and_fractional_counts():
+    with pytest.raises(InvalidInputError, match="^seed must be nonnegative and finite, got -1$"):
+        ExperimentConfig(method="kkmcex", ps_grid=(10.0,), seed=-1)
+    for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got 2\.5$"):
+            ExperimentConfig(method="kkmcex", ps_grid=(10.0,), **{name: 2.5})
 
 
 def test_run_sweep_full_observation_recovers_synthetic():
@@ -303,6 +311,29 @@ def test_run_online_builds_the_kernels_at_the_config_eta():
                            feature_dim=4, epochs=1)
     run_online(cfg, replace(ds, kernel_builder=builder))
     assert built == [2.0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_fit_draws_its_observations_from_its_seed(method):
+    # sampling from the seed, noise from derive_seed(seed, 1), fit seeded by it
+    ds = generate_synthetic(8, 7, 0.3, 1.0, seed=8)
+    cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(1e-2,), rank=2,
+                           feature_dim=10, epochs=2, noise=NoiseSpec.target_snr(4.0))
+    obs = observe(ds.f, uniform_sample(8, 7, 28, 5),
+                  NoiseSpec.target_snr(4.0, seed=derive_seed(5, 1)))
+    model, est = run_fit(cfg, ds, 5)
+    assert model.mu == 1e-2 and est.shape == (8, 7)
+    assert np.array_equal(est, run_fit(cfg, ds, 5, obs)[1])
+    assert not np.array_equal(est, run_fit(cfg, ds, 6)[1])
+
+
+@pytest.mark.parametrize("key", ["ps", "mu", "eta"])
+def test_run_fit_rejects_a_grid_of_several_points(key):
+    ds = generate_synthetic(8, 8, 0.3, 1.0, seed=8)
+    cfg = replace(ExperimentConfig(method="kkmcex", ps_grid=(50.0,)),
+                  **{f"{key}_grid": (10.0, 50.0)})
+    with pytest.raises(InvalidInputError, match=f"^{key}: fit runs one grid point"):
+        run_fit(cfg, ds, 0)
 
 
 def test_run_online_rejects_stride_below_one():

@@ -446,7 +446,9 @@ def test_synthetic_dataset_runs_an_eta_grid(tmp_path, subcommand):
     # the data are drawn at the grid's first point, the builder's base eta
     f = bench.generate_synthetic(10, 8, 0.3, 1.0, 0).f
     dataset = _load_dataset(parse_config(cfg), 0)
-    assert np.array_equal(dataset.f, f) and dataset.provenance["eta"] == 1.0
+    assert np.array_equal(dataset.f, f)
+    for own, built in zip((dataset.kx, dataset.ky), dataset.kernel_builder(1.0)):
+        assert np.array_equal(own.matrix, built.matrix)
     if subcommand == "synth":
         assert np.array_equal(load_matrix_csv(tmp_path / "r.f.csv"), f)
 
@@ -565,6 +567,13 @@ _PROBE_BASE = "synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nps = 40\n"
     ("online", "method = orrmcex\nl = 1\n", [], "l must be at least 2, got 1"),
     ("sweep", "method = kkmcex\nrealizations = 0\n", [],
      "realizations must be at least 1, got 0"),
+    *((subcommand, "method = kkmcex\n" if subcommand != "synth" else "",
+       ["--seed", "-1", *(["--mu", "1e-3"] if subcommand == "fit" else [])],
+       "--seed must be nonnegative and finite, got -1")
+      for subcommand in ("fit", "sweep", "online", "gridsearch", "synth")),
+    ("verify", None, ["--seed", "-1"], "--seed must be nonnegative and finite, got -1"),
+    ("sweep", "method = kkmcex\ndataset_seed = -2\n", [],
+     "dataset_seed must be nonnegative and finite, got -2"),
 ])
 def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, flags, message):
     # each is rejected before any fit, naming its key or flag
@@ -577,6 +586,22 @@ def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, f
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr == f"kronmc: error: {message.format(cfg=cfg)}\n"
+    assert not any(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("subcommand,flags", [("sweep", []), ("fit", ["--mu", "1e-2"])])
+def test_size_mismatch_names_the_keys_and_files(tmp_path, capsys, subcommand, flags):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("f", "kx", "ky")}
+    bench.save_matrix_csv(paths["f"], np.ones((3, 4)))
+    for name in ("kx", "ky"):
+        bench.save_matrix_csv(paths[name], np.eye(3))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("method = kkmcex\n" + "".join(f"{name} = {path}\n"
+                                                  for name, path in paths.items()))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"kronmc: error: config keys 'f' ({paths['f']}), 'kx' ({paths['kx']}), "
+        f"'ky' ({paths['ky']}): matrix shape (3, 4) does not match kernel sides (3, 3)\n")
     assert not any(tmp_path.glob("r*"))
 
 

@@ -41,6 +41,11 @@ def test_uniform_sample_extremes():
         uniform_sample(3, 4, 13, seed=0)
 
 
+def test_uniform_sample_rejects_a_fractional_count():
+    with pytest.raises(InvalidInputError, match=r"^count must be an integer in 0\.\.25, got 2\.5$"):
+        uniform_sample(5, 5, 2.5, 0)
+
+
 def test_uniform_sample_deterministic():
     a = uniform_sample(6, 5, 10, seed=42)
     b = uniform_sample(6, 5, 10, seed=42)
@@ -211,7 +216,11 @@ def test_out_of_range_and_duplicate_entries_are_rejected(case, data):
         for entries in (tuple(repeated), np.array(repeated)):
             with pytest.raises(InvalidInputError) as info:
                 SamplingSet(n, l, entries)
-            assert str(info.value) == "sampling entries must be distinct"
+            # the first entry that repeats an earlier one, 1-based
+            k = next(k for k, p in enumerate(repeated) if p in repeated[:k])
+            assert str(info.value) == (
+                f"sampling entries must be distinct: entry {k + 1}, "
+                f"({repeated[k][0]}, {repeated[k][1]}), repeats an earlier one")
 
 
 @PROPERTY_SETTINGS
