@@ -11,14 +11,13 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _blas
 from .analysis import nmse
-from .errors import InvalidInputError, check_number
+from .errors import InvalidInputError, check_integer, check_number
 from .graphs import (Graph, build_laplacian, erdos_renyi, geodesic_distances,
                      heat_adjacency, knn_symmetric)
 from .kernels import (Diffusion, KroneckerKernel, _reject_non_finite,
@@ -61,9 +60,9 @@ def derive_seed(*parts):
 class DatasetBundle:
     """Ground truth matrix with its row/column kernels and optional features.
 
-    ``kernel_builder``, when present, builds (kx, ky) for a kernel parameter
-    eta, and every protocol takes its kernels from it, so an eta grid can be
-    swept; without one the bundle's own kernels are used as they are.
+    ``kernel_builder``, when present, gives (kx, ky) at a kernel parameter
+    eta, the bundle's own at the eta they were built at; every protocol
+    takes its kernels from it.  Without one the bundle's own are used.
     """
 
     f: np.ndarray
@@ -118,12 +117,8 @@ class ExperimentConfig:
             for point in getattr(self, f"{name}_grid"):
                 check_number(name, point)
         for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InvalidInputError(f"{name} must be at least 1, got {value}")
-        check_number("seed", self.seed, "nonnegative")
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         if not 0 < self.validation_fraction < 1:
             raise InvalidInputError(f"validation_fraction must lie strictly in (0, 1), "
                                     f"got {self.validation_fraction}")
@@ -163,32 +158,34 @@ def generate_synthetic(n, l, graph_p, eta, seed):
     G has iid standard Gaussian entries.  Deterministic for a fixed seed; the
     bundle carries a kernel builder so the diffusion weight can be re-swept.
     """
-    for name, value in (("n", n), ("l", l)):
-        if value < 2:
-            raise InvalidInputError(f"{name} must be at least 2, got {value}")
+    for name, value, least in (("n", n, 2), ("l", l, 2), ("seed", seed, 0)):
+        check_integer(name, value, least)
     if not 0 <= graph_p <= 1:
         raise InvalidInputError(f"graph_p must lie in [0, 1], got {graph_p}")
     rng = np.random.default_rng(seed)
     seed_x, seed_y = (int(s) for s in rng.integers(2**63, size=2))
-    builder = _diffusion_builder(build_laplacian(erdos_renyi(n, graph_p, seed_x)),
-                                 build_laplacian(erdos_renyi(l, graph_p, seed_y)))
-    kx, ky = builder(eta)
+    lap_x, lap_y = (build_laplacian(erdos_renyi(size, graph_p, side_seed))
+                    for size, side_seed in ((n, seed_x), (l, seed_y)))
+    (kx, ky), builder = _diffusion_builder(lap_x, lap_y, eta)
     gamma = rng.normal(size=(n, l))
     f = _blas.gemm(_blas.gemm(kx.matrix, gamma), ky.matrix)
     return DatasetBundle(f, kx, ky, kernel_builder=builder)
 
 
-def _diffusion_builder(lap_x, lap_y):
-    """Builder eta -> (kx, ky) of diffusion kernels on two fixed Laplacians."""
-    return lambda eta: (spectral_kernel(lap_x, Diffusion(eta)),
-                        spectral_kernel(lap_y, Diffusion(eta)))
+def _diffusion_builder(lap_x, lap_y, eta):
+    """The diffusion kernels (kx, ky) at ``eta`` on two fixed Laplacians, and
+    a builder eta' -> (kx, ky) on them that hands back those same kernels at
+    ``eta``, so a protocol at the bundle's own eta never rebuilds them."""
+    def build(at):
+        return tuple(spectral_kernel(lap, Diffusion(at)) for lap in (lap_x, lap_y))
+    own = build(eta)
+    return own, lambda at: own if at == eta else build(at)
 
 
 def band_graph(n, half_width):
     """Chain-like graph joining each vertex to its ``half_width`` neighbours
     on either side (unweighted)."""
-    if half_width < 0:
-        raise InvalidInputError("band half-width must be nonnegative")
+    check_integer("band half-width", half_width, 0)
     idx = np.arange(n)
     adj = (np.abs(idx[:, None] - idx[None, :]) <= half_width).astype(float)
     np.fill_diagonal(adj, 0.0)
@@ -206,9 +203,8 @@ def station_day_bundle(f, station_distances, k=8, day_band=10, eta=1.0):
     f = np.asarray(f, dtype=float)
     n, l = f.shape
     hops = geodesic_distances(knn_symmetric(station_distances, k))
-    builder = _diffusion_builder(build_laplacian(heat_adjacency(hops, n)),
-                                 build_laplacian(band_graph(l, day_band)))
-    kx, ky = builder(eta)
+    (kx, ky), builder = _diffusion_builder(build_laplacian(heat_adjacency(hops, n)),
+                                           build_laplacian(band_graph(l, day_band)), eta)
     return DatasetBundle(f, kx, ky, kernel_builder=builder)
 
 
@@ -219,6 +215,7 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
     Stations get random planar coordinates; the readings are drawn smooth
     against the recipe's own kernels so completion is meaningful.
     """
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     coords = rng.uniform(size=(n_stations, 2))
     diffs = coords[:, None, :] - coords[None, :, :]
@@ -240,6 +237,7 @@ def class_agreement_bundle(rows, labels, subsample=400, seed=0):
     elsewhere.  Items are subsampled to ``subsample`` (seeded) to keep the
     grid at desk scale.
     """
+    check_integer("seed", seed, 0)
     rows = list(rows)
     labels = list(labels)
     if len(rows) != len(labels):
@@ -264,6 +262,7 @@ def synthetic_categorical_table(n_rows=120, n_attrs=22, seed=0):
     Labels are a thresholded random linear score of the one-hot encoding,
     so attribute similarity is informative about label agreement.
     """
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 7, size=n_attrs)
     rows = [tuple(f"a{a}v{rng.integers(sizes[a])}" for a in range(n_attrs))
@@ -485,16 +484,17 @@ def _draw(config, dataset, p_s, sample_seed, noise_seed):
     return observe(dataset.f, sampling, replace(config.noise, seed=noise_seed))
 
 
-def run_fit(config, dataset, seed, obs=None):
-    """One fit at the config's single grid point, seeded by ``seed``: the
-    model and its N x L estimate.  Fits ``obs``, else draws the sampling
-    from ``seed`` and the noise from ``derive_seed(seed, 1)``."""
+def run_fit(config, dataset, obs=None):
+    """One fit at the config's single grid point, seeded by the config's
+    seed: the model and its N x L estimate.  Fits ``obs``, else draws the
+    sampling from the seed and the noise from ``derive_seed(seed, 1)``."""
     _require_one_point(config, "fit")
     if obs is None:
-        obs = _draw(config, dataset, config.ps_grid[0], seed, derive_seed(seed, 1))
+        obs = _draw(config, dataset, config.ps_grid[0], config.seed,
+                    derive_seed(config.seed, 1))
     method = _METHOD_TABLE[config.method]
     state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
-    model = method.fit(state, obs, config.mu_grid[0], config, seed)
+    model = method.fit(state, obs, config.mu_grid[0], config, config.seed)
     return model, method.predict(model)
 
 
@@ -584,8 +584,8 @@ def run_online(config, dataset, stride=None):
     if method.stream is None:
         online = " and ".join(name for name, m in _METHOD_TABLE.items() if m.stream)
         raise InvalidInputError(f"online protocol supports {online}, got {config.method!r}")
-    if stride is not None and stride < 1:
-        raise InvalidInputError(f"stride must be at least 1, got {stride}")
+    if stride is not None:
+        check_integer("stride", stride, 1)
     _require_one_point(config, "the online protocol")
     obs = _draw(config, dataset, config.ps_grid[0], derive_seed(config.seed, 0, 0, 0),
                 derive_seed(config.seed, 0, 0, 1))

@@ -210,7 +210,7 @@ def _cmd_fit(opts):
     cfg, config, dataset = _experiment(opts, method="kkmcex")
     obs = (bench.load_triplets_csv(_config_file(cfg, "obs"), *dataset.shape)
            if "obs" in cfg else None)
-    model, estimate = bench.run_fit(config, dataset, opts.seed, obs)
+    model, estimate = bench.run_fit(config, dataset, obs)
     bench.save_matrix_csv(f"{opts.out}.pred.csv", estimate)
     save_model(f"{opts.out}.model.csv", model)
     print(f"wrote {opts.out}.pred.csv {opts.out}.model.csv")

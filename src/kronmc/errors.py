@@ -1,4 +1,5 @@
 import math
+from numbers import Integral
 
 
 class InvalidInputError(ValueError):
@@ -17,3 +18,11 @@ def check_number(name, value, sign="positive"):
     if not (in_range and math.isfinite(value)):
         need = "finite" if sign == "any" else f"{sign} and finite"
         raise InvalidInputError(f"{name} must be {need}, got {value}")
+
+
+def check_integer(name, value, least):
+    """Raise an InvalidInputError naming ``name`` unless ``value`` is an integer >= least."""
+    if not isinstance(value, Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be at least {least}, got {value}")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from . import _blas
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .kernels import _reject_non_finite
 
 __all__ = [
@@ -86,8 +86,7 @@ def erdos_renyi(n, p, seed):
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"edge probability must lie in [0, 1], got {p}")
-    if n < 1:
-        raise InvalidInputError(f"need at least one vertex, got n={n}")
+    check_integer("vertex count n", n, 1)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < p, k=1)
     adj = (upper | upper.T).astype(float)

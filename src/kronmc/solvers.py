@@ -23,7 +23,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import _blas
-from .errors import InvalidInputError, NumericalError, check_number
+from .errors import InvalidInputError, NumericalError, check_integer, check_number
 from .kernels import kron_submatrix
 
 # relative residual tolerance tau of the closed-form CG solve, and the bound
@@ -528,8 +528,7 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     objective is non-increasing; an increase beyond 1e-10 signals a solver
     bug and raises.  Stops on relative objective decrease below ``rel_tol``.
     """
-    if p < 1:
-        raise InvalidInputError(f"rank bound must be at least 1, got {p}")
+    check_integer("rank bound", p, 1)
     _check_fit_inputs(obs, mu, (kx.side, ky.side))
     sampling = obs.sampling
     n, l = sampling.n_rows, sampling.n_cols
@@ -606,8 +605,7 @@ def factor_sgd_fit(obs, p, mu, schedule, epochs, seed):
     terms weighted by mu over the number of observations touching that row
     or column; updates follow the exact gradient of that summand.
     """
-    if p < 1:
-        raise InvalidInputError(f"rank bound must be at least 1, got {p}")
+    check_integer("rank bound", p, 1)
     orders = _seeded_orders(len(obs.values), epochs, seed)
     w, h = _factor_init(obs.sampling.n_rows, obs.sampling.n_cols, p, seed)
     return _factor_sgd_epochs(obs, w, h, mu, schedule, orders)

@@ -17,6 +17,7 @@ from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     onehot_features, run_fit, run_online, run_sweep, save_matrix_csv,
                     synthetic_categorical_table, synthetic_station_day_bundle,
                     uniform_sample)
+from kronmc import bench
 from kronmc.bench import METHODS, derive_seed
 
 from helpers import csv_round_trip
@@ -149,9 +150,9 @@ def test_experiment_config_validation():
 
 
 def test_experiment_config_rejects_negative_seed_and_fractional_counts():
-    with pytest.raises(InvalidInputError, match="^seed must be nonnegative and finite, got -1$"):
+    with pytest.raises(InvalidInputError, match="^seed must be at least 0, got -1$"):
         ExperimentConfig(method="kkmcex", ps_grid=(10.0,), seed=-1)
-    for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
+    for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters", "seed"):
         with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got 2\.5$"):
             ExperimentConfig(method="kkmcex", ps_grid=(10.0,), **{name: 2.5})
 
@@ -315,16 +316,16 @@ def test_run_online_builds_the_kernels_at_the_config_eta():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_run_fit_draws_its_observations_from_its_seed(method):
-    # sampling from the seed, noise from derive_seed(seed, 1), fit seeded by it
+    # sampling from the config's seed, noise from derive_seed(seed, 1), fit seeded by it
     ds = generate_synthetic(8, 7, 0.3, 1.0, seed=8)
     cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(1e-2,), rank=2,
                            feature_dim=10, epochs=2, noise=NoiseSpec.target_snr(4.0))
     obs = observe(ds.f, uniform_sample(8, 7, 28, 5),
                   NoiseSpec.target_snr(4.0, seed=derive_seed(5, 1)))
-    model, est = run_fit(cfg, ds, 5)
+    model, est = run_fit(replace(cfg, seed=5), ds)
     assert model.mu == 1e-2 and est.shape == (8, 7)
-    assert np.array_equal(est, run_fit(cfg, ds, 5, obs)[1])
-    assert not np.array_equal(est, run_fit(cfg, ds, 6)[1])
+    assert np.array_equal(est, run_fit(replace(cfg, seed=5), ds, obs)[1])
+    assert not np.array_equal(est, run_fit(replace(cfg, seed=6), ds)[1])
 
 
 @pytest.mark.parametrize("key", ["ps", "mu", "eta"])
@@ -333,7 +334,7 @@ def test_run_fit_rejects_a_grid_of_several_points(key):
     cfg = replace(ExperimentConfig(method="kkmcex", ps_grid=(50.0,)),
                   **{f"{key}_grid": (10.0, 50.0)})
     with pytest.raises(InvalidInputError, match=f"^{key}: fit runs one grid point"):
-        run_fit(cfg, ds, 0)
+        run_fit(cfg, ds)
 
 
 def test_run_online_rejects_stride_below_one():
@@ -376,6 +377,41 @@ def test_band_graph_structure():
     assert np.array_equal(adj, adj.T)
     assert np.all(np.diag(adj) == 0)
     assert band_graph(4, 0).adjacency.sum() == 0
+
+
+def test_bundle_recipes_reject_a_negative_or_fractional_seed():
+    table = synthetic_categorical_table(n_rows=10, n_attrs=3, seed=0)
+    recipes = (lambda seed: generate_synthetic(8, 8, 0.3, 1.0, seed),
+               lambda seed: synthetic_station_day_bundle(10, 12, k=3, seed=seed),
+               lambda seed: class_agreement_bundle(*table, subsample=5, seed=seed),
+               lambda seed: synthetic_categorical_table(n_rows=10, n_attrs=3, seed=seed))
+    for recipe in recipes:
+        with pytest.raises(InvalidInputError, match="^seed must be at least 0, got -2$"):
+            recipe(-2)
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 2\.5$"):
+            recipe(2.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_synthetic(8, 7, 0.3, 1.0, seed=8),
+    lambda: synthetic_station_day_bundle(n_stations=10, n_days=12, k=3, seed=1),
+])
+def test_kernel_builder_hands_back_the_bundles_own_kernels_at_its_eta(monkeypatch, make):
+    ds = make()
+    kx, ky = ds.kernel_builder(1.0)
+    assert kx is ds.kx and ky is ds.ky
+    built = []
+    spectral_kernel = bench.spectral_kernel
+    monkeypatch.setattr(bench, "spectral_kernel",
+                        lambda lap, family: built.append(family) or spectral_kernel(lap, family))
+    # no protocol at the bundle's own eta builds a kernel; another eta builds
+    # both sides once per P_s point
+    cfg = ExperimentConfig(method="kkmcex", ps_grid=(30.0, 60.0), mu_grid=(1e-2,))
+    run_sweep(cfg, ds)
+    run_fit(replace(cfg, ps_grid=(30.0,)), ds)
+    assert built == []
+    run_sweep(replace(cfg, eta_grid=(2.0,)), ds)
+    assert len(built) == 4
 
 
 def test_station_day_bundle_recipe_completes():
