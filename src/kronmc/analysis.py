@@ -287,7 +287,6 @@ def verify_theory(seed=0, instances=50, mc_instances=3, mc_draws=20000):
             "empirical_mse": report.empirical_mse,
             "bound": bound,
             "margin": eig_report.worst_margin,
-            "ok": bool(all(checks.values())),
         })
 
     # bias decay under full sampling: quartering per halving of mu

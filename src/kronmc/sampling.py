@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInputError, check_number
+from .errors import InvalidInputError, check_integer, check_number
 
 __all__ = [
     "SamplingSet",
@@ -57,6 +57,19 @@ class SamplingSet:
             k = np.setdiff1d(np.arange(len(vec0)), np.unique(vec0, return_index=True)[1])[0]
             raise InvalidInputError(f"sampling entries must be distinct: entry {k + 1}, "
                                     f"({pairs[k, 0]}, {pairs[k, 1]}), repeats an earlier one")
+        self._store(n_rows, n_cols, rows0, cols0, vec0)
+
+    @classmethod
+    def _from_vec0(cls, n_rows, n_cols, vec0):
+        """The set of 0-based column-major indices ``vec0``, an intp array
+        that the caller guarantees distinct and on the grid and hands over.
+        Nothing is checked, and no pair array is built."""
+        self = cls.__new__(cls)
+        cols0, rows0 = np.divmod(vec0, n_rows)
+        self._store(n_rows, n_cols, rows0, cols0, vec0)
+        return self
+
+    def _store(self, n_rows, n_cols, rows0, cols0, vec0):
         rows0.flags.writeable = cols0.flags.writeable = vec0.flags.writeable = False
         for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0)):
             object.__setattr__(self, name, value)
@@ -127,6 +140,7 @@ class NoiseSpec:
             check_number("nu_sq", self.nu_sq, "nonnegative")
         if self.mode == "target_snr":
             check_number("snr", self.snr)
+        check_integer("seed", self.seed, 0)
 
     @classmethod
     def none(cls):
@@ -146,13 +160,15 @@ def uniform_sample(n_rows, n_cols, count, seed):
 
     The sampling order is the draw order; deterministic for a fixed seed.
     """
+    check_integer("n_rows", n_rows, 1)
+    check_integer("n_cols", n_cols, 1)
+    check_integer("seed", seed, 0)
     total = n_rows * n_cols
     if not (isinstance(count, Integral) and 0 <= count <= total):
         raise InvalidInputError(f"count must be an integer in 0..{total}, got {count}")
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(total, size=count, replace=False)
-    pairs = np.column_stack((flat % n_rows + 1, flat // n_rows + 1))
-    return SamplingSet(n_rows, n_cols, pairs)
+    flat = np.random.default_rng(seed).choice(total, size=count, replace=False)
+    # distinct and on the grid by construction
+    return SamplingSet._from_vec0(n_rows, n_cols, flat.astype(np.intp, copy=False))
 
 
 def noise_matrix(f, noise):
@@ -177,13 +193,34 @@ def noise_matrix(f, noise):
 
 
 def observe(f, sampling, noise=NoiseSpec.none()):
-    """Sample ``f`` at the given positions after adding full-matrix noise."""
+    """Sample ``f`` at the given positions and add noise there.
+
+    In target-SNR mode the noise is rescaled so that the squared-Frobenius
+    signal-to-noise ratio of the whole grid matches the target exactly.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (sampling.n_rows, sampling.n_cols):
         raise InvalidInputError(
             f"matrix shape {f.shape} does not match sampling grid "
             f"{(sampling.n_rows, sampling.n_cols)}"
         )
-    noisy = f + noise_matrix(f, noise)
-    values = noisy[sampling.row_indices0, sampling.col_indices0]
-    return ObservationSet(sampling, values)
+    rows0, cols0 = sampling.row_indices0, sampling.col_indices0
+    # row-major flat positions: a flat take is twice as fast as f[rows0, cols0]
+    flat = rows0 * f.shape[1] + cols0
+    values = f.take(flat)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = np.argmax(bad)
+        raise InvalidInputError(
+            f"data matrix entry ({rows0[k] + 1}, {cols0[k] + 1}) is not finite")
+    if noise.mode == "none" or (noise.mode == "variance" and noise.nu_sq == 0.0):
+        return ObservationSet(sampling, values)
+    rng = np.random.default_rng(noise.seed)
+    if noise.mode == "variance":
+        e = rng.normal(scale=np.sqrt(noise.nu_sq), size=f.shape)
+        return ObservationSet(sampling, values + e.take(flat))
+    e = rng.normal(size=f.shape)
+    signal = np.sum(f**2)
+    check_number("target-snr signal sum(f**2)", signal)
+    scale = np.sqrt(signal / (noise.snr * np.sum(e**2)))
+    return ObservationSet(sampling, values + e.take(flat) * scale)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.stats import binom
 
 from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     KroneckerKernel, NoiseSpec, StepSchedule, band_graph,
@@ -212,16 +213,26 @@ def test_grid_search_singleton_grids_pass_through():
 
 
 def test_grid_search_recovers_planted_regularization():
-    # with snr=1 noise, a moderate ridge beats both extreme grid points
+    # With snr-1 noise a moderate ridge beats both extreme grid points, but
+    # not on every sampling.  Over seeds 0..199 the validation error picks
+    # mu = 1 on 183 seeds with noise drawn over the whole grid and on 180
+    # with noise drawn at the sampled cells only: a per-seed rate of 0.9.
+    # Under Binomial(200, 0.9), fewer than binom.ppf(1e-3, 200, 0.9) = 166
+    # hits has probability 7.8e-4, so the bound does not rest on which
+    # seeds are run.  Measured margin: 180 - 166 = 14 hits.  A search that
+    # keeps the largest validation error never picks mu = 1 here, and one
+    # that picks at random reaches 166 of 200 with probability 2e-48.
+    seeds = 200
+    bound = int(binom.ppf(1e-3, seeds, 0.9))
     ds = generate_synthetic(12, 12, 0.25, 1.0, seed=0)
     hits = 0
-    for seed in range(20):
+    for seed in range(seeds):
         cfg = ExperimentConfig(method="kkmcex", ps_grid=(50.0,),
                                mu_grid=(1e-8, 1.0, 1e6),
                                noise=NoiseSpec.target_snr(1.0), seed=seed)
         mu, _ = grid_search(cfg, ds)
         hits += mu == 1.0
-    assert hits >= 18
+    assert hits >= bound
 
 
 def test_grid_search_validation_fraction_errors():

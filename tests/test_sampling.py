@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,44 @@ def test_uniform_sample_extremes():
 def test_uniform_sample_rejects_a_fractional_count():
     with pytest.raises(InvalidInputError, match=r"^count must be an integer in 0\.\.25, got 2\.5$"):
         uniform_sample(5, 5, 2.5, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: uniform_sample(2.5, 2, 1, 0), "n_rows must be an integer, got 2.5"),
+    (lambda: uniform_sample(-2, 3, 0, 1), "n_rows must be at least 1, got -2"),
+    (lambda: uniform_sample(3, "4", 1, 0), "n_cols must be an integer, got '4'"),
+    (lambda: uniform_sample(3, 0, 0, 0), "n_cols must be at least 1, got 0"),
+    (lambda: uniform_sample(3, 4, 1, -1), "seed must be at least 0, got -1"),
+    (lambda: uniform_sample(3, 4, 1, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: NoiseSpec.variance(0.1, seed=-1), "seed must be at least 0, got -1"),
+    (lambda: NoiseSpec.target_snr(1.0, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: NoiseSpec(seed=None), "seed must be an integer, got None")])
+def test_sampling_boundary_names_the_bad_argument(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.variance(0.5, seed=1),
+                                   NoiseSpec.target_snr(2.0, seed=1)])
+def test_observe_rejects_a_non_finite_sampled_entry(noise):
+    f = np.ones((4, 3))
+    s = SamplingSet(4, 3, ((1, 1), (3, 2), (2, 3)))
+    for value in (np.nan, np.inf):
+        f[2, 1] = value
+        with pytest.raises(InvalidInputError,
+                           match=r"^data matrix entry \(3, 2\) is not finite$"):
+            observe(f, s, noise)
+
+
+def test_target_snr_needs_a_finite_nonzero_signal():
+    s = SamplingSet(4, 3, ((1, 1), (2, 3)))
+    f = np.ones((4, 3))
+    f[3, 0] = np.nan  # not sampled, but the signal reads every cell
+    for bad, got in ((f, "nan"), (np.zeros((4, 3)), "0.0")):
+        with pytest.raises(InvalidInputError, match=rf"signal sum\(f\*\*2\) .*got {got}$"):
+            observe(bad, s, NoiseSpec.target_snr(1.0))
+    # noise drawn at the sampled cells only never reads the unsampled NaN
+    assert np.array_equal(observe(f, s, NoiseSpec.none()).values, [1.0, 1.0])
 
 
 def test_uniform_sample_deterministic():
@@ -234,3 +274,28 @@ def test_triplet_csv_round_trip(case, data):
     assert loaded.sampling == obs.sampling
     assert np.array_equal(loaded.values, obs.values)
     assert np.array_equal(np.signbit(loaded.values), np.signbit(obs.values))
+
+
+def _assert_same_set(fast, checked):
+    assert fast == checked and len(fast) == len(checked)
+    for name in ("row_indices0", "col_indices0", "vec_indices0"):
+        got, want = getattr(fast, name), getattr(checked, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype == np.intp
+        assert not got.flags.writeable and not want.flags.writeable
+
+
+@PROPERTY_SETTINGS
+@given(samplings())
+def test_unchecked_constructor_builds_the_checked_set(case):
+    n, l, pairs = case
+    vec0 = np.array([(j - 1) * n + i - 1 for i, j in pairs], dtype=np.intp)
+    _assert_same_set(SamplingSet._from_vec0(n, l, vec0), SamplingSet(n, l, pairs))
+
+
+@pytest.mark.parametrize("n,l,count", [(7, 5, 0), (7, 5, 35), (1, 1, 1), (30, 20, 111)])
+def test_uniform_sample_equals_the_checked_set_of_its_pairs(n, l, count):
+    s = uniform_sample(n, l, count, seed=count)
+    pairs = np.column_stack((s.row_indices0 + 1, s.col_indices0 + 1))
+    _assert_same_set(s, SamplingSet(n, l, pairs))
+    if count == n * l:
+        assert sorted(s.vec_indices0.tolist()) == list(range(n * l))
