@@ -11,6 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _blas
 from .errors import InvalidInputError, check_integer, check_number
 
 __all__ = [
@@ -126,7 +127,14 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian noise: disabled, fixed variance, or an exact SNR target."""
+    """Additive Gaussian noise at the observed entries: disabled, iid with a
+    fixed variance ``nu_sq``, or iid rescaled to an exact SNR target.
+
+    In ``target_snr`` mode the S draws of one observation are rescaled so
+    that their mean square equals ||F||^2 / (snr N L): the signal-to-noise
+    ratio holds exactly per observed entry, and over the whole N x L grid
+    only in expectation.  ``seed`` seeds the draw.
+    """
 
     mode: str = "none"
     nu_sq: float = 0.0
@@ -171,32 +179,13 @@ def uniform_sample(n_rows, n_cols, count, seed):
     return SamplingSet._from_vec0(n_rows, n_cols, flat.astype(np.intp, copy=False))
 
 
-def noise_matrix(f, noise):
-    """Full-size noise realization for ``f`` under ``noise``.
-
-    In target-SNR mode the draw is rescaled so that the squared-Frobenius
-    signal-to-noise ratio matches the target exactly.
-    """
-    f = np.asarray(f, dtype=float)
-    if noise.mode == "none":
-        return np.zeros_like(f)
-    rng = np.random.default_rng(noise.seed)
-    if noise.mode == "variance":
-        if noise.nu_sq == 0.0:
-            return np.zeros_like(f)
-        return rng.normal(scale=np.sqrt(noise.nu_sq), size=f.shape)
-    e = rng.normal(size=f.shape)
-    signal = np.sum(f**2)
-    if signal == 0:
-        raise InvalidInputError("target-snr noise undefined for an all-zero matrix")
-    return e * np.sqrt(signal / (noise.snr * np.sum(e**2)))
-
-
 def observe(f, sampling, noise=NoiseSpec.none()):
     """Sample ``f`` at the given positions and add noise there.
 
-    In target-SNR mode the noise is rescaled so that the squared-Frobenius
-    signal-to-noise ratio of the whole grid matches the target exactly.
+    The noise is drawn at the S sampled cells only, in sampling order, so
+    observing costs O(S) draws.  In target-SNR mode the S draws are rescaled
+    so that their mean square is exactly ||F||^2 / (snr N L): the SNR holds
+    exactly per observed entry, and over the whole grid in expectation.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (sampling.n_rows, sampling.n_cols):
@@ -206,21 +195,23 @@ def observe(f, sampling, noise=NoiseSpec.none()):
         )
     rows0, cols0 = sampling.row_indices0, sampling.col_indices0
     # row-major flat positions: a flat take is twice as fast as f[rows0, cols0]
-    flat = rows0 * f.shape[1] + cols0
-    values = f.take(flat)
+    values = f.take(rows0 * f.shape[1] + cols0)
     bad = ~np.isfinite(values)
     if bad.any():
         k = np.argmax(bad)
         raise InvalidInputError(
             f"data matrix entry ({rows0[k] + 1}, {cols0[k] + 1}) is not finite")
-    if noise.mode == "none" or (noise.mode == "variance" and noise.nu_sq == 0.0):
+    if noise.mode == "target_snr":
+        cells = f.ravel(order="K")
+        signal = _blas.dot(cells, cells)
+        check_number("target-snr signal sum(f**2)", signal)
+    if (noise.mode == "none" or (noise.mode == "variance" and noise.nu_sq == 0.0)
+            or len(values) == 0):
         return ObservationSet(sampling, values)
     rng = np.random.default_rng(noise.seed)
     if noise.mode == "variance":
-        e = rng.normal(scale=np.sqrt(noise.nu_sq), size=f.shape)
-        return ObservationSet(sampling, values + e.take(flat))
-    e = rng.normal(size=f.shape)
-    signal = np.sum(f**2)
-    check_number("target-snr signal sum(f**2)", signal)
-    scale = np.sqrt(signal / (noise.snr * np.sum(e**2)))
-    return ObservationSet(sampling, values + e.take(flat) * scale)
+        return ObservationSet(
+            sampling, values + rng.normal(scale=np.sqrt(noise.nu_sq), size=len(values)))
+    e = rng.normal(size=len(values))
+    scale = np.sqrt(signal * len(e) / (noise.snr * f.size * np.sum(e**2)))
+    return ObservationSet(sampling, values + e * scale)

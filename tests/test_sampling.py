@@ -117,15 +117,15 @@ def test_observe_noiseless_is_exact_restriction():
 
 
 def test_observe_hits_exact_target_snr():
+    # the noise at the S observed entries has mean square ||F||^2 / (snr N L)
     rng = np.random.default_rng(3)
-    f = rng.normal(size=(6, 6))
-    s = uniform_sample(6, 6, 36, seed=0)
-    from kronmc.sampling import noise_matrix
-
-    e = noise_matrix(f, NoiseSpec.target_snr(1.0, seed=9))
-    assert abs(np.sum(f**2) / np.sum(e**2) - 1.0) <= 1e-12
-    obs = observe(f, s, NoiseSpec.target_snr(1.0, seed=9))
-    assert np.allclose(np.sort(obs.values), np.sort((f + e).ravel(order="F")))
+    f = rng.normal(size=(6, 7))
+    for count in (1, 20, 42):
+        s = uniform_sample(6, 7, count, seed=count)
+        for snr in (0.5, 1.0, 4.0):
+            obs = observe(f, s, NoiseSpec.target_snr(snr, seed=9))
+            e = obs.values - f[s.row_indices0, s.col_indices0]
+            assert abs(np.mean(e**2) / (np.sum(f**2) / (snr * f.size)) - 1.0) <= 1e-12
 
 
 def test_observe_shape_mismatch():
