@@ -50,27 +50,25 @@ class SamplingSet:
         if outside.any():
             i, j = pairs[np.argmax(outside)]
             raise InvalidInputError(f"entry ({i}, {j}) outside {n_rows} x {n_cols} grid")
-        rows0, cols0 = rows - 1, cols - 1
-        vec0 = cols0 * n_rows + rows0
+        vec0 = (cols - 1) * n_rows + rows - 1
         # a sort costs O(S log S) whatever the grid size; np.unique is far slower
         ordered = np.sort(vec0)
         if np.any(ordered[1:] == ordered[:-1]):
             k = np.setdiff1d(np.arange(len(vec0)), np.unique(vec0, return_index=True)[1])[0]
             raise InvalidInputError(f"sampling entries must be distinct: entry {k + 1}, "
                                     f"({pairs[k, 0]}, {pairs[k, 1]}), repeats an earlier one")
-        self._store(n_rows, n_cols, rows0, cols0, vec0)
+        self._store(n_rows, n_cols, vec0)
 
     @classmethod
     def _from_vec0(cls, n_rows, n_cols, vec0):
         """The set of 0-based column-major indices ``vec0``, an intp array
-        that the caller guarantees distinct and on the grid and hands over.
-        Nothing is checked, and no pair array is built."""
+        the caller hands over, distinct and on the grid; nothing is checked."""
         self = cls.__new__(cls)
-        cols0, rows0 = np.divmod(vec0, n_rows)
-        self._store(n_rows, n_cols, rows0, cols0, vec0)
+        self._store(n_rows, n_cols, vec0)
         return self
 
-    def _store(self, n_rows, n_cols, rows0, cols0, vec0):
+    def _store(self, n_rows, n_cols, vec0):
+        cols0, rows0 = np.divmod(vec0, n_rows)
         rows0.flags.writeable = cols0.flags.writeable = vec0.flags.writeable = False
         for name, value in zip(self.__slots__, (n_rows, n_cols, rows0, cols0, vec0)):
             object.__setattr__(self, name, value)
@@ -127,14 +125,9 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive Gaussian noise at the observed entries: disabled, iid with a
-    fixed variance ``nu_sq``, or iid rescaled to an exact SNR target.
-
-    In ``target_snr`` mode the S draws of one observation are rescaled so
-    that their mean square equals ||F||^2 / (snr N L): the signal-to-noise
-    ratio holds exactly per observed entry, and over the whole N x L grid
-    only in expectation.  ``seed`` seeds the draw.
-    """
+    """Additive iid Gaussian noise at the observed entries: disabled, of
+    variance ``nu_sq``, or rescaled to an exact SNR target per observed
+    entry (over the whole grid it holds in expectation; see ``observe``)."""
 
     mode: str = "none"
     nu_sq: float = 0.0
@@ -180,13 +173,9 @@ def uniform_sample(n_rows, n_cols, count, seed):
 
 
 def observe(f, sampling, noise=NoiseSpec.none()):
-    """Sample ``f`` at the given positions and add noise there.
-
-    The noise is drawn at the S sampled cells only, in sampling order, so
-    observing costs O(S) draws.  In target-SNR mode the S draws are rescaled
-    so that their mean square is exactly ||F||^2 / (snr N L): the SNR holds
-    exactly per observed entry, and over the whole grid in expectation.
-    """
+    """Sample ``f`` at the given positions and add noise drawn there only,
+    in sampling order.  In target-SNR mode the S draws are rescaled so that
+    their mean square is exactly ||F||^2 / (snr N L)."""
     f = np.asarray(f, dtype=float)
     if f.shape != (sampling.n_rows, sampling.n_cols):
         raise InvalidInputError(
@@ -201,17 +190,15 @@ def observe(f, sampling, noise=NoiseSpec.none()):
         k = np.argmax(bad)
         raise InvalidInputError(
             f"data matrix entry ({rows0[k] + 1}, {cols0[k] + 1}) is not finite")
-    if noise.mode == "target_snr":
-        cells = f.ravel(order="K")
-        signal = _blas.dot(cells, cells)
-        check_number("target-snr signal sum(f**2)", signal)
-    if (noise.mode == "none" or (noise.mode == "variance" and noise.nu_sq == 0.0)
-            or len(values) == 0):
+    if noise.mode == "none" or len(values) == 0:
         return ObservationSet(sampling, values)
     rng = np.random.default_rng(noise.seed)
     if noise.mode == "variance":
         return ObservationSet(
             sampling, values + rng.normal(scale=np.sqrt(noise.nu_sq), size=len(values)))
+    cells = f.ravel(order="K")
+    signal = _blas.dot(cells, cells)
+    check_number("target-snr signal sum(f**2)", signal)
     e = rng.normal(size=len(values))
     scale = np.sqrt(signal * len(e) / (noise.snr * f.size * np.sum(e**2)))
     return ObservationSet(sampling, values + e * scale)

@@ -257,8 +257,8 @@ def test_criterion_6_synthetic_replication_at_paper_scale(bundle250, noisy_kk_nm
 
     KKMCEX fits with Ky kron Kx rather than the ensemble's C, and the bundle
     is a single draw of F, so it sits above the floor.  Measured on this
-    bundle: 0.158 against 0.107 noiseless (1.48x) and 0.272 against 0.225 at
-    snr 1 (1.21x); per realization 1.24-1.95x and 0.92-1.47x.  A factor of 2
+    bundle: 0.158 against 0.107 noiseless (1.48x) and 0.270 against 0.225 at
+    snr 1 (1.20x); per realization 1.24-1.95x and 0.92-1.42x.  A factor of 2
     covers those ratios.  KKMCEX with an identity column kernel measures
     0.293 noiseless (2.75x) and 0.544 at snr 1 (2.42x), and fails.
 
