@@ -297,5 +297,3 @@ def test_uniform_sample_equals_the_checked_set_of_its_pairs(n, l, count):
     s = uniform_sample(n, l, count, seed=count)
     pairs = np.column_stack((s.row_indices0 + 1, s.col_indices0 + 1))
     _assert_same_set(s, SamplingSet(n, l, pairs))
-    if count == n * l:
-        assert sorted(s.vec_indices0.tolist()) == list(range(n * l))
