@@ -8,8 +8,7 @@ domination it rests on.
 
 import numpy as np
 
-from kronmc import (bound_inputs, eig_bound_check,
-                    linear_kernel, mse_bound, mse_decomposition,
+from kronmc import (eig_bound_check, linear_kernel, mse_bound, mse_decomposition,
                     regularized_nystrom, uniform_sample)
 
 rng = np.random.default_rng(42)
@@ -29,7 +28,7 @@ print(f"exact MSE         : {report.total:.6f}")
 print(f"Monte-Carlo MSE   : {report.empirical_mse:.6f}  "
       f"(+/- {report.std_error:.6f} over {report.n_draws} draws)")
 
-bound = mse_bound(bound_inputs(kz, sampling, gamma, mu, nu_sq))
+bound = mse_bound(kz, sampling, gamma, mu, nu_sq)
 print(f"spectral bound    : {bound:.4f}  (covers the exact MSE: "
       f"{report.total <= bound})")
 

@@ -10,9 +10,8 @@ row-wise SGD factorization baselines are included, together with numerical
 verification of the estimator's bias/variance theory.
 """
 
-from .analysis import (BoundInputs, EigBoundReport, MseReport, bound_inputs,
-                       eig_bound_check, gamma_tilde, mse_bound,
-                       mse_decomposition, nmse, regularized_nystrom,
+from .analysis import (EigBoundReport, MseReport, eig_bound_check, gamma_tilde,
+                       mse_bound, mse_decomposition, nmse, regularized_nystrom,
                        verify_theory)
 from .bench import (DatasetBundle, ExperimentConfig, ExperimentResult,
                     band_graph, class_agreement_bundle, generate_synthetic,

@@ -411,6 +411,10 @@ class _Method(NamedTuple):
 
 
 def _features(kx, ky, config):
+    nl = kx.side * ky.side
+    if config.feature_dim > nl:
+        raise InvalidInputError(f"dim: feature dimension must lie in 1..{nl} (N*L), "
+                                f"got {config.feature_dim}")
     return features_from_eig(kx, ky, config.feature_dim)
 
 
@@ -489,11 +493,11 @@ def run_fit(config, dataset, obs=None):
     seed: the model and its N x L estimate.  Fits ``obs``, else draws the
     sampling from the seed and the noise from ``derive_seed(seed, 1)``."""
     _require_one_point(config, "fit")
+    method = _METHOD_TABLE[config.method]
+    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     if obs is None:
         obs = _draw(config, dataset, config.ps_grid[0], config.seed,
                     derive_seed(config.seed, 1))
-    method = _METHOD_TABLE[config.method]
-    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     model = method.fit(state, obs, config.mu_grid[0], config, config.seed)
     return model, method.predict(model)
 
@@ -507,6 +511,9 @@ def grid_search(config, dataset, p_s=None):
     """
     if p_s is None:
         p_s = config.ps_grid[0]
+    method = _METHOD_TABLE[config.method]
+    states = [(eta, method.prepare(*_kernels_for_eta(config, dataset, eta), config))
+              for eta in config.eta_grid]
     obs = _draw(config, dataset, p_s, derive_seed(config.seed, 9001),
                 derive_seed(config.seed, 9002))
     count = len(obs.values)
@@ -524,10 +531,8 @@ def grid_search(config, dataset, p_s=None):
     if val_norm == 0:
         raise InvalidInputError("validation values are all zero; score undefined")
 
-    method = _METHOD_TABLE[config.method]
     best = None
-    for eta in config.eta_grid:
-        state = method.prepare(*_kernels_for_eta(config, dataset, eta), config)
+    for eta, state in states:
         for mu in config.mu_grid:
             model = method.fit(state, fit_obs, mu, config, derive_seed(config.seed, 9003))
             est = method.predict(model)
@@ -587,11 +592,11 @@ def run_online(config, dataset, stride=None):
     if stride is not None:
         check_integer("stride", stride, 1)
     _require_one_point(config, "the online protocol")
+    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     obs = _draw(config, dataset, config.ps_grid[0], derive_seed(config.seed, 0, 0, 0),
                 derive_seed(config.seed, 0, 0, 1))
     count = len(obs.values)
     order = np.random.default_rng(derive_seed(config.seed, 0, 0, 2)).permutation(count)
-    state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     trace = []
     elapsed = 0.0
     tic = time.perf_counter()

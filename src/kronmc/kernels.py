@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _blas
-from .errors import InvalidInputError, NumericalError, check_number
+from .errors import InvalidInputError, NumericalError, check_integer, check_number
 
 __all__ = [
     "KernelMatrix",
@@ -301,7 +301,9 @@ class FeatureMap:
 
     def row(self, i, j):
         """Feature vector of grid entry (i, j), 1-based."""
-        if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols):
+        check_integer("i", i, 1)
+        check_integer("j", j, 1)
+        if i > self.n_rows or j > self.n_cols:
             raise InvalidInputError(
                 f"entry ({i}, {j}) outside {self.n_rows} x {self.n_cols} grid")
         return self.rows(i - 1, j - 1)
@@ -319,23 +321,17 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
     return order % n_rows, order // n_rows, products[order]
 
 
-def _factored_map(ux, a, uy, b, w, d):
-    """Feature map whose column c < len(w) is ux[:, a[c]] * w[c] kron
-    uy[:, b[c]], and zero beyond.
+def _factored_map(ux, a, uy, b, w):
+    """Feature map whose column c is ux[:, a[c]] * w[c] kron uy[:, b[c]].
 
     It keeps the factorization as ``_factors = (ux, ia, uy, ib, w)``: ``ux``
     and ``uy`` hold only the distinct basis columns, and ``ia`` and ``ib``
-    index them, so x[:, :len(w)] = ux[:, ia] * w and y[:, :len(w)] =
-    uy[:, ib] exactly.
+    index them, so x = ux[:, ia] * w and y = uy[:, ib] exactly.
     """
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     ux, uy = ux[:, ua], uy[:, ub]
-    k = len(w)
-    x, y = np.zeros((ux.shape[0], d)), np.zeros((uy.shape[0], d))
-    x[:, :k] = ux[:, ia] * w
-    y[:, :k] = uy[:, ib]
-    return FeatureMap(x, y, _factors=(ux, ia, uy, ib, w))
+    return FeatureMap(ux[:, ia] * w, uy[:, ib], _factors=(ux, ia, uy, ib, w))
 
 
 def features_from_eig(kx, ky, d):
@@ -351,7 +347,7 @@ def features_from_eig(kx, ky, d):
     sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
     sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
     a, b, products = _ranked_pairs(sx, sy, n, d)
-    return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)), d)
+    return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)))
 
 
 def features_from_svd(x, y, d):
@@ -360,20 +356,19 @@ def features_from_svd(x, y, d):
     Approximates the column space of the Kronecker product of ``y`` and ``x``
     (rows of ``x`` index grid rows, rows of ``y`` grid columns).  Column c is
     the paired singular value times the Kronecker product of the paired left
-    singular vectors; requests beyond the available spectrum yield zero columns.
+    singular vectors.  d is at most the number of products ranked,
+    min(N, tx) min(L, ty) for an N x tx ``x`` and an L x ty ``y``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, tx = x.shape
-    l, ty = y.shape
-    if not 1 <= d <= min(n * l, tx * ty):
-        raise InvalidInputError(
-            f"feature dimension must lie in 1..{min(n * l, tx * ty)}, got {d}"
-        )
+    (n, tx), (l, ty) = x.shape, y.shape
+    ranked = min(n, tx) * min(l, ty)
+    if not 1 <= d <= ranked:
+        raise InvalidInputError(f"feature dimension d must lie in 1..{ranked} "
+                                f"(min(N, tx) min(L, ty)), got {d}")
     _reject_non_finite(x, "row feature matrix")
     _reject_non_finite(y, "column feature matrix")
     ux, dx, _ = scipy.linalg.svd(x, full_matrices=False, check_finite=False)
     uy, dy, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
-    avail = len(dx) * len(dy)
-    a, b, products = _ranked_pairs(dx, dy, len(dx), min(d, avail))
-    return _factored_map(ux, a, uy, b, products, d)
+    a, b, products = _ranked_pairs(dx, dy, len(dx), d)
+    return _factored_map(ux, a, uy, b, products)

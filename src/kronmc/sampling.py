@@ -82,9 +82,6 @@ class SamplingSet:
         return ((self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
                 and np.array_equal(self._vec0, other._vec0))
 
-    def __hash__(self):
-        return hash((self.n_rows, self.n_cols, self._vec0.tobytes()))
-
     def __repr__(self):
         return f"SamplingSet(n_rows={self.n_rows}, n_cols={self.n_cols}, S={len(self)})"
 

@@ -329,16 +329,13 @@ def _grouped_gram(features, rows0, cols0, values):
     of the two groups is Z_a^T diag(c) Z_a', Z_a = (y * w)[:, group a], one
     product over the L grid columns.  The right-hand side of group a is
     Z_a^T times the bincount of ux[i, a] m.  The column side pairs the same
-    way with Z_b = x[:, group b].  Features beyond len(w) are zero, and so
-    are their Gram rows.
+    way with Z_b = x[:, group b].
     """
     on_cols, basis, groups, other = _pairing(features)
-    w = features._factors[4]
-    k = len(w)
     if on_cols:
-        pair0, other0, z = cols0, rows0, features.x[:, :k]
+        pair0, other0, z = cols0, rows0, features.x
     else:
-        pair0, other0, z = rows0, cols0, features.y[:, :k] * w
+        pair0, other0, z = rows0, cols0, features.y * features._factors[4]
     basis_rows = np.ascontiguousarray(basis.T)
     members = [np.flatnonzero(groups == g) for g in range(basis.shape[1])]
     d = features.dim
@@ -432,8 +429,8 @@ def orrmcex_step(model, i, j, m, t, mu):
 
 def _seeded_orders(count, epochs, seed):
     """``epochs`` fresh seeded permutations of range(count), drawn lazily."""
-    if epochs < 0:
-        raise InvalidInputError(f"epochs must be nonnegative, got {epochs}")
+    check_integer("epochs", epochs, 0)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return (rng.permutation(count) for _ in range(epochs))
 
@@ -443,6 +440,8 @@ def _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook=None,
     """ORRMCEX from xi = 0, visiting the observations in each order of
     ``orders`` in turn (one per epoch); ``eval_hook`` as in orrmcex_run."""
     _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
+    if eval_every is not None:
+        check_integer("eval_every", eval_every, 1)
     s = obs.sampling
     values = obs.values
     xi = np.zeros(features.dim)
@@ -475,6 +474,7 @@ def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
 
 
 def _factor_init(n, l, p, seed):
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(p)
     return rng.normal(scale=scale, size=(n, p)), rng.normal(scale=scale, size=(l, p))
@@ -521,28 +521,27 @@ def _als_half_step(m_vals, own_idx, other_idx, other, n_own, p, mu, kinv):
 
 
 def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
-            init_w=None, init_h=None, return_objectives=False):
-    """Alternating exact minimization of the kernel-regularized factorization.
+            return_objectives=False):
+    """Alternating exact minimization of the kernel-regularized factorization,
+    from the factors _factor_init draws from ``seed``.
 
     Each half step solves its coupled normal equations exactly, so the
     objective is non-increasing; an increase beyond 1e-10 signals a solver
-    bug and raises.  Stops on relative objective decrease below ``rel_tol``.
+    bug and raises.  Stops on relative objective decrease below ``rel_tol``
+    or after ``max_iters`` pairs of half steps.
     """
     check_integer("rank bound", p, 1)
+    check_integer("max_iters", max_iters, 1)
+    check_number("rel_tol", rel_tol, "nonnegative")
     _check_fit_inputs(obs, mu, (kx.side, ky.side))
     sampling = obs.sampling
     n, l = sampling.n_rows, sampling.n_cols
+    w, h = _factor_init(n, l, p, seed)
     kxinv = _kernel_inverse(kx, "row")
     kyinv = _kernel_inverse(ky, "column")
     rows = sampling.row_indices0
     cols = sampling.col_indices0
     m_vals = obs.values
-
-    if init_w is None or init_h is None:
-        w, h = _factor_init(n, l, p, seed)
-    else:
-        w, h = np.array(init_w, dtype=float), np.array(init_h, dtype=float)
-
     objectives = [_als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)]
     for _ in range(max_iters):
         w = _als_half_step(m_vals, rows, cols, h, n, p, mu, kxinv)
@@ -557,9 +556,7 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
         if prev - obj < rel_tol * max(abs(prev), 1e-30):
             break
     model = FactorModel(w, h, mu)
-    if return_objectives:
-        return model, objectives
-    return model
+    return (model, objectives) if return_objectives else model
 
 
 def _factor_sgd_update(w, h, i, j, m, t, reg_w, reg_h):

@@ -169,7 +169,7 @@ def test_criterion_3_bias_variance_split_matches_monte_carlo():
 def test_criterion_4_bound_and_eigen_domination_hold():
     """Decomposition total stays under the spectral bound; sorted eigenvalues
     of the residual kernel stay under the diagonal bound."""
-    from kronmc import bound_inputs, eig_bound_check, mse_bound, mse_decomposition
+    from kronmc import eig_bound_check, mse_bound, mse_decomposition
 
     rng = np.random.default_rng(104)
     tic = time.perf_counter()
@@ -187,10 +187,10 @@ def test_criterion_4_bound_and_eigen_domination_hold():
         mu = float(10.0 ** rng.uniform(-3, 1))
         nu_sq = float(rng.choice([0.0, 0.1, 0.25]))
         total = mse_decomposition(kz, sampling, gamma, mu, nu_sq).total
-        bound = mse_bound(bound_inputs(kz, sampling, gamma, mu, nu_sq))
+        bound = mse_bound(kz, sampling, gamma, mu, nu_sq)
         if total > bound * (1 + 1e-10) + 1e-12:
             violations += 1
-        if not eig_bound_check(kz, sampling, mu, slack=1e-10).passed:
+        if not eig_bound_check(kz, sampling, mu).passed:
             violations += 1
     elapsed = time.perf_counter() - tic
     ok = violations == 0 and elapsed < 60.0
@@ -528,8 +528,8 @@ def test_criterion_11_alternating_minimization_correctness():
     obs = observe(f, sampling)
     w0, h0 = _factor_init(n, l, p, seed=13)
     _, objectives = als_fit(obs, KernelMatrix(np.eye(n)), KernelMatrix(np.eye(l)),
-                            p, mu, max_iters=15, rel_tol=0.0,
-                            init_w=w0, init_h=h0, return_objectives=True)
+                            p, mu, max_iters=15, rel_tol=0.0, seed=13,
+                            return_objectives=True)
     _, _, oracle = plain_als(obs.values, sampling.row_indices0,
                              sampling.col_indices0, n, l, p, mu, w0, h0, iters=15)
     gap = float(np.max(np.abs(np.array(objectives) - np.array(oracle))))

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from kronmc import (InvalidInputError, KroneckerKernel, SamplingSet,
-                    bound_inputs, eig_bound_check, gamma_tilde, mse_bound,
+                    eig_bound_check, gamma_tilde, mse_bound,
                     mse_decomposition, nmse, regularized_nystrom,
                     uniform_sample, verify_theory)
-from kronmc.analysis import BoundInputs
+from kronmc.analysis import VERIFY_INSTANCES
 
 from helpers import bayes_nmse_floor, dense_kron, make_spd_kernel, selector_matrix
 
@@ -99,16 +101,21 @@ def test_gamma_tilde_properties():
 
 
 def test_mse_bound_trivial_cases():
-    zero = BoundInputs(2.0, np.zeros(6), 3, 0.1, 0.0)
-    assert mse_bound(zero) == 0.0
-    g = np.arange(1.0, 7.0)
-    full = BoundInputs(2.0, g, 6, 0.1, 0.2)
-    sigma, mu = 2.0, 0.1
-    expected = (mu**2 * sigma**2 / (sigma + mu) ** 2 * np.sum(g**2)
-                + 6 * 0.2 * sigma**2 / mu**2)
-    assert mse_bound(full) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(InvalidInputError):
-        BoundInputs(0.0, g, 3, 0.1, 0.0)
+    # the damped head, full-sigma tail and variance terms, from the spectral
+    # coordinates of gamma; full sampling leaves no tail
+    rng = np.random.default_rng(14)
+    k = random_dense_kernel(rng, 3, 2)
+    part, full = uniform_sample(3, 2, 3, seed=1), uniform_sample(3, 2, 6, seed=2)
+    assert mse_bound(k, part, np.zeros(6), 0.1, 0.0) == 0.0
+    gamma = np.arange(1.0, 7.0)
+    sigma, mu, nu_sq = np.linalg.eigvalsh(k)[-1], 0.1, 0.2
+    for s in (part, full):
+        g = gamma_tilde(k, regularized_nystrom(k, s, mu), gamma)
+        count = len(s)
+        expected = (mu**2 * sigma**2 / (sigma + mu) ** 2 * np.sum(g[:count] ** 2)
+                    + sigma**2 * np.sum(g[count:] ** 2)
+                    + count * nu_sq * sigma**2 / mu**2)
+        assert mse_bound(k, s, gamma, mu, nu_sq) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mse_bound_dominates_decomposition():
@@ -123,7 +130,7 @@ def test_mse_bound_dominates_decomposition():
         mu = float(10.0 ** rng.uniform(-3, 1))
         nu_sq = float(rng.choice([0.0, 0.1, 0.25]))
         total = mse_decomposition(k, s, gamma, mu, nu_sq).total
-        bound = mse_bound(bound_inputs(k, s, gamma, mu, nu_sq))
+        bound = mse_bound(k, s, gamma, mu, nu_sq)
         assert total <= bound * (1 + 1e-10) + 1e-12
 
 
@@ -165,7 +172,7 @@ def test_bound_operations_refuse_singular_kernels():
     with pytest.raises(InvalidInputError, match="nonsingular"):
         eig_bound_check(singular, s, 0.1)
     with pytest.raises(InvalidInputError, match="nonsingular"):
-        bound_inputs(singular, s, np.zeros(6), 0.1, 0.0)
+        mse_bound(singular, s, np.zeros(6), 0.1, 0.0)
 
 
 def test_bias_quarters_as_mu_halves_under_full_sampling():
@@ -182,13 +189,23 @@ def test_bias_quarters_as_mu_halves_under_full_sampling():
 def test_nmse_examples():
     rng = np.random.default_rng(12)
     truth = rng.normal(size=(3, 4))
-    assert nmse([truth, truth.copy()], truth) == 0.0
+    assert np.mean([nmse(e, truth) for e in (truth, truth.copy())]) == 0.0
     assert nmse(np.zeros_like(truth), truth) == 1.0
     est = truth + 1.0
     expected = 12.0 / np.sum(truth**2)
     assert nmse(est, truth) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(InvalidInputError):
         nmse(truth, np.zeros_like(truth))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 1), (1, 4), (12,), (2, 3, 4)])
+def test_nmse_rejects_an_estimate_of_another_shape(shape):
+    # a (3, 1) or a stacked (2, 3, 4) estimate would broadcast against truth
+    truth = np.random.default_rng(15).normal(size=(3, 4))
+    with pytest.raises(InvalidInputError,
+                       match=rf"^estimate shape {re.escape(str(shape))} does not match "
+                             r"truth shape \(3, 4\)$"):
+        nmse(np.ones(shape), truth)
 
 
 def test_bayes_nmse_floor_matches_monte_carlo_posterior_mean():
@@ -217,8 +234,7 @@ def test_bayes_nmse_floor_matches_monte_carlo_posterior_mean():
 
 
 def test_verify_theory_suite_passes():
-    rows, summary = verify_theory(seed=0, instances=12, mc_instances=2,
-                                  mc_draws=20000)
-    assert len(rows) == 12
+    rows, summary = verify_theory()
+    assert len(rows) == VERIFY_INSTANCES
     for name, (passed, total) in summary.items():
         assert passed == total, f"{name}: {passed}/{total}"

@@ -190,7 +190,8 @@ def test_run_sweep_nmse_matches_analysis_metric():
         8, 8, 26, derive_seed(1, 0, r, 0))), 1e-6)) for r in range(4)]
     per_row = [r["nmse"] for r in result.rows]
     assert per_row == [nmse(est, ds.f) for est in estimates]
-    assert np.mean(per_row) == pytest.approx(nmse(estimates, ds.f), rel=1e-12)
+    assert result.summary()[("kkmcex", 40.0)]["nmse"] == pytest.approx(
+        np.mean([nmse(est, ds.f) for est in estimates]), rel=1e-12)
 
 
 def test_run_sweep_result_csv(tmp_path):
@@ -346,6 +347,23 @@ def test_run_fit_rejects_a_grid_of_several_points(key):
                   **{f"{key}_grid": (10.0, 50.0)})
     with pytest.raises(InvalidInputError, match=f"^{key}: fit runs one grid point"):
         run_fit(cfg, ds)
+
+
+@pytest.mark.parametrize("protocol", [
+    lambda cfg, ds: run_fit(cfg, ds), lambda cfg, ds: run_sweep(cfg, ds),
+    lambda cfg, ds: run_sweep(replace(cfg, mu_grid=(1e-3, 1e-2)), ds),
+    lambda cfg, ds: grid_search(cfg, ds), lambda cfg, ds: run_online(cfg, ds)])
+def test_a_feature_dimension_beyond_the_grid_is_named_before_any_sampling(
+        monkeypatch, protocol):
+    def refuse(*args):
+        raise AssertionError("sampled before the feature dimension was checked")
+
+    monkeypatch.setattr(bench, "uniform_sample", refuse)
+    ds = generate_synthetic(6, 5, 0.3, 1.0, seed=8)
+    cfg = ExperimentConfig(method="orrmcex", ps_grid=(50.0,), feature_dim=31)
+    with pytest.raises(InvalidInputError,
+                       match=r"^dim: feature dimension must lie in 1\.\.30 \(N\*L\), got 31$"):
+        protocol(cfg, ds)
 
 
 def test_run_online_rejects_stride_below_one():

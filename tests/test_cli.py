@@ -572,6 +572,11 @@ _PROBE_BASE = "synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nps = 40\n"
     ("verify", None, ["--seed", "-1"], "--seed must be nonnegative and finite, got -1"),
     ("sweep", "method = kkmcex\ndataset_seed = -2\n", [],
      "dataset_seed must be nonnegative and finite, got -2"),
+    *((subcommand, f"method = {method}\n", ["--dim", "81", *flags],
+       "dim: feature dimension must lie in 1..80 (N*L), got 81")
+      for subcommand, method, flags in (("sweep", "rrmcex", []),
+                                        ("fit", "orrmcex", ["--mu", "1e-3"]),
+                                        ("online", "orrmcex", []))),
 ])
 def test_bad_number_flag_or_key_exits_1_naming_it(tmp_path, subcommand, lines, flags, message):
     # each is rejected before any fit, naming its key or flag

@@ -306,7 +306,21 @@ def test_features_from_svd_rank_deficient_gives_zero_columns():
     assert norms[0] > 0
     assert np.allclose(norms[1:], 0.0, atol=1e-10)
     with pytest.raises(InvalidInputError):
-        features_from_svd(x, y, 5)  # d > tx * ty
+        features_from_svd(x, y, 5)  # d > min(N, tx) min(L, ty) = 4
+
+
+@pytest.mark.parametrize("x_shape, y_shape, ranked", [((2, 5), (5, 2), 4),
+                                                      ((3, 5), (4, 3), 9)])
+def test_features_from_svd_rejects_d_beyond_the_products_it_ranks(x_shape, y_shape, ranked):
+    # min(N L, tx ty) is 10 and 12 here: a d between the two was padded with
+    # zero columns
+    rng = np.random.default_rng(13)
+    x, y = rng.normal(size=x_shape), rng.normal(size=y_shape)
+    assert features_from_svd(x, y, ranked).dim == ranked
+    with pytest.raises(InvalidInputError,
+                       match=rf"^feature dimension d must lie in 1\.\.{ranked} "
+                             rf"\(min\(N, tx\) min\(L, ty\)\), got {ranked + 1}$"):
+        features_from_svd(x, y, ranked + 1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -337,9 +351,11 @@ def test_feature_map_holds_validated_factors():
     # row (j - 1) * N + i of the dense table is the feature row of entry (i, j)
     assert np.array_equal(fm.phi[2 * 3 + 1], fm.row(2, 3))
     assert np.array_equal(fm.row(2, 3), x[1] * y[2])
-    for i, j in ((0, 1), (4, 1), (1, 5)):
+    for i, j in ((4, 1), (1, 5)):
         with pytest.raises(InvalidInputError, match="outside"):
             fm.row(i, j)
+    with pytest.raises(InvalidInputError, match="^i must be at least 1, got 0$"):
+        fm.row(0, 1)
     inf_x = x.copy()
     inf_x[2, 1] = np.inf
     for bad_x, bad_y, message in ((x[0], y, "2-D"), (x, y[:, :1], "disagree"),

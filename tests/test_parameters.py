@@ -1,16 +1,18 @@
 """Every numeric parameter of the library goes through one range check:
 NaN, inf and an out-of-range value each raise an InvalidInputError that
-names the parameter, before any numerical work."""
+names the parameter, before any numerical work.  Every integer argument of
+the iterative fits goes through one integer check: a fraction and an
+out-of-range value each raise an InvalidInputError that names it."""
 
 import re
 
 import numpy as np
 import pytest
 
-from kronmc import (BoundInputs, Diffusion, ExperimentConfig, InvalidInputError,
-                    KroneckerKernel, NoiseSpec, ObservationSet, RegularizedLaplacian,
-                    StepSchedule, als_fit, eig_bound_check, factor_sgd_fit, features_from_eig,
-                    gaussian_kernel, kkmcex_fit, mse_decomposition, orrmcex_run, orrmcex_step,
+from kronmc import (Diffusion, ExperimentConfig, InvalidInputError, KroneckerKernel,
+                    NoiseSpec, ObservationSet, RegularizedLaplacian, StepSchedule, als_fit,
+                    eig_bound_check, factor_sgd_fit, features_from_eig, gaussian_kernel,
+                    kkmcex_fit, mse_bound, mse_decomposition, orrmcex_run, orrmcex_step,
                     regularized_nystrom, rrmcex_fit, uniform_sample)
 from kronmc.solvers import RrmcexModel
 
@@ -27,10 +29,8 @@ _STEP = StepSchedule.constant(0.01)
 
 # (name in the message, call taking the value, an out-of-range value or None)
 CASES = {
-    "BoundInputs-sigma_max": ("sigma_max", lambda v: BoundInputs(v, np.ones(6), 3, 0.1, 0.0),
-                              0.0),
-    "BoundInputs-mu": ("mu", lambda v: BoundInputs(1.0, np.ones(6), 3, v, 0.0), 0.0),
-    "BoundInputs-nu_sq": ("nu_sq", lambda v: BoundInputs(1.0, np.ones(6), 3, 0.1, v), -1.0),
+    "mse_bound-mu": ("mu", lambda v: mse_bound(_K, _S, np.ones(6), v, 0.0), 0.0),
+    "mse_bound-nu_sq": ("nu_sq", lambda v: mse_bound(_K, _S, np.ones(6), 0.1, v), -1.0),
     "regularized_nystrom-mu": ("mu", lambda v: regularized_nystrom(_K, _S, v), -1.0),
     "mse_decomposition-mu": ("mu", lambda v: mse_decomposition(_K, _S, np.ones(6), v, 0.1),
                              0.0),
@@ -49,6 +49,7 @@ CASES = {
     "rrmcex_fit-mu": ("mu", lambda v: rrmcex_fit(_FEATURES, _OBS, v), -1.0),
     "orrmcex_run-mu": ("mu", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, v, 1), 0.0),
     "als_fit-mu": ("mu", lambda v: als_fit(_OBS, _KX, _KY, 1, v), 0.0),
+    "als_fit-rel_tol": ("rel_tol", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, rel_tol=v), -1.0),
     "factor_sgd_fit-mu": ("mu", lambda v: factor_sgd_fit(_OBS, 1, v, _STEP, 1, 0), 0.0),
     "orrmcex_step-t": ("step size t", lambda v: orrmcex_step(_MODEL, 1, 1, 0.5, v, 0.1),
                        -0.1),
@@ -73,3 +74,34 @@ def test_numeric_parameter_rejects_nan_inf_and_out_of_range(case, value):
                              rf"finite, got {re.escape(str(value))}$"):
         call(value)
 
+
+# (name in the message, call taking the value, values it rejects)
+INTEGER_CASES = {
+    "orrmcex_run-eval_every": ("eval_every", lambda v: orrmcex_run(
+        _FEATURES, _OBS, _STEP, 0.1, 1, eval_hook=lambda *_: None, eval_every=v),
+        (0, -1, 1.5)),
+    "orrmcex_run-epochs": ("epochs", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, 0.1, v),
+                           (-1, 1.5)),
+    "orrmcex_run-seed": ("seed", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, 0.1, 1, seed=v),
+                         (-1, 1.5)),
+    "factor_sgd_fit-epochs": ("epochs", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, v, 0),
+                              (-1, 1.5)),
+    "factor_sgd_fit-seed": ("seed", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, 1, v),
+                            (-1, 1.5)),
+    "als_fit-seed": ("seed", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, seed=v), (-1, 1.5)),
+    "als_fit-max_iters": ("max_iters", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, max_iters=v),
+                          (0, -1, 2.5)),
+    "orrmcex_step-i": ("i", lambda v: orrmcex_step(_MODEL, v, 1, 0.5, 0.1, 0.1), (0, 1.5)),
+    "orrmcex_step-j": ("j", lambda v: orrmcex_step(_MODEL, 1, v, 0.5, 0.1, 0.1), (0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("case,value", [
+    pytest.param(case, value, id=f"{case}-{value}")
+    for case, (_, _, values) in INTEGER_CASES.items() for value in values])
+def test_integer_argument_rejects_fractions_and_out_of_range(case, value):
+    name, call, _ = INTEGER_CASES[case]
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{re.escape(name)} must be (an integer|at least \d+), "
+                             rf"got {re.escape(repr(value))}$"):
+        call(value)
