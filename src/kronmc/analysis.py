@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _blas
-from .errors import InvalidInputError, check_number
+from .errors import InvalidInputError, check_integer, check_number
 from .sampling import uniform_sample
 
 _MC_BATCH = 20000  # Monte-Carlo noise draws per batch in mse_decomposition
@@ -64,10 +64,15 @@ def regularized_nystrom(k, sampling, mu):
     """Sampled-block approximation K S^T (S K S^T + mu I)^{-1} S K.
 
     Both the approximation and the residual (kernel minus approximation)
-    are symmetric PSD.
+    are symmetric PSD.  A ``k`` that is not N L x N L on the grid of
+    ``sampling`` is rejected, before any caller here decomposes it.
     """
     check_number("mu", mu)
     k = np.asarray(k, dtype=float)
+    side = sampling.n_rows * sampling.n_cols
+    if k.shape != (side, side):
+        raise InvalidInputError(f"k: shape {k.shape} does not match N*L = {side} of the "
+                                f"{sampling.n_rows} x {sampling.n_cols} sampling")
     idx = sampling.vec_indices0
     if len(idx) == 0:
         return np.zeros_like(k)
@@ -96,8 +101,12 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0):
     """
     check_number("mu", mu)
     check_number("nu_sq", nu_sq, "nonnegative")
+    check_integer("n_draws", n_draws, 0)
+    check_integer("seed", seed, 0)
     k = np.asarray(k, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (len(k),):
+        raise InvalidInputError(f"gamma: shape {gamma.shape} does not match N*L = {len(k)}")
     resid = k - regularized_nystrom(k, sampling, mu)
     bias_sq = float(np.sum(_blas.gemv(resid, gamma) ** 2))
     idx = sampling.vec_indices0
@@ -134,8 +143,11 @@ def gamma_tilde(k, t_tilde, gamma):
     so the norm of gamma is preserved.
     """
     resid = np.asarray(k, dtype=float) - np.asarray(t_tilde, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (len(resid),):
+        raise InvalidInputError(f"gamma: shape {gamma.shape} does not match N*L = {len(resid)}")
     _, vecs = _blas.eigh((resid + resid.T) / 2.0)
-    return _blas.gemv(vecs.T, np.asarray(gamma, dtype=float))
+    return _blas.gemv(vecs.T, gamma)
 
 
 def _sigma_max(k, what):
@@ -159,8 +171,8 @@ def mse_bound(k, sampling, gamma, mu, nu_sq):
     check_number("mu", mu)
     check_number("nu_sq", nu_sq, "nonnegative")
     k = np.asarray(k, dtype=float)
-    sigma = _sigma_max(k, "bound")
     g = gamma_tilde(k, regularized_nystrom(k, sampling, mu), gamma)
+    sigma = _sigma_max(k, "bound")
     s = len(sampling)
     head = (mu**2 * sigma**2) / (sigma + mu) ** 2 * float(np.sum(g[:s] ** 2))
     tail = sigma**2 * float(np.sum(g[s:] ** 2))
@@ -178,8 +190,9 @@ def eig_bound_check(k, sampling, mu):
     """
     check_number("mu", mu)
     k = np.asarray(k, dtype=float)
+    t = regularized_nystrom(k, sampling, mu)
     sigma = _sigma_max(k, "domination check")
-    resid_eigs = _blas.eigvalsh(k - regularized_nystrom(k, sampling, mu))
+    resid_eigs = _blas.eigvalsh(k - t)
     bound = np.full(k.shape[0], sigma)
     bound[:len(sampling)] = mu * sigma / (sigma + mu)
     worst = float(np.max(resid_eigs - bound))
@@ -224,6 +237,7 @@ def verify_theory(seed=0):
     Returns (rows, summary) where rows carry per-instance numbers and
     summary maps check name to (passed, total) counts.
     """
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = []
     summary = {"bound": [0, 0], "eig_domination": [0, 0], "psd": [0, 0],

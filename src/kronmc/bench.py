@@ -24,8 +24,7 @@ from .kernels import (Diffusion, KroneckerKernel, _reject_non_finite,
                       features_from_eig, pearson_kernel, spectral_kernel)
 from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample)
-from .solvers import (StepSchedule, _factor_init, _factor_sgd_epochs,
-                      _orrmcex_epochs, als_fit, factor_predict, factor_sgd_fit,
+from .solvers import (StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                       kkmcex_fit, kkmcex_predict, orrmcex_run, rrmcex_fit,
                       rrmcex_predict)
 
@@ -185,6 +184,7 @@ def _diffusion_builder(lap_x, lap_y, eta):
 def band_graph(n, half_width):
     """Chain-like graph joining each vertex to its ``half_width`` neighbours
     on either side (unweighted)."""
+    check_integer("vertex count n", n, 1)
     check_integer("band half-width", half_width, 0)
     idx = np.arange(n)
     adj = (np.abs(idx[:, None] - idx[None, :]) <= half_width).astype(float)
@@ -215,7 +215,9 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
     Stations get random planar coordinates; the readings are drawn smooth
     against the recipe's own kernels so completion is meaningful.
     """
-    check_integer("seed", seed, 0)
+    for name, value, least in (("n_stations", n_stations, 1), ("n_days", n_days, 1),
+                               ("seed", seed, 0)):
+        check_integer(name, value, least)
     rng = np.random.default_rng(seed)
     coords = rng.uniform(size=(n_stations, 2))
     diffs = coords[:, None, :] - coords[None, :, :]
@@ -242,6 +244,7 @@ def class_agreement_bundle(rows, labels, subsample=400, seed=0):
     labels = list(labels)
     if len(rows) != len(labels):
         raise InvalidInputError(f"{len(rows)} rows but {len(labels)} labels")
+    check_integer("subsample", subsample, 1)
     if subsample < len(rows):
         keep = np.random.default_rng(seed).choice(len(rows), size=subsample,
                                                   replace=False)
@@ -397,17 +400,17 @@ def onehot_features(rows):
 class _Method(NamedTuple):
     """How every protocol, ``run_fit`` among them, drives one method:
     ``prepare(kx, ky, config)`` builds its state before the clock starts,
-    ``fit(state, obs, mu, config, seed)`` returns a model, ``predict(model)``
-    its N x L estimate, and ``stream(state, obs, mu, config, seed, orders,
-    eval_hook, eval_every)`` runs an SGD method over one visit order per epoch
-    (None: batch only).  Each field names its solver inside a function, so a
-    solver patched in this module (by a tracer or a test) is looked up at call
-    time and seen by every protocol."""
+    ``fit(state, obs, mu, config, seed)`` returns a model and
+    ``predict(model)`` its N x L estimate.  An ``online`` (SGD) method's fit
+    also takes the ``eval_hook, eval_every`` of its solver.  Each field
+    names its solver inside a function, so a solver patched in this module
+    (by a tracer or a test) is looked up at call time and seen by every
+    protocol."""
 
     prepare: object
     fit: object
     predict: object
-    stream: object = None
+    online: bool = False
 
 
 def _features(kx, ky, config):
@@ -429,11 +432,9 @@ _METHOD_TABLE = {
         lambda model: rrmcex_predict(model)),
     "orrmcex": _Method(
         _features,
-        lambda features, obs, mu, config, seed: orrmcex_run(
-            features, obs, config.schedule, mu, config.epochs, seed=seed),
-        lambda model: rrmcex_predict(model),
-        lambda features, obs, mu, config, seed, orders, hook, every: _orrmcex_epochs(
-            features, obs, config.schedule, mu, orders, hook, every)),
+        lambda features, obs, mu, config, seed, hook=None, every=None: orrmcex_run(
+            features, obs, config.schedule, mu, config.epochs, hook, seed, every),
+        lambda model: rrmcex_predict(model), online=True),
     "als": _Method(
         lambda kx, ky, config: (kx, ky),
         lambda kernels, obs, mu, config, seed: als_fit(
@@ -441,13 +442,9 @@ _METHOD_TABLE = {
         lambda model: factor_predict(model)),
     "factor_sgd": _Method(
         lambda kx, ky, config: None,
-        lambda _, obs, mu, config, seed: factor_sgd_fit(
-            obs, config.rank, mu, config.schedule, config.epochs, seed),
-        lambda model: factor_predict(model),
-        lambda _, obs, mu, config, seed, orders, hook, every: _factor_sgd_epochs(
-            obs, *_factor_init(obs.sampling.n_rows, obs.sampling.n_cols,
-                               config.rank, seed),
-            mu, config.schedule, orders, hook, every)),
+        lambda _, obs, mu, config, seed, hook=None, every=None: factor_sgd_fit(
+            obs, config.rank, mu, config.schedule, config.epochs, seed, hook, every),
+        lambda model: factor_predict(model), online=True),
 }
 
 METHODS = tuple(_METHOD_TABLE)
@@ -522,11 +519,11 @@ def grid_search(config, dataset, p_s=None):
         raise InvalidInputError(
             f"validation split is degenerate ({n_val} of {count} observations)"
         )
-    rows0, cols0 = obs.sampling.row_indices0, obs.sampling.col_indices0
-    val_rows, val_cols = rows0[:n_val], cols0[:n_val]
+    s = obs.sampling
+    val_rows, val_cols = s.row_indices0[:n_val], s.col_indices0[:n_val]
     val_values = obs.values[:n_val]
-    fit_pairs = np.column_stack((rows0[n_val:], cols0[n_val:])) + 1
-    fit_obs = ObservationSet(SamplingSet(*dataset.shape, fit_pairs), obs.values[n_val:])
+    fit_obs = ObservationSet(SamplingSet._from_vec0(*dataset.shape, s.vec_indices0[n_val:]),
+                             obs.values[n_val:])
     val_norm = float(np.sum(val_values**2))
     if val_norm == 0:
         raise InvalidInputError("validation values are all zero; score undefined")
@@ -577,17 +574,17 @@ def run_sweep(config, dataset):
 
 
 def run_online(config, dataset, stride=None):
-    """Reveal one observation per iteration, cycling, and trace the error.
+    """Reveal one observation per iteration and trace the error.
 
-    The config's P_s, mu and eta grids must each be one point.  The reveal
-    order is a seeded permutation of the sampling set repeated circularly.
-    Trace rows are (iteration, elapsed seconds, nmse) recorded every
-    ``stride`` iterations and at the last one (None: last only); the elapsed
-    clock stops while a row is evaluated.
+    The config's P_s, mu and eta grids must each be one point.  Runs the SGD
+    method's fit, seeded by ``derive_seed(seed, 0, 0, 2)``, whose evaluation
+    hook records a trace row (iteration, elapsed seconds, nmse) every
+    ``stride`` iterations; the last iteration is recorded too (None: last
+    only).  The elapsed clock stops while a row is evaluated.
     """
     method = _METHOD_TABLE[config.method]
-    if method.stream is None:
-        online = " and ".join(name for name, m in _METHOD_TABLE.items() if m.stream)
+    if not method.online:
+        online = " and ".join(name for name, m in _METHOD_TABLE.items() if m.online)
         raise InvalidInputError(f"online protocol supports {online}, got {config.method!r}")
     if stride is not None:
         check_integer("stride", stride, 1)
@@ -595,11 +592,7 @@ def run_online(config, dataset, stride=None):
     state = method.prepare(*_kernels_for_eta(config, dataset, config.eta_grid[0]), config)
     obs = _draw(config, dataset, config.ps_grid[0], derive_seed(config.seed, 0, 0, 0),
                 derive_seed(config.seed, 0, 0, 1))
-    count = len(obs.values)
-    order = np.random.default_rng(derive_seed(config.seed, 0, 0, 2)).permutation(count)
-    trace = []
-    elapsed = 0.0
-    tic = time.perf_counter()
+    trace, elapsed, tic = [], 0.0, time.perf_counter()
 
     def record(iteration, model):
         nonlocal elapsed, tic
@@ -608,11 +601,9 @@ def run_online(config, dataset, stride=None):
                       "nmse": nmse(method.predict(model), dataset.f)})
         tic = time.perf_counter()
 
-    # without a stride the hook stays off: ORRMCEX would fire it every epoch
-    model = method.stream(state, obs, config.mu_grid[0], config, derive_seed(config.seed, 0, 0, 3),
-                          [order] * config.epochs,
-                          None if stride is None else record, stride)
-    total = config.epochs * count
+    model = method.fit(state, obs, config.mu_grid[0], config, derive_seed(config.seed, 0, 0, 2),
+                       None if stride is None else record, stride)
+    total = config.epochs * len(obs.values)
     if not trace or trace[-1]["iteration"] < total:
         record(total, model)
     return trace

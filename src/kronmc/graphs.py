@@ -87,6 +87,7 @@ def erdos_renyi(n, p, seed):
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"edge probability must lie in [0, 1], got {p}")
     check_integer("vertex count n", n, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < p, k=1)
     adj = (upper | upper.T).astype(float)
@@ -104,7 +105,8 @@ def knn_symmetric(distances, k):
     n = d.shape[0]
     if np.any(np.diag(d) != 0):
         raise InvalidInputError("distance matrix must have a zero diagonal")
-    if not 0 <= k < n:
+    check_integer("k", k, 0)
+    if k >= n:
         raise InvalidInputError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
     # no sort: the k nearest others of row i are those closer than kth[i],
     # its k-th distance to another vertex, then the lowest indices at kth[i];

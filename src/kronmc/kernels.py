@@ -122,11 +122,11 @@ class Bandlimited:
     pass_band: frozenset
 
     def __init__(self, pass_band):
-        object.__setattr__(self, "pass_band", frozenset(int(i) for i in pass_band))
+        object.__setattr__(self, "pass_band", frozenset(pass_band))
         if not self.pass_band:
             raise InvalidInputError("pass band must be nonempty")
-        if min(self.pass_band) < 1:
-            raise InvalidInputError("pass band indices are 1-based and must be >= 1")
+        for i in self.pass_band:
+            check_integer("pass band index", i, 1)
 
     def inverse_weights(self, eigenvalues):
         n = len(eigenvalues)
@@ -342,7 +342,8 @@ def features_from_eig(kx, ky, d):
     product of the paired eigenvectors; zero eigenvalues yield zero columns.
     """
     n, l = kx.side, ky.side
-    if not 1 <= d <= n * l:
+    check_integer("feature dimension d", d, 1)
+    if d > n * l:
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
     sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
     sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
@@ -363,7 +364,8 @@ def features_from_svd(x, y, d):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     (n, tx), (l, ty) = x.shape, y.shape
     ranked = min(n, tx) * min(l, ty)
-    if not 1 <= d <= ranked:
+    check_integer("feature dimension d", d, 1)
+    if d > ranked:
         raise InvalidInputError(f"feature dimension d must lie in 1..{ranked} "
                                 f"(min(N, tx) min(L, ty)), got {d}")
     _reject_non_finite(x, "row feature matrix")

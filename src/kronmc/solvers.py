@@ -435,29 +435,12 @@ def _seeded_orders(count, epochs, seed):
     return (rng.permutation(count) for _ in range(epochs))
 
 
-def _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook=None,
-                    eval_every=None):
-    """ORRMCEX from xi = 0, visiting the observations in each order of
-    ``orders`` in turn (one per epoch); ``eval_hook`` as in orrmcex_run."""
-    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
+def _eval_stride(eval_hook, eval_every, count):
+    """Updates between two calls of an SGD fit's ``eval_hook``: ``eval_every``,
+    else one epoch of ``count``; None without a hook."""
     if eval_every is not None:
         check_integer("eval_every", eval_every, 1)
-    s = obs.sampling
-    values = obs.values
-    xi = np.zeros(features.dim)
-    n = 0
-    for order in orders:
-        for start, block in _feature_blocks(features, s.row_indices0[order],
-                                            s.col_indices0[order]):
-            for k, phi_row in zip(order[start:start + len(block)], block):
-                n += 1
-                _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
-                if (eval_every is not None and n % eval_every == 0
-                        and eval_hook is not None):
-                    eval_hook(n, RrmcexModel(features, mu, xi.copy()))
-        if eval_every is None and eval_hook is not None:
-            eval_hook(n, RrmcexModel(features, mu, xi.copy()))
-    return RrmcexModel(features, mu, xi)
+    return None if eval_hook is None else eval_every or count
 
 
 def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
@@ -470,7 +453,20 @@ def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
     (default: once per epoch).
     """
     orders = _seeded_orders(len(obs.values), epochs, seed)
-    return _orrmcex_epochs(features, obs, schedule, mu, orders, eval_hook, eval_every)
+    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
+    s, values = obs.sampling, obs.values
+    stride = _eval_stride(eval_hook, eval_every, len(values))
+    xi = np.zeros(features.dim)
+    n = 0
+    for order in orders:
+        for start, block in _feature_blocks(features, s.row_indices0[order],
+                                            s.col_indices0[order]):
+            for k, phi_row in zip(order[start:start + len(block)], block):
+                n += 1
+                _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
+                if stride is not None and n % stride == 0:
+                    eval_hook(n, RrmcexModel(features, mu, xi.copy()))
+    return RrmcexModel(features, mu, xi)
 
 
 def _factor_init(n, l, p, seed):
@@ -570,17 +566,24 @@ def _factor_sgd_update(w, h, i, j, m, t, reg_w, reg_h):
     h[j] = hj - t * gh
 
 
-def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
-                       eval_every=None):
-    """Factor SGD from the factors (w, h), which it updates in place,
-    visiting the observations in each order of ``orders`` in turn (one per
-    epoch); ``eval_hook(iteration, model)`` fires every ``eval_every``
-    iterations."""
-    _check_fit_inputs(obs, mu, (len(w), len(h)))
+def factor_sgd_fit(obs, p, mu, schedule, epochs, seed, eval_hook=None,
+                   eval_every=None):
+    """Row-wise SGD on the entrywise factorization objective, from the
+    factors _factor_init draws from ``seed``, in a fresh seeded order each
+    of ``epochs`` (at least 1) epochs; ``eval_hook`` as in orrmcex_run.
+
+    Each observed entry contributes its squared residual plus per-row ridge
+    terms weighted by mu over the number of observations touching that row
+    or column; updates follow the exact gradient of that summand.
+    """
+    check_integer("rank bound", p, 1)
+    check_integer("epochs", epochs, 1)
+    orders = _seeded_orders(len(obs.values), epochs, seed)
     sampling = obs.sampling
-    rows = sampling.row_indices0
-    cols = sampling.col_indices0
-    m_vals = obs.values
+    w, h = _factor_init(sampling.n_rows, sampling.n_cols, p, seed)
+    _check_fit_inputs(obs, mu, (len(w), len(h)))
+    rows, cols, m_vals = sampling.row_indices0, sampling.col_indices0, obs.values
+    stride = _eval_stride(eval_hook, eval_every, len(m_vals))
     row_counts = np.bincount(rows, minlength=sampling.n_rows).astype(float)
     col_counts = np.bincount(cols, minlength=sampling.n_cols).astype(float)
     step_no = 0
@@ -590,22 +593,9 @@ def _factor_sgd_epochs(obs, w, h, mu, schedule, orders, eval_hook=None,
             i, j = rows[k], cols[k]
             _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),
                                mu / row_counts[i], mu / col_counts[j])
-            if eval_hook is not None and step_no % eval_every == 0:
-                eval_hook(step_no, FactorModel(w, h, mu))
+            if stride is not None and step_no % stride == 0:
+                eval_hook(step_no, FactorModel(w.copy(), h.copy(), mu))
     return FactorModel(w, h, mu)
-
-
-def factor_sgd_fit(obs, p, mu, schedule, epochs, seed):
-    """Row-wise SGD on the entrywise factorization objective.
-
-    Each observed entry contributes its squared residual plus per-row ridge
-    terms weighted by mu over the number of observations touching that row
-    or column; updates follow the exact gradient of that summand.
-    """
-    check_integer("rank bound", p, 1)
-    orders = _seeded_orders(len(obs.values), epochs, seed)
-    w, h = _factor_init(obs.sampling.n_rows, obs.sampling.n_cols, p, seed)
-    return _factor_sgd_epochs(obs, w, h, mu, schedule, orders)
 
 
 def factor_predict(model):

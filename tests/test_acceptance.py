@@ -487,8 +487,11 @@ def test_criterion_10_gradient_checks():
         lambda z: 0.5 * (m - phi @ z) ** 2 + 0.5 * mu * (z @ z), prev))
         for prev, cur in zip(iterates, iterates[1:]))
     one = ObservationSet(SamplingSet(n, l, [(2, 3)]), [m])
-    fits = [factor_sgd_fit(one, p, mu, schedule, epochs, seed=5) for epochs in range(4)]
-    rows = [np.concatenate((fit.w[1], fit.h[2])) for fit in fits]
+    w_init, h_init = _factor_init(n, l, p, seed=5)
+    rows = [np.concatenate((w_init[1], h_init[2]))]
+    factor_sgd_fit(one, p, mu, schedule, 3, seed=5, eval_every=1, eval_hook=lambda _, fit:
+                   rows.append(np.concatenate((fit.w[1], fit.h[2]))))
+    assert len(rows) == 4
     # one observation per row and column: both ridge weights are mu
     loop_worst = max(loop_worst, *(_gap((prev - cur) / t, _fd_gradient(
         lambda z: (m - z[:p] @ z[p:]) ** 2 + mu * (z @ z), prev))

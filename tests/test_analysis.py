@@ -175,6 +175,39 @@ def test_bound_operations_refuse_singular_kernels():
         mse_bound(singular, s, np.zeros(6), 0.1, 0.0)
 
 
+@pytest.mark.parametrize("call, name, shape", [
+    (lambda k, s, g: regularized_nystrom(k, s, 0.1), "k", (60, 60)),
+    (lambda k, s, g: eig_bound_check(k, s, 0.1), "k", (60, 60)),
+    (lambda k, s, g: mse_bound(k, s, np.ones(60), 0.1, 0.0), "k", (60, 60)),
+    (lambda k, s, g: mse_decomposition(k, s, np.ones(60), 0.1, 0.0), "k", (60, 60)),
+    (lambda k, s, g: mse_decomposition(g, s, np.ones(70), 0.1, 0.1), "gamma", (70,)),
+    (lambda k, s, g: mse_decomposition(g, s, np.ones(5), 0.1, 0.1), "gamma", (5,)),
+    (lambda k, s, g: mse_bound(g, s, np.ones(5), 0.1, 0.1), "gamma", (5,)),
+], ids=["nystrom-k", "eig_bound_check-k", "mse_bound-k", "mse_decomposition-k",
+        "mse_decomposition-gamma-70", "mse_decomposition-gamma-5", "mse_bound-gamma-5"])
+def test_bound_operations_refuse_a_kernel_or_gamma_off_the_sampling_grid(
+        monkeypatch, call, name, shape):
+    # an 8 x 7 sampling needs a 56 x 56 kernel and a gamma of length 56;
+    # a 60 x 60 kernel was accepted, and a gamma of length 70 or 5 gave a
+    # wrong split or a raw BLAS error
+    from kronmc import _blas
+
+    rng = np.random.default_rng(14)
+    s = uniform_sample(8, 7, 20, seed=3)
+    k60 = random_dense_kernel(rng, 6, 10)
+    k56 = random_dense_kernel(rng, 8, 7)
+
+    def refuse(*args):
+        raise AssertionError("decomposed a kernel before checking its size")
+
+    monkeypatch.setattr(_blas, "eigvalsh", refuse)
+    monkeypatch.setattr(_blas, "eigh", refuse)
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{name}: shape {re.escape(str(shape))} does not match "
+                             r"N\*L = 56( of the 8 x 7 sampling)?$"):
+        call(k60, s, k56)
+
+
 def test_bias_quarters_as_mu_halves_under_full_sampling():
     rng = np.random.default_rng(11)
     k = random_dense_kernel(rng, 3, 3)

@@ -1,3 +1,4 @@
+import ast
 import tempfile
 import time
 from dataclasses import replace
@@ -12,12 +13,12 @@ from scipy.stats import binom
 
 from kronmc import (DatasetBundle, ExperimentConfig, InvalidInputError,
                     KroneckerKernel, NoiseSpec, StepSchedule, band_graph,
-                    class_agreement_bundle, features_from_eig,
-                    generate_synthetic, grid_search,
+                    class_agreement_bundle, factor_predict, factor_sgd_fit,
+                    features_from_eig, generate_synthetic, grid_search,
                     kkmcex_fit, kkmcex_predict, load_matrix_csv, nmse, observe,
-                    onehot_features, run_fit, run_online, run_sweep, save_matrix_csv,
-                    synthetic_categorical_table, synthetic_station_day_bundle,
-                    uniform_sample)
+                    onehot_features, orrmcex_run, rrmcex_predict, run_fit, run_online,
+                    run_sweep, save_matrix_csv, synthetic_categorical_table,
+                    synthetic_station_day_bundle, uniform_sample)
 from kronmc import bench
 from kronmc.bench import METHODS, derive_seed
 
@@ -393,6 +394,51 @@ def test_run_online_clock_excludes_evaluation(monkeypatch, method):
     seconds = [r["seconds"] for r in trace]
     assert seconds == sorted(seconds)
     assert seconds[-1] < 0.1
+
+
+@pytest.mark.parametrize("method", ["orrmcex", "factor_sgd"])
+def test_run_online_rows_are_the_public_fits_evaluations(method):
+    # the trace is the public fit's, seeded by derive_seed(seed, 0, 0, 2),
+    # evaluated by its hook every stride updates, plus the last update
+    # (3 epochs of 28 observations: 84, not a multiple of 10)
+    ds = generate_synthetic(8, 7, 0.3, 1.0, seed=8)
+    cfg = ExperimentConfig(method=method, ps_grid=(50.0,), mu_grid=(1e-3,), rank=2,
+                           feature_dim=10, epochs=3, noise=NoiseSpec.target_snr(4.0),
+                           schedule=StepSchedule.decay(2.0, 50.0), seed=4)
+    obs = observe(ds.f, uniform_sample(8, 7, 28, derive_seed(4, 0, 0, 0)),
+                  NoiseSpec.target_snr(4.0, seed=derive_seed(4, 0, 0, 1)))
+    seed = derive_seed(4, 0, 0, 2)
+    predict = rrmcex_predict if method == "orrmcex" else factor_predict
+    rows = []
+
+    def hook(n, model):
+        rows.append((n, nmse(predict(model), ds.f)))
+
+    if method == "orrmcex":
+        model = orrmcex_run(features_from_eig(ds.kx, ds.ky, 10), obs, cfg.schedule, 1e-3,
+                            3, hook, seed, 10)
+    else:
+        model = factor_sgd_fit(obs, 2, 1e-3, cfg.schedule, 3, seed, hook, 10)
+    hook(84, model)
+    assert [(r["iteration"], r["nmse"]) for r in run_online(cfg, ds, stride=10)] == rows
+
+
+def _private_solver_imports(source):
+    """Names starting with an underscore that ``source`` imports from the
+    solvers module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("solvers")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_bench_imports_no_private_solver_name():
+    # every protocol reaches a solver through its public fit
+    source = Path(bench.__file__).read_text()
+    assert _private_solver_imports(source) == []
+    head = "from .solvers import ("
+    assert source.count(head) == 1
+    reintroduced = source.replace(head, head + "_factor_init, ")
+    assert _private_solver_imports(reintroduced) == ["_factor_init"]
 
 
 def test_derive_seed_is_stable():

@@ -86,7 +86,7 @@ def test_guard_catches_a_product_reintroduced_in_kkmcex_predict():
 @pytest.mark.parametrize("routed, inlined, function", [
     ("_orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)",
      "xi -= schedule.step(n) * (phi_row * (phi_row @ xi - values[k]) + mu * xi)",
-     "_orrmcex_epochs"),
+     "orrmcex_run"),
     ("_orrmcex_update(xi, model.features.row(i, j), m, t, mu)",
      "phi_row = model.features.row(i, j)\n"
      "    xi -= t * (phi_row * (phi_row @ xi - m) + mu * xi)",
@@ -94,8 +94,8 @@ def test_guard_catches_a_product_reintroduced_in_kkmcex_predict():
     ("            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
      "            err = m_vals[k] - w[i] @ h[j]\n"
      "            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
-     "_factor_sgd_epochs"),
-], ids=["_orrmcex_epochs", "orrmcex_step", "_factor_sgd_epochs"])
+     "factor_sgd_fit"),
+], ids=["orrmcex_run", "orrmcex_step", "factor_sgd_fit"])
 def test_guard_catches_a_dot_inlined_outside_the_sgd_updates(routed, inlined, function):
     source = (SRC / "solvers.py").read_text()
     assert source.count(routed) == 1

@@ -1,7 +1,8 @@
 """Every numeric parameter of the library goes through one range check:
 NaN, inf and an out-of-range value each raise an InvalidInputError that
 names the parameter, before any numerical work.  Every integer argument of
-the iterative fits goes through one integer check: a fraction and an
+the iterative fits, the feature maps, the graph and dataset recipes and the
+error-theory checks goes through one integer check: a fraction and an
 out-of-range value each raise an InvalidInputError that names it."""
 
 import re
@@ -9,11 +10,15 @@ import re
 import numpy as np
 import pytest
 
-from kronmc import (Diffusion, ExperimentConfig, InvalidInputError, KroneckerKernel,
-                    NoiseSpec, ObservationSet, RegularizedLaplacian, StepSchedule, als_fit,
-                    eig_bound_check, factor_sgd_fit, features_from_eig, gaussian_kernel,
-                    kkmcex_fit, mse_bound, mse_decomposition, orrmcex_run, orrmcex_step,
-                    regularized_nystrom, rrmcex_fit, uniform_sample)
+from kronmc import (Bandlimited, Diffusion, ExperimentConfig, InvalidInputError,
+                    KroneckerKernel, NoiseSpec, ObservationSet, RegularizedLaplacian,
+                    StepSchedule, als_fit, band_graph, class_agreement_bundle,
+                    eig_bound_check, erdos_renyi, factor_sgd_fit, features_from_eig,
+                    features_from_svd, gaussian_kernel, kkmcex_fit, knn_symmetric,
+                    mse_bound, mse_decomposition, orrmcex_run, orrmcex_step,
+                    regularized_nystrom, rrmcex_fit, station_day_bundle,
+                    synthetic_categorical_table, synthetic_station_day_bundle,
+                    uniform_sample, verify_theory)
 from kronmc.solvers import RrmcexModel
 
 from helpers import make_spd_kernel
@@ -26,6 +31,8 @@ _OBS = ObservationSet(_S, _RNG.normal(size=3))
 _FEATURES = features_from_eig(_KX, _KY, 4)
 _MODEL = RrmcexModel(_FEATURES, 0.1, np.zeros(4))
 _STEP = StepSchedule.constant(0.01)
+_DISTANCES = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+_TABLE = synthetic_categorical_table(12, 4, seed=1)
 
 # (name in the message, call taking the value, an out-of-range value or None)
 CASES = {
@@ -85,7 +92,7 @@ INTEGER_CASES = {
     "orrmcex_run-seed": ("seed", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, 0.1, 1, seed=v),
                          (-1, 1.5)),
     "factor_sgd_fit-epochs": ("epochs", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, v, 0),
-                              (-1, 1.5)),
+                              (0, -1, 1.5)),
     "factor_sgd_fit-seed": ("seed", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, 1, v),
                             (-1, 1.5)),
     "als_fit-seed": ("seed", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, seed=v), (-1, 1.5)),
@@ -93,6 +100,27 @@ INTEGER_CASES = {
                           (0, -1, 2.5)),
     "orrmcex_step-i": ("i", lambda v: orrmcex_step(_MODEL, v, 1, 0.5, 0.1, 0.1), (0, 1.5)),
     "orrmcex_step-j": ("j", lambda v: orrmcex_step(_MODEL, 1, v, 0.5, 0.1, 0.1), (0, 1.5)),
+    "features_from_eig-d": ("feature dimension d", lambda v: features_from_eig(_KX, _KY, v),
+                            (0, 2.5)),
+    "features_from_svd-d": ("feature dimension d", lambda v: features_from_svd(
+        np.eye(3), np.eye(2), v), (0, 2.5)),
+    "knn_symmetric-k": ("k", lambda v: knn_symmetric(_DISTANCES, v), (-1, 1.5)),
+    "station_day_bundle-k": ("k", lambda v: station_day_bundle(
+        np.ones((5, 6)), _DISTANCES, k=v), (-1, 1.5)),
+    "synthetic_station_day_bundle-n_stations": (
+        "n_stations", lambda v: synthetic_station_day_bundle(v, 6, k=2), (0, 1.5)),
+    "synthetic_station_day_bundle-n_days": (
+        "n_days", lambda v: synthetic_station_day_bundle(5, v, k=2), (0, 1.5)),
+    "class_agreement_bundle-subsample": (
+        "subsample", lambda v: class_agreement_bundle(*_TABLE, subsample=v), (0, -1, 1.5)),
+    "erdos_renyi-seed": ("seed", lambda v: erdos_renyi(5, 0.5, v), (-1, 1.5)),
+    "band_graph-n": ("vertex count n", lambda v: band_graph(v, 1), (0, 2.5)),
+    "Bandlimited-index": ("pass band index", lambda v: Bandlimited([2, v]), (0, 1.5, "x")),
+    "mse_decomposition-n_draws": ("n_draws", lambda v: mse_decomposition(
+        _K, _S, np.ones(6), 0.1, 0.1, n_draws=v), (-1, 1.5)),
+    "mse_decomposition-seed": ("seed", lambda v: mse_decomposition(
+        _K, _S, np.ones(6), 0.1, 0.1, n_draws=10, seed=v), (-1, 1.5)),
+    "verify_theory-seed": ("seed", lambda v: verify_theory(seed=v), (-1, 1.5)),
 }
 
 

@@ -598,8 +598,29 @@ def test_factor_sgd_tiny_steps_leave_factors_near_init():
 
 def test_factor_sgd_rejects_negative_epochs():
     obs = observe(np.ones((3, 3)), uniform_sample(3, 3, 4, seed=1))
-    with pytest.raises(InvalidInputError, match="epochs must be at least 0, got -1"):
+    with pytest.raises(InvalidInputError, match="epochs must be at least 1, got -1"):
         factor_sgd_fit(obs, 2, 0.1, StepSchedule.constant(0.1), -1, seed=0)
+
+
+@pytest.mark.parametrize("every, iterations", [(None, [8, 16, 24]), (5, [5, 10, 15, 20]),
+                                              (8, [8, 16, 24])])
+def test_factor_sgd_hook_fires_every_eval_every_updates_else_once_per_epoch(
+        every, iterations):
+    # 8 observations, 3 epochs: without eval_every the hook fires at each
+    # epoch's end (a hook alone raised a raw TypeError before)
+    obs = observe(np.random.default_rng(24).normal(size=(4, 4)),
+                  uniform_sample(4, 4, 8, seed=1))
+    schedule = StepSchedule.decay(0.5, 10.0)
+    seen = []
+    factor_sgd_fit(obs, 2, 0.1, schedule, 3, seed=2,
+                   eval_hook=lambda n, m: seen.append((n, m)), eval_every=every)
+    assert [n for n, _ in seen] == iterations
+    # a model handed to the hook keeps the factors after its n updates: the
+    # epochs' orders are drawn in turn, so a fit of n / 8 epochs ends there
+    for n, model in seen:
+        if n % 8 == 0:
+            ref = factor_sgd_fit(obs, 2, 0.1, schedule, n // 8, seed=2)
+            assert np.array_equal(model.w, ref.w) and np.array_equal(model.h, ref.h)
 
 
 def test_factor_sgd_fits_rank_one_full_observation():
