@@ -11,18 +11,23 @@ and the triangular solves.
 BLAS is column-major: a C-ordered array is the Fortran-ordered transpose
 of itself, so a row-major product C = A B is computed as C^T = B^T A^T on
 those views, and no C- or Fortran-ordered operand is copied.
+
+Products are float64 (``dgemm``), except that ``gemm`` multiplies two
+float32 operands in float32 (``sgemm``), at about half the time of a
+``dgemm`` of the same size; callers choose that precision by the dtype of
+what they pass.
 """
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import ddot, dgemm, dgemv
+from scipy.linalg.blas import ddot, dgemm, dgemv, sgemm
 
 
-def _fortran(a):
-    """(f, trans): a Fortran-ordered float array ``f`` with op(f) = a^T,
+def _fortran(a, dtype=np.float64):
+    """(f, trans): a Fortran-ordered ``dtype`` array ``f`` with op(f) = a^T,
     op being the identity when ``trans`` is 0 and the transpose when 1.
     Only an operand that is neither C- nor Fortran-ordered is copied."""
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=dtype)
     if a.flags.c_contiguous:
         return a.T, 0
     if a.flags.f_contiguous:
@@ -31,22 +36,28 @@ def _fortran(a):
 
 
 def gemm(a, b, out=None):
-    """The matrix product a @ b of two 2-D arrays, C-ordered.
+    """The matrix product a @ b of two 2-D arrays, C-ordered: float32 when
+    both are float32 arrays, float64 otherwise.
 
-    Written into ``out`` when given, a C-ordered float array of the
-    product's shape that overlaps neither operand.
+    Written into ``out`` when given, a C-ordered array of the product's
+    shape and dtype that overlaps neither operand.
     """
-    bt, trans_b = _fortran(b)
-    at, trans_a = _fortran(a)
+    single = getattr(a, "dtype", None) == getattr(b, "dtype", None) == np.float32
+    dtype, routine = (np.float32, sgemm) if single else (np.float64, dgemm)
+    if out is not None and not (out.dtype == dtype and out.flags.c_contiguous):
+        # BLAS would write into a converted copy and leave ``out`` as it was
+        raise ValueError(f"out must be a C-ordered {np.dtype(dtype).name} array")
+    bt, trans_b = _fortran(b, dtype)
+    at, trans_a = _fortran(a, dtype)
     if at.size == 0 or bt.size == 0:
         # the wrappers refuse empty arrays, and an empty sum is zero
         if out is None:
-            return np.zeros((np.shape(a)[0], np.shape(b)[1]))
+            return np.zeros((np.shape(a)[0], np.shape(b)[1]), dtype)
         out[...] = 0.0
         return out
     if out is None:
-        return dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
-    dgemm(1.0, bt, at, trans_a=trans_b, trans_b=trans_a, c=out.T, overwrite_c=1)
+        return routine(1.0, bt, at, trans_a=trans_b, trans_b=trans_a).T
+    routine(1.0, bt, at, trans_a=trans_b, trans_b=trans_a, c=out.T, overwrite_c=1)
     return out
 
 

@@ -122,11 +122,17 @@ class Bandlimited:
     pass_band: frozenset
 
     def __init__(self, pass_band):
-        object.__setattr__(self, "pass_band", frozenset(pass_band))
+        try:
+            indices = list(pass_band)
+        except TypeError:
+            raise InvalidInputError("pass band must be a collection of 1-based indices, "
+                                    f"got {pass_band!r}") from None
+        # each index is checked before the set would merge True into 1
+        for i in indices:
+            check_integer("pass band index", i, 1)
+        object.__setattr__(self, "pass_band", frozenset(indices))
         if not self.pass_band:
             raise InvalidInputError("pass band must be nonempty")
-        for i in self.pass_band:
-            check_integer("pass band index", i, 1)
 
     def inverse_weights(self, eigenvalues):
         n = len(eigenvalues)
@@ -317,7 +323,12 @@ def _ranked_pairs(values_x, values_y, n_rows, d):
     the ranked products.
     """
     products = np.outer(values_y, values_x).ravel()  # composite index b * n + a
-    order = np.argsort(-products, kind="stable")[:d]
+    # the top d, ties included, are the products >= the d-th largest; a
+    # stable sort of those alone, in index order, ranks them as a stable
+    # sort of all N L would
+    keys = -products
+    candidates = np.flatnonzero(keys <= np.partition(keys, d - 1)[d - 1])
+    order = candidates[np.argsort(keys[candidates], kind="stable")[:d]]
     return order % n_rows, order // n_rows, products[order]
 
 

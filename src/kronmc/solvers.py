@@ -5,13 +5,16 @@ factorization baselines (exact alternating minimization and row-wise SGD).
 All linear systems are symmetric positive definite by construction
 (PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization,
 except the closed-form system, which is solved matrix-free by conjugate
-gradients when CG's worst case costs fewer flops than the Cholesky.
+gradients when CG's worst case costs fewer flops than the Cholesky.  That
+CG runs its kernel products in float32 and keeps its iterate, its
+residuals and its stopping test in float64.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
-through ``kronmc._blas`` (which says why) and ``scipy.linalg``.  Only 1-D
-dots run on numpy's: the CG solve's inner products and norms, and the
-``@`` of the two per-observation SGD updates, ``_orrmcex_update`` and
-``_factor_sgd_update``, the one home of each SGD method's arithmetic.
+through ``kronmc._blas`` (which says why) and ``scipy.linalg``, the CG
+solve's inner products included.  Only the ``@`` of the two
+per-observation SGD updates, ``_orrmcex_update`` and
+``_factor_sgd_update``, the one home of each SGD method's arithmetic, runs
+on numpy's.
 """
 
 import math
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.linalg.blas import dsyrk
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import _blas
 from .errors import InvalidInputError, NumericalError, check_integer, check_number
@@ -31,6 +33,16 @@ from .kernels import kron_submatrix
 # admits CG at all (criterion 1's tolerance)
 CG_RTOL = 1e-12
 CG_COEFF_TOL = 1e-8
+# factor by which the recursive residual of _kkmcex_cg's float32 steps
+# falls between two replacements by the true, float64 one.  The two drift
+# apart by up to about kappa times float32's unit roundoff, at most
+# 1e4 * 6e-8 = 6e-4 of the residual at the last replacement (measured:
+# 3e-7 to 2.5e-5 at kappa 1e3), so the factor must stay well above that.
+# On 20 draws at 250 x 250, S = 6250, mu = 1e-3, factors from 1e-1 to 1e-3
+# took on average 135 to 142 float32 and 12 to 4 float64 products; at 0.53
+# of a float64 product's time per float32 one (0.21 against 0.39 ms a
+# GEMM), 1e-2 (137 + 6) costs least, on a flat minimum from 3e-2 to 3e-3
+CG_REPLACE = 1e-2
 # size of one block of gathered feature rows in _feature_blocks, which
 # ORRMCEX and the dsyrk path of rrmcex_fit run (of 64 KB to 1 MB, 256 KB fit
 # fastest on an 800 x 1250 grid at S = 250000, d = 50, a fit that now takes
@@ -192,32 +204,60 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
     """Dual coefficients by unpreconditioned CG from zero, or None when the
     true residual misses CG_RTOL ||m|| or is not finite.
 
-    A product scatters c into one reused N x L grid, zero off the sample,
-    multiplies it by Kx on the left and Ky on the right, and gathers the
-    sampled cells: 2 N L (N + L) flops and three N x L arrays, no S x S one.
+    A product scatters p into an N x L grid, zero off the sample, multiplies
+    it by Kx on the left and Ky on the right, and gathers the sampled cells:
+    2 N L (N + L) flops and three N x L grids, no S x S array.  The CG steps
+    run it in float32, on float32 copies of Kx and Ky, in about half the
+    time, and add mu p in float64; x, r and p stay float64.  That is safe
+    because CG is admitted only for kappa <= CG_COEFF_TOL / CG_RTOL = 1e4,
+    so kappa times float32's unit roundoff (6e-8) is at most 6e-4: the
+    products stay accurate enough for CG to converge.  Exactness comes from
+    float64: each time r has fallen by CG_REPLACE, and before any stop or
+    when the budget is spent, r is replaced by the true residual
+    m - (G + mu I) x from a float64 product, and CG stops only on a true
+    residual of at most CG_RTOL / 2 ||m||.  Products of both precisions
+    count against ``maxiter``.
     """
     kx, ky = kernel.kx.matrix, kernel.ky.matrix
     flat = sampling.row_indices0 * kernel.n_cols + sampling.col_indices0
-    grid = np.zeros((kernel.n_rows, kernel.n_cols))
-    left, full = np.empty_like(grid), np.empty_like(grid)
 
-    def matvec(c):
-        c = np.ravel(c)
-        np.put(grid, flat, c)
-        _blas.gemm(kx, grid, out=left)
-        _blas.gemm(left, ky, out=full)
-        return np.take(full, flat) + mu * c
+    def product(kx, ky):
+        grid = np.zeros((kernel.n_rows, kernel.n_cols), kx.dtype)
+        left, full = np.empty_like(grid), np.empty_like(grid)
 
-    size = len(flat)
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    # CG stops on its recursively updated residual, which drifts from the
-    # true one: by up to 7e-4 CG_RTOL ||m|| over 200 fits at 250 x 250,
-    # S = 6250, mu = 1e-3, where stopping at CG_RTOL left true residuals of
-    # up to 0.9999 CG_RTOL ||m||.  Stopping at half of it costs about 3
-    # iterations of some 100 and leaves the fallback to real misses
-    coeffs, _ = cg(op, values, rtol=CG_RTOL / 2, atol=0.0, maxiter=maxiter)
-    resid = np.linalg.norm(values - matvec(coeffs))
-    return coeffs if resid <= CG_RTOL * np.linalg.norm(values) else None
+        def apply(c):
+            np.put(grid, flat, c)
+            _blas.gemm(kx, grid, out=left)
+            _blas.gemm(left, ky, out=full)
+            return np.take(full, flat) + mu * c
+
+        return apply
+
+    single = product(kx.astype(np.float32), ky.astype(np.float32))
+    double = product(kx, ky)
+    x = np.zeros(len(flat))
+    r = values.copy()
+    p = r.copy()
+    rr = true_rr = anchor = _blas.dot(r, r)
+    stop = (0.5 * CG_RTOL) ** 2 * rr
+    products = 0
+    while true_rr > stop and products < maxiter:
+        q = single(p)
+        products += 1
+        pq = _blas.dot(p, q)
+        if not pq > 0.0:
+            return None
+        alpha = rr / pq
+        x += alpha * p
+        r -= alpha * q
+        rr_new = _blas.dot(r, r)
+        if rr_new <= max(CG_REPLACE**2 * anchor, stop) or products == maxiter:
+            r = values - double(x)
+            products += 1
+            rr_new = true_rr = anchor = _blas.dot(r, r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x if true_rr <= CG_RTOL**2 * _blas.dot(values, values) else None
 
 
 def kkmcex_fit(kernel, obs, mu):

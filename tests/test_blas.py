@@ -147,6 +147,39 @@ def test_gemm_and_gemv_match_numpy_for_every_layout(m, k, n, layout_a, layout_b,
     assert _blas.dot(x, x) == pytest.approx(float(x @ x), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("layout_a", ["C", "F"])
+@pytest.mark.parametrize("layout_b", ["C", "F"])
+def test_gemm_multiplies_float32_operands_by_sgemm(monkeypatch, layout_a, layout_b):
+    calls, sgemm = [], _blas.sgemm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].dtype)
+        return sgemm(*args, **kwargs)
+
+    monkeypatch.setattr(_blas, "sgemm", counted)
+    m, k, n = 7, 40, 5
+    a = _operand(3, m, k, layout_a).astype(np.float32)
+    b = _operand(4, k, n, layout_b).astype(np.float32)
+    assert (a.flags.f_contiguous, b.flags.f_contiguous) == (layout_a == "F", layout_b == "F")
+    ref = np.matmul(a.astype(float), b.astype(float))
+    # float32 rounding of a dot product of length k and of its result
+    bound = (k + 1) * np.finfo(np.float32).eps * np.matmul(np.abs(a), np.abs(b))
+    product = _blas.gemm(a, b)
+    assert product.dtype == np.float32 and product.flags.c_contiguous
+    assert np.all(np.abs(product - ref) <= bound)
+    out = np.full((m, n), np.nan, dtype=np.float32)
+    assert _blas.gemm(a, b, out=out) is out
+    assert np.all(np.abs(out - ref) <= bound)
+    assert calls == [np.float32] * 2
+    # one float64 operand makes the product float64
+    assert _blas.gemm(a, b.astype(float)).dtype == np.float64
+    assert len(calls) == 2
+    # an out that BLAS would only see as a converted copy is refused
+    for wrong in (np.empty((m, n)), np.empty((m, n), dtype=np.float32, order="F")):
+        with pytest.raises(ValueError, match="out must be a C-ordered float32 array"):
+            _blas.gemm(a, b, out=wrong)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 30), LAYOUTS, st.integers(0, 2**32 - 1))
 def test_eigh_returns_c_ordered_eigenvectors(n, layout, seed):

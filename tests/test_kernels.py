@@ -11,6 +11,8 @@ from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError
                     linear_kernel, pearson_kernel, SamplingSet, spectral_kernel,
                     uniform_sample)
 
+from kronmc.kernels import _ranked_pairs
+
 from helpers import dense_kron, kron_entry, make_spd_kernel
 
 
@@ -74,6 +76,10 @@ def test_bandlimited_kernel_is_rank_one_projector():
 
 
 def test_bandlimited_validation():
+    with pytest.raises(InvalidInputError, match=r"^pass band must be a collection .*got 3$"):
+        Bandlimited(3)
+    with pytest.raises(InvalidInputError, match=r"^pass band index must be an integer, got True$"):
+        Bandlimited([1, True])
     with pytest.raises(InvalidInputError):
         Bandlimited(set())
     with pytest.raises(InvalidInputError):
@@ -278,6 +284,23 @@ def test_features_from_eig_deterministic_under_ties():
     gram = a @ a.T
     # identical products tie-break toward the smallest composite vec index
     assert np.allclose(gram, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ranked_pairs_match_a_full_stable_sort(data):
+    # values drawn from a few repeated ones (signed zeros among them), so
+    # that many products tie, also across the d-th place
+    pool = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0])
+    n, l = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    values_x = np.array(data.draw(st.lists(pool, min_size=n, max_size=n)))
+    values_y = np.array(data.draw(st.lists(pool, min_size=l, max_size=l)))
+    d = data.draw(st.integers(1, n * l))
+    products = np.outer(values_y, values_x).ravel()
+    order = np.argsort(-products, kind="stable")[:d]
+    a, b, ranked = _ranked_pairs(values_x, values_y, n, d)
+    assert np.array_equal(a, order % n) and np.array_equal(b, order // n)
+    assert np.array_equal(ranked, products[order])
 
 
 def test_features_from_svd_orthonormal_columns():

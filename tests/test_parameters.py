@@ -3,7 +3,8 @@ NaN, inf and an out-of-range value each raise an InvalidInputError that
 names the parameter, before any numerical work.  Every integer argument of
 the iterative fits, the feature maps, the graph and dataset recipes and the
 error-theory checks goes through one integer check: a fraction and an
-out-of-range value each raise an InvalidInputError that names it."""
+out-of-range value each raise an InvalidInputError that names it.  Neither
+check takes a bool, a string or None for a number."""
 
 import re
 
@@ -82,6 +83,16 @@ def test_numeric_parameter_rejects_nan_inf_and_out_of_range(case, value):
         call(value)
 
 
+@pytest.mark.parametrize("case,value", [
+    pytest.param(case, value, id=f"{case}-{value}")
+    for case in CASES for value in (True, np.False_, "1", None)])
+def test_numeric_parameter_rejects_a_bool_or_a_non_number(case, value):
+    name, call, _ = CASES[case]
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{re.escape(name)} must be a number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
 # (name in the message, call taking the value, values it rejects)
 INTEGER_CASES = {
     "orrmcex_run-eval_every": ("eval_every", lambda v: orrmcex_run(
@@ -132,4 +143,14 @@ def test_integer_argument_rejects_fractions_and_out_of_range(case, value):
     with pytest.raises(InvalidInputError,
                        match=rf"^{re.escape(name)} must be (an integer|at least \d+), "
                              rf"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("case,value", [
+    pytest.param(case, value, id=f"{case}-{value}")
+    for case in INTEGER_CASES for value in (True, False)])
+def test_integer_argument_rejects_a_bool(case, value):
+    name, call, _ = INTEGER_CASES[case]
+    with pytest.raises(InvalidInputError,
+                       match=rf"^{re.escape(name)} must be an integer, got {value!r}$"):
         call(value)

@@ -7,12 +7,13 @@ from hypothesis.extra.numpy import arrays
 from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
                     KkmcexModel, KroneckerKernel, NoiseSpec, ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
-                    features_from_eig, features_from_svd, kkmcex_fit, kkmcex_predict,
-                    load_factor_model, load_kkmcex_model, load_rrmcex_model,
+                    features_from_eig, features_from_svd, generate_synthetic, kkmcex_fit,
+                    kkmcex_predict, load_factor_model, load_kkmcex_model, load_rrmcex_model,
                     nmse, observe, orrmcex_run, orrmcex_step, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
 from kronmc import solvers
 from kronmc.errors import NumericalError
+from kronmc.kernels import kron_submatrix
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
 from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, full_dual_vector,
@@ -120,7 +121,7 @@ def unit_top_kernel(rng, n):
     return KernelMatrix(k.matrix / k._top_eigenvalue)
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(7))
 def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
     # grids of 30..40 rows and columns sampled at 80-90 % give CG budgets of
     # over 1100 products, above the 503 iterations of kappa ~ 1e3 (mu = 1e-3
@@ -128,12 +129,27 @@ def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
     # a fallback would hide a CG that misses its tolerance, so the Cholesky
     # path fails the test
     rng = np.random.default_rng(300 + case)
-    n, l = int(rng.integers(30, 41)), int(rng.integers(30, 41))
-    count = int(rng.uniform(0.8, 0.9) * n * l)
-    mu = [1e-3, 10.0][case] if case < 2 else float(10.0 ** rng.uniform(-3, 1))
-    kk = KroneckerKernel(unit_top_kernel(rng, n), unit_top_kernel(rng, l))
-    f = unvec(dense_kron(kk) @ rng.normal(size=n * l), n, l)
+    if case < 6:
+        n, l = int(rng.integers(30, 41)), int(rng.integers(30, 41))
+        count = int(rng.uniform(0.8, 0.9) * n * l)
+        mu = [1e-3, 10.0][case] if case < 2 else float(10.0 ** rng.uniform(-3, 1))
+        kk = KroneckerKernel(unit_top_kernel(rng, n), unit_top_kernel(rng, l))
+        f = unvec(dense_kron(kk) @ rng.normal(size=n * l), n, l)
+    else:
+        # at the admission bound, where the float32 products are least
+        # accurate: diffusion kernels (top eigenvalue 1, the rest decaying
+        # far below mu) and mu = 1.001e-4 give G + mu I a condition number
+        # near the bound kappa = 9991 (checked below); 40 x 40 at 90 % has
+        # a budget of 3888 products, above the bound's 1646 iterations
+        n = l = 40
+        count = 1440
+        mu = 1.001e-4
+        data = generate_synthetic(n, l, 0.2, 1.0, seed=case)
+        kk, f = KroneckerKernel(data.kx, data.ky), data.f
     obs = observe(f, uniform_sample(n, l, count, seed=case), NoiseSpec.target_snr(1.0, seed=case))
+    if case == 6:
+        block = np.linalg.eigvalsh(kron_submatrix(kk, obs.sampling))
+        assert (block[-1] + mu) / (block[0] + mu) >= 5e3
 
     def no_cholesky(*args):
         raise AssertionError("the CG solve fell back to Cholesky")
@@ -167,8 +183,9 @@ def test_cg_rule_iteration_bound_formula():
 
 def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram():
     # at 250 x 250, S = 6250, mu = 1e-3 the rule picks CG, which holds three
-    # N x L grids (0.5 MB each) and a few length-S vectors; the S x S block
-    # it avoids is 312 MB
+    # N x L grids in float64 (0.5 MB each) and three in float32, float32
+    # copies of Kx and Ky, and a few length-S vectors: about 3 MB.  The
+    # S x S block it avoids is 312 MB
     import tracemalloc
     rng = np.random.default_rng(42)
     n, count = 250, 6250
@@ -184,18 +201,27 @@ def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram():
 
 
 def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch):
+    # a budget of one product: one float32 CG step, then the true residual
+    # from one float64 product, which misses the tolerance
     rng = np.random.default_rng(43)
     kk, f, obs = random_problem(rng, 30, 35, 900, mu=1e-2)
-    cg_calls, cg = [], solvers.cg
+    cg_results, cg = [], solvers._kkmcex_cg
+    gemm_dtypes, gemm = [], solvers._blas.gemm
 
-    def counted_cg(*args, **kwargs):
-        cg_calls.append(kwargs["maxiter"])
-        return cg(*args, **kwargs)
+    def counted_cg(*args):
+        cg_results.append(cg(*args))
+        return cg_results[-1]
+
+    def counted_gemm(a, b, out=None):
+        gemm_dtypes.append(a.dtype.name)
+        return gemm(a, b, out)
 
     monkeypatch.setattr(solvers, "_cg_iterations", lambda *args: 1)
-    monkeypatch.setattr(solvers, "cg", counted_cg)
+    monkeypatch.setattr(solvers, "_kkmcex_cg", counted_cg)
+    monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
     coeffs = kkmcex_fit(kk, obs, 1e-2).dual_coeffs
-    assert cg_calls == [1]
+    assert cg_results == [None]
+    assert gemm_dtypes == ["float32"] * 2 + ["float64"] * 2
     expected = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
     assert np.array_equal(coeffs, expected)
 
