@@ -12,6 +12,7 @@ through ``kronmc._blas``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -52,7 +53,8 @@ def _reject_non_finite(a, what):
 class KernelMatrix:
     """Symmetric positive semidefinite similarity matrix.  A spectral kernel
     also carries its eigenpairs in ``_spectrum`` (see spectral_kernel).  The
-    PSD check keeps the top eigenvalue in ``_top_eigenvalue``."""
+    PSD check keeps the top eigenvalue in ``_top_eigenvalue``, and ``_eig``
+    holds the eigenpairs that feature maps and preconditioners read."""
 
     matrix: np.ndarray
     _spectrum: tuple = field(default=None, repr=False, compare=False)
@@ -82,6 +84,12 @@ class KernelMatrix:
     @property
     def side(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eig(self):
+        """(eigenvalues, eigenvectors): the carried spectrum, else one eigh
+        on first use, kept for every later one."""
+        return self._spectrum or _blas.eigh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -348,16 +356,16 @@ def _factored_map(ux, a, uy, b, w):
 def features_from_eig(kx, ky, d):
     """Feature map from the top-d eigenvalue products of the two factors.
 
-    Only the factor matrices are eigendecomposed (a spectral factor's carried
-    pair is reused).  Column c carries sqrt(sigma_pair) times the Kronecker
+    Only the factor matrices are eigendecomposed, once per kernel (see
+    KernelMatrix._eig).  Column c carries sqrt(sigma_pair) times the Kronecker
     product of the paired eigenvectors; zero eigenvalues yield zero columns.
     """
     n, l = kx.side, ky.side
     check_integer("feature dimension d", d, 1)
     if d > n * l:
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
-    sx, qx = kx._spectrum or _blas.eigh(kx.matrix)
-    sy, qy = ky._spectrum or _blas.eigh(ky.matrix)
+    sx, qx = kx._eig
+    sy, qy = ky._eig
     a, b, products = _ranked_pairs(sx, sy, n, d)
     return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)))
 

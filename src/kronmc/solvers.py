@@ -7,7 +7,12 @@ All linear systems are symmetric positive definite by construction
 except the closed-form system, which is solved matrix-free by conjugate
 gradients when CG's worst case costs fewer flops than the Cholesky.  That
 CG runs its kernel products in float32 and keeps its iterate, its
-residuals and its stopping test in float64.
+residuals and its stopping test in float64.  It is preconditioned by mu I
+plus the system's part on the top rx x ry rectangle of factor eigenpairs,
+inverted exactly by Woodbury: the preconditioned condition number is at
+most 1 + lam_out / mu, lam_out the largest eigenvalue product left out,
+and a cost rule picks the rectangle, or none.  On exact-250's draws it
+picks 21 x 13 and halves the products of a fit.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
 through ``kronmc._blas`` (which says why) and ``scipy.linalg``, the CG
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import spotrf, spotri
 
 from . import _blas
 from .errors import InvalidInputError, NumericalError, check_integer, check_number
@@ -39,9 +45,12 @@ CG_COEFF_TOL = 1e-8
 # 1e4 * 6e-8 = 6e-4 of the residual at the last replacement (measured:
 # 3e-7 to 2.5e-5 at kappa 1e3), so the factor must stay well above that.
 # On 20 draws at 250 x 250, S = 6250, mu = 1e-3, factors from 1e-1 to 1e-3
-# took on average 135 to 142 float32 and 12 to 4 float64 products; at 0.53
-# of a float64 product's time per float32 one (0.21 against 0.39 ms a
-# GEMM), 1e-2 (137 + 6) costs least, on a flat minimum from 3e-2 to 3e-3
+# took on average 135 to 142 float32 and 12 to 4 float64 products without
+# the preconditioner, and 57.1 to 58.5 and 11.5 to 4 with it; at 0.53 of
+# a float64 product's time per float32 one (0.21 against 0.39 ms a GEMM),
+# 1e-2 (137 + 6) cost least without it, on a flat minimum from 3e-2 to
+# 3e-3, and with it (57.4 + 6, each step with its apply) it costs within
+# 3 % of 1e-3, which sits too near the drift
 CG_REPLACE = 1e-2
 # size of one block of gathered feature rows in _feature_blocks, which
 # ORRMCEX and the dsyrk path of rrmcex_fit run (of 64 KB to 1 MB, 256 KB fit
@@ -54,6 +63,12 @@ FEATURE_BLOCK_BYTES = 1 << 18
 # (8-11 ns a sample), and _syrk_gram at d = 50 took 41-65 ms for its
 # S d^2 = 6.25e8 flops (66-104 ps a flop), a ratio of 100-125
 GROUPED_PAIR_COST = 100
+# cost of one flop of _woodbury's build and apply, in flops of a float32
+# kernel product of _kkmcex_cg: at 250 x 250, S = 6250 (exact-250's
+# kernels, 2 cores, OpenBLAS), a product took 463 us (7.4 ps a flop), and
+# rectangles from 10 x 10 to 25 x 15 took 3.2-4.9 times that a flop to
+# apply (82-207 us) and 3.0-3.7 times to build (0.4-4.8 ms)
+PRECOND_FLOP_COST = 4
 
 __all__ = [
     "KkmcexModel",
@@ -76,16 +91,18 @@ __all__ = [
 ]
 
 
-def _spd_solve(a, b):
+def _spd_solve(a, b, check_finite=True):
     """Solve a x = b for symmetric positive-definite ``a``, read from its
     lower triangle.
 
     Consumes ``a``: a Fortran-ordered ``a`` is overwritten by its Cholesky
     factor, so callers pass an array they no longer need; any other layout
-    is copied before the factorization.
+    is copied before the factorization.  ``check_finite=False`` skips
+    SciPy's scan of ``a``, which allocates a boolean mask of its size, for
+    a caller whose ``a`` is finite by construction.
     """
     try:
-        factor = cho_factor(a, lower=True, overwrite_a=True)
+        factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=check_finite)
     except LinAlgError as exc:
         raise NumericalError(f"positive-definite solve failed: {exc}") from exc
     # cho_factor has checked a; SciPy's own check would rescan the whole factor
@@ -196,12 +213,117 @@ def _kkmcex_cholesky(kernel, sampling, values, mu):
     g = kron_submatrix(kernel, sampling)
     g[np.diag_indices_from(g)] += mu
     # g is exactly symmetric, so g.T is the same matrix as a Fortran-ordered
-    # view, which LAPACK factors in place
-    return _spd_solve(g.T, values)
+    # view, which LAPACK factors in place.  It is finite: |G_ij| is at most
+    # the product of the factors' top eigenvalues, which kkmcex_fit checks
+    # is finite, as are the kernels and mu
+    return _spd_solve(g.T, values, check_finite=False)
+
+
+def _rectangle(lx, ly, mu, n, l):
+    """(rx, ry): the sides of the top rectangle of factor eigenpairs that
+    _woodbury preconditions with, or (0, 0) for plain CG.
+
+    ``lx`` and ``ly`` are the positive factor eigenvalues, descending.  The
+    rectangle leaves out eigenvalue products of at most lam_out =
+    max(lx[rx] ly[0], lx[0] ly[ry]), so it bounds the preconditioned
+    condition number by 1 + lam_out / mu.  The rule minimizes the
+    worst-case iteration count at that bound (as in _cg_iterations) times
+    the cost of a step, plus the cost of the build.  A step is one product, 2
+    N L (N + L) flops, and one apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2
+    flops, d = rx ry; the build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The
+    flops of apply and build are priced at PRECOND_FLOP_COST, so no side
+    is longer than (N + L) / PRECOND_FLOP_COST, where one apply would cost
+    a product.
+    """
+    if not (len(lx) and len(ly)):
+        return 0, 0
+    cap = int((n + l) / PRECOND_FLOP_COST)
+    # lx[rx] for rx = 0 .. min(len(lx), cap), zero past the spectrum
+    out_x = np.append(lx, 0.0)[:cap + 1, None]
+    out_y = np.append(ly, 0.0)[None, :cap + 1]
+    rx = np.arange(out_x.shape[0], dtype=float)[:, None]
+    ry = np.arange(out_y.shape[1], dtype=float)[None, :]
+    d = rx * ry
+    apply = (2 * n * l * (rx + ry) + 2 * d * (n + l) + 2 * d * d) * (d > 0)
+    build = (2 * n * l * ry * ry + 2 * n * d * d + d**3) * (d > 0)
+    root = np.sqrt(1.0 + np.maximum(out_x * ly[0], lx[0] * out_y) / mu)
+    steps = 0.5 * root * np.log(2.0 * root / CG_RTOL)
+    cost = (steps * (2 * n * l * (n + l) + PRECOND_FLOP_COST * apply)
+            + PRECOND_FLOP_COST * build)
+    a, b = np.unravel_index(np.argmin(cost), cost.shape)
+    return (int(a), int(b)) if a * b > 0 else (0, 0)
+
+
+def _positive_spectrum(kernel):
+    """The positive eigenvalues of ``kernel``, descending, and the columns
+    of their eigenvectors in ``kernel._eig``."""
+    w = kernel._eig[0]
+    order = np.argsort(-w, kind="stable")
+    order = order[w[order] > 0]
+    return w[order], order
+
+
+def _woodbury(kernel, flat, grid, out, mu):
+    """The float32 apply r -> P^-1 r of _kkmcex_cg's preconditioner, or None
+    when _rectangle picks plain CG.
+
+    P = mu I + Phi_R Lam_R Phi_R^T is G's part on the top rx x ry rectangle
+    of factor eigenpairs, plus mu I: column (a, b) of the S x d matrix
+    Phi_R, d = rx ry, holds the sampled entries of ux[:, a] uy[:, b]^T, ux
+    and uy the factors' top eigenvectors, and Lam_R the products lx[a]
+    ly[b].  By Woodbury, P^-1 r = (r - Phi_R W Phi_R^T r) / mu with W =
+    (Phi_R^T Phi_R + mu Lam_R^-1)^-1, and Phi_R^T r is ux^T R uy for R the
+    residual scattered into ``grid``; Phi_R W v is gathered from ux V uy^T,
+    written into ``out``.  The Gram Phi_R^T Phi_R is sum_i (x_i x_i^T) kron
+    B_i, x_i row i of ux and B_i the sum of y_j y_j^T over the sampled
+    columns j of row i: the B_i are one product by the sample mask, and
+    the Gram's row block of each a one product of them by x_i[a] x_i, so
+    no S x d array is formed.  Gram, Cholesky and inverse run in float32
+    in the one d x d array kept as W; only W, ux and uy are kept.
+
+    ``grid`` is the float32 product's scatter grid, zero off the sampled
+    cells ``flat``; each scatter writes all of them, so it stays so.
+    """
+    n, l = grid.shape
+    (lx, ox), (ly, oy) = _positive_spectrum(kernel.kx), _positive_spectrum(kernel.ky)
+    rx, ry = _rectangle(lx, ly, mu, n, l)
+    if rx * ry == 0:
+        return None
+    d = rx * ry
+    lam = np.outer(lx[:rx], ly[:ry]).ravel()
+    ux = kernel.kx._eig[1][:, ox[:rx]].astype(np.float32)
+    uy = kernel.ky._eig[1][:, oy[:ry]].astype(np.float32)
+    cells = grid.ravel()
+    cells[flat] = 1.0
+    b = _blas.gemm(grid, (uy[:, :, None] * uy[:, None, :]).reshape(l, ry * ry))
+    # the Gram's row block of each a, (a, b) x (a', b') <- (a', b, b'),
+    # written straight into the array that is factored and inverted
+    w = np.empty((d, d), np.float32)
+    for i, block in enumerate(w.reshape(rx, ry, rx, ry)):
+        block[...] = _blas.gemm((ux * ux[:, i, None]).T, b).reshape(rx, ry, ry).transpose(1, 0, 2)
+    del b
+    w.flat[::d + 1] += mu / lam
+    # w is symmetric, so w.T is a Fortran-ordered view that LAPACK factors
+    # and inverts in place, in its lower triangle: the upper one of w
+    factor, info = spotrf(w.T, lower=1, overwrite_a=1)
+    if info == 0:
+        _, info = spotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        return None
+    lower = np.tri(d, k=-1, dtype=bool)
+    w[lower] = w.T[lower]
+
+    def apply(r):
+        cells[flat] = r
+        v = _blas.gemm(_blas.gemm(ux.T, grid), uy).reshape(d, 1)
+        _blas.gemm(_blas.gemm(ux, _blas.gemm(w, v).reshape(rx, ry)), uy.T, out=out)
+        return (r - out.ravel()[flat]) / mu
+
+    return apply
 
 
 def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
-    """Dual coefficients by unpreconditioned CG from zero, or None when the
+    """Dual coefficients by preconditioned CG from zero, or None when the
     true residual misses CG_RTOL ||m|| or is not finite.
 
     A product scatters p into an N x L grid, zero off the sample, multiplies
@@ -217,46 +339,62 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
     m - (G + mu I) x from a float64 product, and CG stops only on a true
     residual of at most CG_RTOL / 2 ||m||.  Products of both precisions
     count against ``maxiter``.
+
+    The top of the product spectrum is what sets kappa, so the steps are
+    preconditioned by P = mu I + G's part on the top rx x ry rectangle of
+    factor eigenpairs, applied exactly in float32 by _woodbury.  P <= G +
+    mu I <= P + lam_out I, lam_out the largest eigenvalue product outside
+    the rectangle, so the preconditioned condition number is at most 1 +
+    lam_out / mu; _rectangle picks the rectangle from that bound and the
+    costs, and its (0, 0) runs plain CG through the same loop.  At
+    exact-250's settings (250 x 250, S = 6250, mu = 1e-3) it picks 21 x 13,
+    which bounds the condition number by 109 instead of 1001: over 20
+    draws a fit took 57.4 float32 products on average instead of 137.5
+    (at most 64 instead of 164), and 6 float64 ones as before.  An apply
+    costs about a third of a product and the build about 2 ms.
     """
+    n, l = kernel.n_rows, kernel.n_cols
+    flat = sampling.row_indices0 * l + sampling.col_indices0
     kx, ky = kernel.kx.matrix, kernel.ky.matrix
-    flat = sampling.row_indices0 * kernel.n_cols + sampling.col_indices0
+    kx32, ky32 = kx.astype(np.float32), ky.astype(np.float32)
+    grid = np.zeros((n, l), np.float32)
+    left, full = np.empty_like(grid), np.empty_like(grid)
 
-    def product(kx, ky):
-        grid = np.zeros((kernel.n_rows, kernel.n_cols), kx.dtype)
-        left, full = np.empty_like(grid), np.empty_like(grid)
+    def single(c):
+        grid.ravel()[flat] = c
+        _blas.gemm(kx32, grid, out=left)
+        _blas.gemm(left, ky32, out=full)
+        return full.ravel()[flat] + mu * c
 
-        def apply(c):
-            np.put(grid, flat, c)
-            _blas.gemm(kx, grid, out=left)
-            _blas.gemm(left, ky, out=full)
-            return np.take(full, flat) + mu * c
+    def double(c):
+        g = np.zeros((n, l))
+        g.ravel()[flat] = c
+        return _blas.gemm(_blas.gemm(kx, g), ky, out=g).ravel()[flat] + mu * c
 
-        return apply
-
-    single = product(kx.astype(np.float32), ky.astype(np.float32))
-    double = product(kx, ky)
-    x = np.zeros(len(flat))
+    precondition = _woodbury(kernel, flat, grid, full, mu) or (lambda r: r)
+    x, p = np.zeros(len(flat)), np.zeros(len(flat))
     r = values.copy()
-    p = r.copy()
-    rr = true_rr = anchor = _blas.dot(r, r)
-    stop = (0.5 * CG_RTOL) ** 2 * rr
+    rz = 1.0
+    true_rr = anchor = _blas.dot(r, r)
+    stop = (0.5 * CG_RTOL) ** 2 * true_rr
     products = 0
     while true_rr > stop and products < maxiter:
+        z = precondition(r)
+        rz, rz_old = _blas.dot(r, z), rz
+        p = z + (rz / rz_old) * p
         q = single(p)
         products += 1
         pq = _blas.dot(p, q)
         if not pq > 0.0:
             return None
-        alpha = rr / pq
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        rr_new = _blas.dot(r, r)
-        if rr_new <= max(CG_REPLACE**2 * anchor, stop) or products == maxiter:
+        rr = _blas.dot(r, r)
+        if rr <= max(CG_REPLACE**2 * anchor, stop) or products == maxiter:
             r = values - double(x)
             products += 1
-            rr_new = true_rr = anchor = _blas.dot(r, r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+            true_rr = anchor = _blas.dot(r, r)
     return x if true_rr <= CG_RTOL**2 * _blas.dot(values, values) else None
 
 

@@ -13,7 +13,9 @@ from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
                     rrmcex_predict, save_model, uniform_sample)
 from kronmc import solvers
 from kronmc.errors import NumericalError
-from kronmc.kernels import kron_submatrix
+from kronmc.graphs import build_laplacian, erdos_renyi
+from kronmc.kernels import (GATHER_BLOCK_BYTES, Bandlimited, gaussian_kernel,
+                            kron_submatrix, spectral_kernel)
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
 from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, full_dual_vector,
@@ -97,9 +99,13 @@ def test_kkmcex_multi_block_gather_matches_dense_oracle():
 
 
 def test_kkmcex_fit_peak_memory_is_about_one_gram():
-    # the S x S block is the only array of its size: a gather row block is
-    # GATHER_BLOCK_BYTES (0.02 of this Gram) and SciPy's finiteness check
-    # allocates a boolean S x S mask (0.125); a second S x S copy breaks 1.5.
+    # the S x S block (8 S^2 bytes, 50 MB here) is the only array of its
+    # size; beside it the gather holds one row block of at most
+    # GATHER_BLOCK_BYTES and the rest is O(S): the factor rows of a block
+    # and the solution, about 18 bytes a sample (45 KB) measured.  So the
+    # bound allows eight length-S float64 vectors beyond block and buffer.
+    # SciPy's finiteness check, which the block is spared, would allocate a
+    # boolean S x S mask (S^2 bytes, 6.25 MB), 39 times that allowance.
     # kkmcex_fit would solve this system by CG, so the Cholesky path is
     # called directly
     import tracemalloc
@@ -112,7 +118,7 @@ def test_kkmcex_fit_peak_memory_is_about_one_gram():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * count**2 * 8
+    assert peak <= 8 * count**2 + GATHER_BLOCK_BYTES + 8 * 8 * count
 
 
 def unit_top_kernel(rng, n):
@@ -202,28 +208,186 @@ def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram():
 
 def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch):
     # a budget of one product: one float32 CG step, then the true residual
-    # from one float64 product, which misses the tolerance
-    rng = np.random.default_rng(43)
-    kk, f, obs = random_problem(rng, 30, 35, 900, mu=1e-2)
+    # from one float64 product, which misses the tolerance.  The diffusion
+    # kernels make the step a preconditioned one, whose build and apply run
+    # GEMMs of their own; a product is the pair of GEMMs by Kx and then Ky,
+    # and the first one is told by its Kx-shaped left operand (N != L)
+    n, l = 30, 35
+    data = generate_synthetic(n, l, 0.2, 1.0, seed=43)
+    kk = KroneckerKernel(data.kx, data.ky)
+    obs = observe(data.f, uniform_sample(n, l, 900, seed=43))
     cg_results, cg = [], solvers._kkmcex_cg
-    gemm_dtypes, gemm = [], solvers._blas.gemm
+    product_dtypes, gemm = [], solvers._blas.gemm
+    preconditioners, woodbury = [], solvers._woodbury
 
     def counted_cg(*args):
         cg_results.append(cg(*args))
         return cg_results[-1]
 
     def counted_gemm(a, b, out=None):
-        gemm_dtypes.append(a.dtype.name)
+        if a.shape == (n, n) and b.shape == (n, l):
+            product_dtypes.append(a.dtype.name)
         return gemm(a, b, out)
+
+    def counted_woodbury(*args):
+        preconditioners.append(woodbury(*args))
+        return preconditioners[-1]
 
     monkeypatch.setattr(solvers, "_cg_iterations", lambda *args: 1)
     monkeypatch.setattr(solvers, "_kkmcex_cg", counted_cg)
+    monkeypatch.setattr(solvers, "_woodbury", counted_woodbury)
     monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
     coeffs = kkmcex_fit(kk, obs, 1e-2).dual_coeffs
     assert cg_results == [None]
-    assert gemm_dtypes == ["float32"] * 2 + ["float64"] * 2
+    assert len(preconditioners) == 1 and preconditioners[0] is not None
+    assert product_dtypes == ["float32", "float64"]
     expected = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
     assert np.array_equal(coeffs, expected)
+
+
+def _preconditioned_duals(monkeypatch, kk, obs, mu):
+    """kkmcex_fit's duals, scattered onto the grid, and the (rx, ry) the
+    rule picked; fails unless CG ran preconditioned and kept its answer."""
+    rectangles, rectangle = [], solvers._rectangle
+    preconditioners, woodbury = [], solvers._woodbury
+
+    def spied_rectangle(*args):
+        rectangles.append(rectangle(*args))
+        return rectangles[-1]
+
+    def spied_woodbury(*args):
+        preconditioners.append(woodbury(*args))
+        return preconditioners[-1]
+
+    def no_cholesky(*args):
+        raise AssertionError("the CG solve fell back to Cholesky")
+
+    monkeypatch.setattr(solvers, "_rectangle", spied_rectangle)
+    monkeypatch.setattr(solvers, "_woodbury", spied_woodbury)
+    monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
+    gamma = full_dual_vector(kkmcex_fit(kk, obs, mu))
+    assert len(rectangles) == 1 and rectangles[0][0] * rectangles[0][1] > 0
+    assert preconditioners[0] is not None
+    return gamma, rectangles[0]
+
+
+@pytest.mark.parametrize("case", ["bandlimited", "gaussian", "rectangular", "empty-lines"])
+def test_preconditioned_cg_matches_dense_oracle(case, monkeypatch):
+    # each case is admitted to CG (S is large enough for its budget) and
+    # has a decaying spectrum, so the rule picks a rectangle:
+    # - bandlimited: weights 1 on a pass band and 0 elsewhere, so the
+    #   rectangle must keep the zero weights out (mu / 0 in W); it covers
+    #   the whole band and makes P = G + mu I exact
+    # - gaussian: a kernel with no carried spectrum, decomposed by eigh
+    # - rectangular: N != L, where the rule picks rx != ry
+    # - empty-lines: rows and columns with no sample, so B_i = 0
+    rng = np.random.default_rng(7)
+    n, l, mu = 40, 40, 1e-3
+    if case == "bandlimited":
+        mu = 1e-2
+        kx, ky = (spectral_kernel(build_laplacian(erdos_renyi(n, 0.2, seed)), Bandlimited(band))
+                  for seed, band in ((1, range(1, 9)), (2, range(1, 7))))
+    elif case == "gaussian":
+        l, mu = 36, 1e-1
+        kx, ky = (gaussian_kernel(rng.uniform(size=(side, 1)), 0.02) for side in (n, l))
+        assert kx._spectrum is None and ky._spectrum is None
+    else:
+        if case == "rectangular":
+            n, l = 30, 48
+        data = generate_synthetic(n, l, 0.15, 1.0, seed=3)
+        kx, ky = data.kx, data.ky
+    if case == "empty-lines":
+        # rows 1-6 and every fifth column stay empty; 90 % of the rest
+        cells = [(i, j) for j in range(1, l + 1) for i in range(7, n + 1) if j % 5]
+        keep = np.sort(rng.permutation(len(cells))[:int(0.9 * len(cells))])
+        sampling = SamplingSet(n, l, tuple(cells[k] for k in keep))
+    else:
+        sampling = uniform_sample(n, l, int(0.8 * n * l), seed=1)
+    kk = KroneckerKernel(kx, ky)
+    f = unvec(dense_kron(kk) @ rng.normal(size=n * l), n, l)
+    obs = observe(f, sampling, NoiseSpec.target_snr(1.0, seed=1))
+    gamma, (rx, ry) = _preconditioned_duals(monkeypatch, kk, obs, mu)
+    if case == "bandlimited":
+        assert (rx, ry) == (8, 6)
+    if case == "rectangular":
+        assert rx != ry
+    oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
+    assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+
+def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch):
+    # one fixed 250 x 250 draw at exact-250's settings (the benchmark's
+    # dataset, S = 6250, mu = 1e-3, SNR 1): the fit is deterministic, so
+    # its products repeat exactly.  Measured: 60 float32 and 6 float64
+    # products (2 cores, OpenBLAS); unpreconditioned CG takes 125 and 6.
+    # The bounds are the measured counts plus 10 %, rounded up (73 in
+    # all), for a BLAS whose rounding moves a replacement or a stop; they
+    # sit far below the plain CG's 131, which an identity preconditioner
+    # (or a lost rectangle) brings back.  The preconditioned fit also keeps
+    # within the memory bound of the plain CG's memory test above
+    import tracemalloc
+    n, count = 250, 6250
+    data = generate_synthetic(n, n, 0.03, 1.0, seed=11)
+    kk = KroneckerKernel(data.kx, data.ky)
+    obs = observe(data.f, uniform_sample(n, n, count, seed=2), NoiseSpec.target_snr(1.0, seed=3))
+    products, gemm = {"float32": 0, "float64": 0}, solvers._blas.gemm
+
+    def counted_gemm(a, b, out=None):
+        # each product is two n x n by n x n GEMMs; no GEMM of the
+        # preconditioner has that shape
+        if a.shape == b.shape == (n, n):
+            products[a.dtype.name] += 1
+        return gemm(a, b, out)
+
+    monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
+    tracemalloc.start()
+    try:
+        kkmcex_fit(kk, obs, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    single, double = products["float32"] // 2, products["float64"] // 2
+    assert single <= 66 and double <= 7 and single + double <= 73
+    assert peak <= 0.02 * count**2 * 8
+
+
+def test_each_kernel_side_is_eigendecomposed_once(eig_calls, tmp_path):
+    # a kernel with no carried spectrum is decomposed by one eigh on the
+    # first CG fit, and its two CG fits and two feature maps share it
+    rng = np.random.default_rng(8)
+    kx, ky = (gaussian_kernel(rng.uniform(size=(side, 1)), 0.02) for side in (40, 36))
+    kk = KroneckerKernel(kx, ky)
+    obs = observe(rng.normal(size=(40, 36)), uniform_sample(40, 36, 1152, seed=1))
+    for mu in (1e-1, 5e-2):
+        # both admitted to CG: kappa about 2.6e3 and 5.1e3
+        assert solvers._cg_iterations((kx._top_eigenvalue * ky._top_eigenvalue + mu) / mu,
+                                      1152, 40, 36) is not None
+        kkmcex_fit(kk, obs, mu)
+        assert eig_calls == {"eigh": 2, "eigvalsh": 2}
+    for d in (10, 20):
+        features_from_eig(kx, ky, d)
+    assert eig_calls == {"eigh": 2, "eigvalsh": 2}
+    # a spectral kernel carries its pairs (the Laplacians' eigh, counted
+    # when the dataset is built), so fits and maps decompose nothing more
+    data = generate_synthetic(40, 40, 0.15, 1.0, seed=3)
+    kk = KroneckerKernel(data.kx, data.ky)
+    before = dict(eig_calls)
+    kkmcex_fit(kk, observe(data.f, uniform_sample(40, 40, 1280, seed=1)), 1e-3)
+    features_from_eig(data.kx, data.ky, 20)
+    assert eig_calls == before
+    # kronmc fit at the cli-fit workload's size, S = 625 on 250 x 250,
+    # takes the Cholesky path: the kernels read from CSV are checked by one
+    # eigvalsh a side and never decomposed
+    from kronmc import cli, save_matrix_csv
+    data = generate_synthetic(250, 250, 0.03, 1.0, seed=11)
+    for key, matrix in (("f", data.f), ("kx", data.kx.matrix), ("ky", data.ky.matrix)):
+        save_matrix_csv(tmp_path / f"{key}.csv", matrix)
+    config = tmp_path / "fit.cfg"
+    config.write_text("".join(f"{key}={tmp_path / key}.csv\n" for key in ("f", "kx", "ky")))
+    before = dict(eig_calls)
+    assert cli.main(["fit", "--config", str(config), "--out", str(tmp_path / "fit"),
+                     "--method", "kkmcex", "--ps", "1.0", "--mu", "1e-3", "--seed", "1"]) == 0
+    assert eig_calls == {"eigh": before["eigh"], "eigvalsh": before["eigvalsh"] + 2}
 
 
 def test_kkmcex_overflow_is_a_numerical_error_naming_mu_s_and_kappa():
