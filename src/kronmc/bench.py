@@ -176,7 +176,11 @@ def _diffusion_builder(lap_x, lap_y, eta):
     a builder eta' -> (kx, ky) on them that hands back those same kernels at
     ``eta``, so a protocol at the bundle's own eta never rebuilds them."""
     def build(at):
-        return tuple(spectral_kernel(lap, Diffusion(at)) for lap in (lap_x, lap_y))
+        # the larger side first, before the smaller side's spectrum is held
+        swap = lap_y.side > lap_x.side
+        first, second = (spectral_kernel(lap, Diffusion(at))
+                         for lap in ((lap_y, lap_x) if swap else (lap_x, lap_y)))
+        return (second, first) if swap else (first, second)
     own = build(eta)
     return own, lambda at: own if at == eta else build(at)
 
@@ -186,9 +190,10 @@ def band_graph(n, half_width):
     on either side (unweighted)."""
     check_integer("vertex count n", n, 1)
     check_integer("band half-width", half_width, 0)
-    idx = np.arange(n)
-    adj = (np.abs(idx[:, None] - idx[None, :]) <= half_width).astype(float)
-    np.fill_diagonal(adj, 0.0)
+    adj = np.zeros((n, n))
+    for k in range(1, min(half_width, n - 1) + 1):
+        np.fill_diagonal(adj[k:], 1.0)
+        np.fill_diagonal(adj[:, k:], 1.0)
     return Graph(adj)
 
 
@@ -203,8 +208,9 @@ def station_day_bundle(f, station_distances, k=8, day_band=10, eta=1.0):
     f = np.asarray(f, dtype=float)
     n, l = f.shape
     hops = geodesic_distances(knn_symmetric(station_distances, k))
-    (kx, ky), builder = _diffusion_builder(build_laplacian(heat_adjacency(hops, n)),
-                                           build_laplacian(band_graph(l, day_band)), eta)
+    lap_x = build_laplacian(heat_adjacency(hops, n))
+    del hops
+    (kx, ky), builder = _diffusion_builder(lap_x, build_laplacian(band_graph(l, day_band)), eta)
     return DatasetBundle(f, kx, ky, kernel_builder=builder)
 
 
@@ -220,11 +226,15 @@ def synthetic_station_day_bundle(n_stations=30, n_days=60, k=8, day_band=10,
         check_integer(name, value, least)
     rng = np.random.default_rng(seed)
     coords = rng.uniform(size=(n_stations, 2))
-    diffs = coords[:, None, :] - coords[None, :, :]
-    distances = np.sqrt(np.sum(diffs**2, axis=-1))
+    # one coordinate at a time, with no n x n x 2 array of differences
+    distances = np.zeros((n_stations, n_stations))
+    for c in coords.T:
+        distances += np.subtract.outer(c, c) ** 2
+    np.sqrt(distances, out=distances)
     np.fill_diagonal(distances, 0.0)
     bundle = station_day_bundle(np.zeros((n_stations, n_days)), distances, k=k,
                                 day_band=day_band, eta=eta)
+    del distances
     f = _blas.gemm(_blas.gemm(bundle.kx.matrix, rng.normal(size=(n_stations, n_days))),
                    bundle.ky.matrix)
     return replace(bundle, f=f)

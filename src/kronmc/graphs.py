@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from . import _blas
 from .errors import InvalidInputError, check_integer
@@ -76,7 +75,10 @@ def build_laplacian(graph):
     semidefinite for any valid adjacency.
     """
     a = graph.adjacency
-    return Laplacian(np.diag(a.sum(axis=1)) - a)
+    # one n x n array: -A, then the degrees added on its zero diagonal
+    lap = np.subtract(0.0, a)
+    lap.flat[::len(a) + 1] += a.sum(axis=1)
+    return Laplacian(lap)
 
 
 def erdos_renyi(n, p, seed):
@@ -134,6 +136,9 @@ def geodesic_distances(graph):
     The graph is treated as unweighted: any nonzero adjacency entry is one
     hop.  Raises for disconnected graphs, naming an unreachable pair.
     """
+    # imported here, so that importing kronmc does not load SciPy's csgraph
+    from scipy.sparse.csgraph import shortest_path
+
     a = (graph.adjacency > 0).astype(float)
     d = shortest_path(a, method="D", unweighted=True, directed=False)
     if np.any(np.isinf(d)):

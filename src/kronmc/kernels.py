@@ -53,12 +53,13 @@ def _reject_non_finite(a, what):
 class KernelMatrix:
     """Symmetric positive semidefinite similarity matrix.  A spectral kernel
     also carries its eigenpairs in ``_spectrum`` (see spectral_kernel).  The
-    PSD check keeps the top eigenvalue in ``_top_eigenvalue``, and ``_eig``
-    holds the eigenpairs that feature maps and preconditioners read."""
+    PSD check keeps its eigenvalues in ``_eigenvalues``, from which solvers
+    price their solves, and ``_eig`` holds the eigenpairs that feature maps
+    and preconditioners read."""
 
     matrix: np.ndarray
     _spectrum: tuple = field(default=None, repr=False, compare=False)
-    _top_eigenvalue: float = field(init=False, repr=False, compare=False)
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
@@ -79,7 +80,7 @@ class KernelMatrix:
                 f"kernel matrix is not positive semidefinite (min eigenvalue {eigs.min():g})"
             )
         object.__setattr__(self, "matrix", k)
-        object.__setattr__(self, "_top_eigenvalue", float(eigs.max()))
+        object.__setattr__(self, "_eigenvalues", eigs)
 
     @property
     def side(self):
@@ -323,21 +324,40 @@ class FeatureMap:
         return self.rows(i - 1, j - 1)
 
 
-def _ranked_pairs(values_x, values_y, n_rows, d):
+def _ranked_pairs(values_x, values_y, d):
     """Top-d (a, b) factor-index pairs by product values_x[a] * values_y[b].
 
-    Ties break toward the smallest composite vector index b * n_rows + a,
-    so the selection is deterministic.  Returns the index arrays a and b and
-    the ranked products.
+    Ties break toward the smallest composite vector index
+    b * len(values_x) + a, so the selection is deterministic.  Returns the
+    index arrays a and b and the ranked products.
+
+    When the d-th largest product is positive, every product at or above it
+    pairs two values that are among their side's d largest or d most
+    negative, ties included: a value v outside both has d values of its
+    sign further from zero on its side, whose products with v's partner all
+    exceed v's.  So those pairs alone are ranked, and all N L pairs only
+    when the d-th largest of them is not positive.
     """
-    products = np.outer(values_y, values_x).ravel()  # composite index b * n + a
+    def extremes(v):
+        if 2 * d >= len(v):
+            return np.arange(len(v))
+        part = np.partition(v, (d - 1, len(v) - d))
+        return np.flatnonzero((v <= part[d - 1]) | (v >= part[len(v) - d]))
+
+    ia, ib = extremes(values_x), extremes(values_y)
+    # position k of products is the pair (ia[k % len(ia)], ib[k // len(ia)]),
+    # so positions follow the composite index
+    products = np.outer(values_y[ib], values_x[ia]).ravel()
+    if not (len(products) >= d and np.partition(products, -d)[-d] > 0):
+        ia, ib = np.arange(len(values_x)), np.arange(len(values_y))
+        products = np.outer(values_y, values_x).ravel()
     # the top d, ties included, are the products >= the d-th largest; a
     # stable sort of those alone, in index order, ranks them as a stable
-    # sort of all N L would
+    # sort of all would
     keys = -products
     candidates = np.flatnonzero(keys <= np.partition(keys, d - 1)[d - 1])
     order = candidates[np.argsort(keys[candidates], kind="stable")[:d]]
-    return order % n_rows, order // n_rows, products[order]
+    return ia[order % len(ia)], ib[order // len(ia)], products[order]
 
 
 def _factored_map(ux, a, uy, b, w):
@@ -366,7 +386,7 @@ def features_from_eig(kx, ky, d):
         raise InvalidInputError(f"feature dimension must lie in 1..{n * l}, got {d}")
     sx, qx = kx._eig
     sy, qy = ky._eig
-    a, b, products = _ranked_pairs(sx, sy, n, d)
+    a, b, products = _ranked_pairs(sx, sy, d)
     return _factored_map(qx, a, qy, b, np.sqrt(np.maximum(products, 0.0)))
 
 
@@ -391,5 +411,5 @@ def features_from_svd(x, y, d):
     _reject_non_finite(y, "column feature matrix")
     ux, dx, _ = scipy.linalg.svd(x, full_matrices=False, check_finite=False)
     uy, dy, _ = scipy.linalg.svd(y, full_matrices=False, check_finite=False)
-    a, b, products = _ranked_pairs(dx, dy, len(dx), d)
+    a, b, products = _ranked_pairs(dx, dy, d)
     return _factored_map(ux, a, uy, b, products)

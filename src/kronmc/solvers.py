@@ -4,15 +4,16 @@ factorization baselines (exact alternating minimization and row-wise SGD).
 
 All linear systems are symmetric positive definite by construction
 (PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization,
-except the closed-form system, which is solved matrix-free by conjugate
-gradients when CG's worst case costs fewer flops than the Cholesky.  That
-CG runs its kernel products in float32 and keeps its iterate, its
-residuals and its stopping test in float64.  It is preconditioned by mu I
-plus the system's part on the top rx x ry rectangle of factor eigenpairs,
-inverted exactly by Woodbury: the preconditioned condition number is at
-most 1 + lam_out / mu, lam_out the largest eigenvalue product left out,
-and a cost rule picks the rectangle, or none.  On exact-250's draws it
-picks 21 x 13 and halves the products of a fit.
+except the closed-form system, which may be solved matrix-free by
+conjugate gradients.  That CG runs its kernel products in float32 and
+keeps its iterate, its residuals and its stopping test in float64.  It is
+preconditioned by mu I plus the system's part on the top rx x ry rectangle
+of factor eigenpairs, inverted exactly by Woodbury: the preconditioned
+condition number is at most 1 + lam_out / mu, lam_out the largest
+eigenvalue product left out.  One plan, _plan, priced from the factors'
+eigenvalues alone, picks the Cholesky, plain CG or a rectangle, whichever
+costs the fewest flops in the worst case.  On exact-250's draws it picks
+21 x 13 and halves the products of a fit.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
 through ``kronmc._blas`` (which says why) and ``scipy.linalg``, the CG
@@ -189,25 +190,6 @@ def _check_fit_inputs(obs, mu, grid):
             f"model grid {grid[0]} x {grid[1]}")
 
 
-def _cg_iterations(kappa, s, n, l):
-    """Worst-case CG iteration count for an S x S system on an N x L grid
-    whose condition number is at most ``kappa``, or None when the Cholesky
-    path should solve it.
-
-    CG's residual falls below CG_RTOL ||m|| within
-    ceil(sqrt(kappa) / 2 * ln(2 sqrt(kappa) / CG_RTOL)) iterations, each one
-    matrix-free product of 2 N L (N + L) flops.  CG is chosen when that worst
-    case costs fewer flops than the S^3 / 3 of the Cholesky and when
-    ||c - c*|| / ||c*|| <= kappa ||r|| / ||m|| holds the coefficients to
-    CG_COEFF_TOL.
-    """
-    if not kappa * CG_RTOL <= CG_COEFF_TOL:
-        return None
-    root = math.sqrt(kappa)
-    iterations = math.ceil(0.5 * root * math.log(2.0 * root / CG_RTOL))
-    return iterations if iterations * 2 * n * l * (n + l) < s**3 / 3 else None
-
-
 def _kkmcex_cholesky(kernel, sampling, values, mu):
     """Dual coefficients from the gathered S x S block, factored in place."""
     g = kron_submatrix(kernel, sampling)
@@ -219,53 +201,55 @@ def _kkmcex_cholesky(kernel, sampling, values, mu):
     return _spd_solve(g.T, values, check_finite=False)
 
 
-def _rectangle(lx, ly, mu, n, l):
-    """(rx, ry): the sides of the top rectangle of factor eigenpairs that
-    _woodbury preconditions with, or (0, 0) for plain CG.
+def _plan(kernel, s, mu):
+    """How kkmcex_fit solves its S x S system: None for the Cholesky, else
+    (rx, ry, budget), the rectangle that _kkmcex_cg preconditions with and
+    its budget of products.  It reads mu, S, N, L and the factors'
+    eigenvalues alone, never their eigenvectors.
 
-    ``lx`` and ``ly`` are the positive factor eigenvalues, descending.  The
-    rectangle leaves out eigenvalue products of at most lam_out =
-    max(lx[rx] ly[0], lx[0] ly[ry]), so it bounds the preconditioned
-    condition number by 1 + lam_out / mu.  The rule minimizes the
-    worst-case iteration count at that bound (as in _cg_iterations) times
-    the cost of a step, plus the cost of the build.  A step is one product, 2
-    N L (N + L) flops, and one apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2
-    flops, d = rx ry; the build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The
-    flops of apply and build are priced at PRECOND_FLOP_COST, so no side
-    is longer than (N + L) / PRECOND_FLOP_COST, where one apply would cost
-    a product.
+    lx and ly are the factors' positive eigenvalues, descending.  CG is
+    admitted only when kappa CG_RTOL <= CG_COEFF_TOL, kappa = (lx[0] ly[0]
+    + mu) / mu the plain condition bound, since ||c - c*|| / ||c*|| <=
+    kappa ||r|| / ||m|| must hold the coefficients to CG_COEFF_TOL.  The top
+    rx x ry rectangle of factor eigenpairs (_woodbury) leaves out eigenvalue
+    products of at most lam_out = max(lx[rx] ly[0], lx[0] ly[ry]), so it
+    bounds the preconditioned condition number by k = 1 + lam_out / mu, and
+    CG's residual falls below CG_RTOL ||m|| within ceil(sqrt(k) / 2
+    ln(2 sqrt(k) / CG_RTOL)) steps.  A step is one product, 2 N L (N + L)
+    flops, and one apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2 flops,
+    d = rx ry; the build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The flops of
+    apply and build are priced at PRECOND_FLOP_COST, so no side is longer
+    than (N + L) / PRECOND_FLOP_COST, where one apply would cost a product.
+    The grid of those costs, whose (0, 0) is plain CG at kappa, gives the
+    cheapest plan, and the Cholesky's S^3 / 3 flops are chosen unless that
+    plan costs less.  Its worst-case step count is its budget.
     """
-    if not (len(lx) and len(ly)):
-        return 0, 0
+    n, l = kernel.n_rows, kernel.n_cols
     cap = int((n + l) / PRECOND_FLOP_COST)
-    # lx[rx] for rx = 0 .. min(len(lx), cap), zero past the spectrum
-    out_x = np.append(lx, 0.0)[:cap + 1, None]
-    out_y = np.append(ly, 0.0)[None, :cap + 1]
-    rx = np.arange(out_x.shape[0], dtype=float)[:, None]
-    ry = np.arange(out_y.shape[1], dtype=float)[None, :]
+    # lx[rx] for rx = 0 .. min(len(lx), cap), zero past the positive spectrum
+    lx, ly = (np.append(np.sort(w[w > 0])[::-1], 0.0)[:cap + 1]
+              for w in (kernel.kx._eigenvalues, kernel.ky._eigenvalues))
+    # Python floats: an overflowing kappa is inf, as in kkmcex_fit
+    if not (float(lx[0]) * float(ly[0]) + mu) / mu * CG_RTOL <= CG_COEFF_TOL:
+        return None
+    rx = np.arange(len(lx), dtype=float)[:, None]
+    ry = np.arange(len(ly), dtype=float)[None, :]
     d = rx * ry
     apply = (2 * n * l * (rx + ry) + 2 * d * (n + l) + 2 * d * d) * (d > 0)
     build = (2 * n * l * ry * ry + 2 * n * d * d + d**3) * (d > 0)
-    root = np.sqrt(1.0 + np.maximum(out_x * ly[0], lx[0] * out_y) / mu)
+    root = np.sqrt(1.0 + np.maximum(lx[:, None] * ly[0], lx[0] * ly[None, :]) / mu)
     steps = 0.5 * root * np.log(2.0 * root / CG_RTOL)
     cost = (steps * (2 * n * l * (n + l) + PRECOND_FLOP_COST * apply)
             + PRECOND_FLOP_COST * build)
+    # a side of 0 costs what (0, 0) does, which comes first
     a, b = np.unravel_index(np.argmin(cost), cost.shape)
-    return (int(a), int(b)) if a * b > 0 else (0, 0)
+    return (int(a), int(b), math.ceil(steps[a, b])) if cost[a, b] < s**3 / 3 else None
 
 
-def _positive_spectrum(kernel):
-    """The positive eigenvalues of ``kernel``, descending, and the columns
-    of their eigenvectors in ``kernel._eig``."""
-    w = kernel._eig[0]
-    order = np.argsort(-w, kind="stable")
-    order = order[w[order] > 0]
-    return w[order], order
-
-
-def _woodbury(kernel, flat, grid, out, mu):
-    """The float32 apply r -> P^-1 r of _kkmcex_cg's preconditioner, or None
-    when _rectangle picks plain CG.
+def _woodbury(kernel, flat, grid, out, mu, rx, ry):
+    """The float32 apply r -> P^-1 r of _kkmcex_cg's preconditioner on the
+    top rx x ry rectangle, or None for an empty rectangle or a failed
+    factorization.
 
     P = mu I + Phi_R Lam_R Phi_R^T is G's part on the top rx x ry rectangle
     of factor eigenpairs, plus mu I: column (a, b) of the S x d matrix
@@ -284,15 +268,15 @@ def _woodbury(kernel, flat, grid, out, mu):
     ``grid`` is the float32 product's scatter grid, zero off the sampled
     cells ``flat``; each scatter writes all of them, so it stays so.
     """
-    n, l = grid.shape
-    (lx, ox), (ly, oy) = _positive_spectrum(kernel.kx), _positive_spectrum(kernel.ky)
-    rx, ry = _rectangle(lx, ly, mu, n, l)
     if rx * ry == 0:
         return None
-    d = rx * ry
-    lam = np.outer(lx[:rx], ly[:ry]).ravel()
-    ux = kernel.kx._eig[1][:, ox[:rx]].astype(np.float32)
-    uy = kernel.ky._eig[1][:, oy[:ry]].astype(np.float32)
+    l, d = grid.shape[1], rx * ry
+    # the top eigenpairs, whose eigenvalues _plan found positive
+    ox, oy = (np.argsort(-k._eigenvalues, kind="stable")[:r]
+              for k, r in ((kernel.kx, rx), (kernel.ky, ry)))
+    lam = np.outer(kernel.kx._eigenvalues[ox], kernel.ky._eigenvalues[oy]).ravel()
+    ux = kernel.kx._eig[1][:, ox].astype(np.float32)
+    uy = kernel.ky._eig[1][:, oy].astype(np.float32)
     cells = grid.ravel()
     cells[flat] = 1.0
     b = _blas.gemm(grid, (uy[:, :, None] * uy[:, None, :]).reshape(l, ry * ry))
@@ -322,7 +306,7 @@ def _woodbury(kernel, flat, grid, out, mu):
     return apply
 
 
-def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
+def _kkmcex_cg(kernel, sampling, values, mu, plan):
     """Dual coefficients by preconditioned CG from zero, or None when the
     true residual misses CG_RTOL ||m|| or is not finite.
 
@@ -337,21 +321,22 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
     float64: each time r has fallen by CG_REPLACE, and before any stop or
     when the budget is spent, r is replaced by the true residual
     m - (G + mu I) x from a float64 product, and CG stops only on a true
-    residual of at most CG_RTOL / 2 ||m||.  Products of both precisions
-    count against ``maxiter``.
+    residual of at most CG_RTOL / 2 ||m||.  ``plan`` is _plan's (rx, ry,
+    budget), and products of both precisions count against its budget.
 
     The top of the product spectrum is what sets kappa, so the steps are
     preconditioned by P = mu I + G's part on the top rx x ry rectangle of
     factor eigenpairs, applied exactly in float32 by _woodbury.  P <= G +
     mu I <= P + lam_out I, lam_out the largest eigenvalue product outside
     the rectangle, so the preconditioned condition number is at most 1 +
-    lam_out / mu; _rectangle picks the rectangle from that bound and the
+    lam_out / mu; _plan picks the rectangle from that bound and the
     costs, and its (0, 0) runs plain CG through the same loop.  At
     exact-250's settings (250 x 250, S = 6250, mu = 1e-3) it picks 21 x 13,
-    which bounds the condition number by 109 instead of 1001: over 20
-    draws a fit took 57.4 float32 products on average instead of 137.5
-    (at most 64 instead of 164), and 6 float64 ones as before.  An apply
-    costs about a third of a product and the build about 2 ms.
+    which bounds the condition number by 109 instead of 1001, and a budget
+    of 161 products: over 20 draws a fit took 57.4 float32 products on
+    average instead of 137.5 (at most 64 instead of 164), and 6 float64
+    ones as before.  An apply costs about a third of a product and the
+    build about 2 ms.
     """
     n, l = kernel.n_rows, kernel.n_cols
     flat = sampling.row_indices0 * l + sampling.col_indices0
@@ -371,14 +356,15 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
         g.ravel()[flat] = c
         return _blas.gemm(_blas.gemm(kx, g), ky, out=g).ravel()[flat] + mu * c
 
-    precondition = _woodbury(kernel, flat, grid, full, mu) or (lambda r: r)
+    rx, ry, budget = plan
+    precondition = _woodbury(kernel, flat, grid, full, mu, rx, ry) or (lambda r: r)
     x, p = np.zeros(len(flat)), np.zeros(len(flat))
     r = values.copy()
     rz = 1.0
     true_rr = anchor = _blas.dot(r, r)
     stop = (0.5 * CG_RTOL) ** 2 * true_rr
     products = 0
-    while true_rr > stop and products < maxiter:
+    while true_rr > stop and products < budget:
         z = precondition(r)
         rz, rz_old = _blas.dot(r, z), rz
         p = z + (rz / rz_old) * p
@@ -391,7 +377,7 @@ def _kkmcex_cg(kernel, sampling, values, mu, maxiter):
         x += alpha * p
         r -= alpha * q
         rr = _blas.dot(r, r)
-        if rr <= max(CG_REPLACE**2 * anchor, stop) or products == maxiter:
+        if rr <= max(CG_REPLACE**2 * anchor, stop) or products == budget:
             r = values - double(x)
             products += 1
             true_rr = anchor = _blas.dot(r, r)
@@ -404,23 +390,22 @@ def kkmcex_fit(kernel, obs, mu):
     The dual coefficients solve (G + mu I) c = m with G the sampled S x S
     product-kernel block; the full NL x NL kernel is never formed.  The
     condition number of G + mu I is at most kappa = (lx ly + mu) / mu, lx
-    and ly the factors' top eigenvalues.  When _cg_iterations admits CG,
-    the system is solved matrix-free, in O(S + NL) memory; a CG solve that
-    misses its residual falls back to the Cholesky path.  That path gathers
+    and ly the factors' top eigenvalues.  When _plan picks CG, the system is
+    solved matrix-free, in O(S + NL) memory; a CG solve that misses its
+    residual falls back to the Cholesky path.  That path gathers
     G as the only S x S array, adds mu to its diagonal and factors it in
     place, so its peak memory is about one S x S block.
     """
     _check_fit_inputs(obs, mu, (kernel.n_rows, kernel.n_cols))
     sampling = obs.sampling
-    top = max(kernel.kx._top_eigenvalue, 0.0) * max(kernel.ky._top_eigenvalue, 0.0)
+    top_x, top_y = (max(float(k._eigenvalues.max()), 0.0) for k in (kernel.kx, kernel.ky))
+    top = top_x * top_y
     kappa = (top + mu) / mu
     where = f"mu={mu:g}, S={len(sampling)}, condition bound {kappa:.3g}"
     if not np.isfinite(top + mu):
         raise NumericalError(f"kernel eigenvalue product overflows ({where})")
-    maxiter = _cg_iterations(kappa, len(sampling), kernel.n_rows, kernel.n_cols)
-    coeffs = None
-    if maxiter is not None:
-        coeffs = _kkmcex_cg(kernel, sampling, obs.values, mu, maxiter)
+    plan = _plan(kernel, len(sampling), mu)
+    coeffs = None if plan is None else _kkmcex_cg(kernel, sampling, obs.values, mu, plan)
     if coeffs is None:
         try:
             coeffs = _kkmcex_cholesky(kernel, sampling, obs.values, mu)

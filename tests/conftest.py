@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,3 +27,17 @@ def eig_calls(monkeypatch):
         monkeypatch.setattr(kronmc._blas, name, counted)
         monkeypatch.setattr(np.linalg, name, refused)
     return counts
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(call)``: the peak bytes that tracemalloc traces while
+    ``call()`` runs, which numpy reports every array allocation to."""
+    def measure(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -452,6 +452,10 @@ def test_band_graph_structure():
     assert np.array_equal(adj, adj.T)
     assert np.all(np.diag(adj) == 0)
     assert band_graph(4, 0).adjacency.sum() == 0
+    for n, half_width in ((1, 0), (1, 3), (5, 1), (5, 4), (5, 9), (9, 3)):
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert np.array_equal(band_graph(n, half_width).adjacency,
+                              ((gap > 0) & (gap <= half_width)).astype(float))
 
 
 def test_bundle_recipes_reject_a_negative_or_fractional_seed():
@@ -502,6 +506,26 @@ def test_station_day_bundle_recipe_completes():
     # the kernel builder re-sweeps the diffusion weight
     kx2, _ = ds.kernel_builder(2.0)
     assert not np.allclose(kx2.matrix, ds.kx.matrix)
+
+
+def test_station_day_bundle_holds_few_station_sized_arrays(peak_bytes):
+    # 400 stations, 40 days: the station side dominates.  No stage of the
+    # recipe holds more than five n x n float64 arrays of a side at once:
+    # the geodesics (the distances, the k-nearest adjacency, its 0/1 copy,
+    # the hop counts and shortest_path's own copy) and the station kernel's
+    # build (the distances still, the Laplacian, eigh's copy of it, its
+    # eigenvectors and the kernel's product) are the largest.  A sixth
+    # allows for byte masks and the graph's sparse form: 6 (n^2 + l^2)
+    # floats, 7.76 MB.
+    # Measured: 6.70 MB (5.18 of those units).  Before the set-up's
+    # buffers were trimmed it read 10.47 MB, and the n x n x 2 coordinate
+    # differences alone, held by the caller through the recipe, bring it
+    # to 9.27 MB.  SciPy's csgraph is imported first, so that the lazy
+    # import's own allocations stay out of the trace
+    import scipy.sparse.csgraph  # noqa: F401
+    n, l = 400, 40
+    peak = peak_bytes(lambda: synthetic_station_day_bundle(n, l, seed=3))
+    assert peak <= 6 * (n * n + l * l) * 8
 
 
 def test_class_agreement_bundle_recipe():

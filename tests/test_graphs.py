@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,3 +187,16 @@ def test_adjacency_csv_round_trip(tmp_path):
     path = tmp_path / "adj.csv"
     save_matrix_csv(path, g.adjacency)
     assert np.array_equal(load_matrix_csv(path), g.adjacency)
+
+
+def test_importing_kronmc_leaves_csgraph_unloaded():
+    # only geodesic_distances needs SciPy's csgraph, about 4.6 MB resident,
+    # so a fresh process that imports kronmc and its CLI never loads it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, kronmc, kronmc.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -9,7 +9,7 @@ from kronmc import (Bandlimited, Diffusion, FeatureMap, Graph, InvalidInputError
                     build_laplacian, erdos_renyi, features_from_eig,
                     features_from_svd, gaussian_kernel, kron_submatrix,
                     linear_kernel, pearson_kernel, SamplingSet, spectral_kernel,
-                    uniform_sample)
+                    synthetic_station_day_bundle, uniform_sample)
 
 from kronmc.kernels import _ranked_pairs
 
@@ -104,7 +104,7 @@ def test_spectral_kernel_carries_its_laplacian_spectrum():
         assert q is lap.spectrum[1]
         assert np.array_equal(w, weighting.inverse_weights(lap.spectrum[0]))
         assert np.abs((q * w) @ q.T - k.matrix).max() <= 1e-12
-        assert k._top_eigenvalue == w.max()
+        assert k._eigenvalues is w
 
 
 def test_kernel_matrix_psd_check_reads_the_carried_spectrum():
@@ -119,7 +119,7 @@ def test_non_spectral_kernels_are_decomposed_by_check_and_features(eig_calls):
     kx = pearson_kernel(rng.normal(size=(6, 4)))
     ky = KernelMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
     assert eig_calls == {"eigh": 0, "eigvalsh": 2}
-    assert ky._top_eigenvalue == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-14)
+    assert ky._eigenvalues.max() == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-14)
     features_from_eig(kx, ky, 5)
     assert eig_calls == {"eigh": 2, "eigvalsh": 2}
 
@@ -286,6 +286,22 @@ def test_features_from_eig_deterministic_under_ties():
     assert np.allclose(gram, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
 
+def test_features_from_eig_holds_no_nl_sized_array(peak_bytes):
+    # the ridge-stations map, 800 x 1250 at d = 50, on kernels that carry
+    # their spectra.  It keeps x (N x d), y (L x d) and the distinct basis
+    # columns of each side (at most (N + L) d), and forms ux[:, ia] before
+    # the weights scale it: at most 3 (N + L) d floats.  The ranked pairs,
+    # each side's d largest and d most negative eigenvalues, about (2 d)^2
+    # products with their keys, fit in a fourth (N + L) d, so the bound is
+    # 4 (N + L) d floats, 3.28 MB.  Measured: 2.22 MB.  One N L array of
+    # products, as ranking all pairs would form, is 8 MB alone: with it
+    # the peak read 24.0 MB
+    n, l, d = 800, 1250, 50
+    ds = synthetic_station_day_bundle(n, l, seed=11)
+    peak = peak_bytes(lambda: features_from_eig(ds.kx, ds.ky, d))
+    assert peak <= 4 * (n + l) * d * 8 < 8 * n * l
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_ranked_pairs_match_a_full_stable_sort(data):
@@ -298,7 +314,7 @@ def test_ranked_pairs_match_a_full_stable_sort(data):
     d = data.draw(st.integers(1, n * l))
     products = np.outer(values_y, values_x).ravel()
     order = np.argsort(-products, kind="stable")[:d]
-    a, b, ranked = _ranked_pairs(values_x, values_y, n, d)
+    a, b, ranked = _ranked_pairs(values_x, values_y, d)
     assert np.array_equal(a, order % n) and np.array_equal(b, order // n)
     assert np.array_equal(ranked, products[order])
 

@@ -98,7 +98,7 @@ def test_kkmcex_multi_block_gather_matches_dense_oracle():
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
-def test_kkmcex_fit_peak_memory_is_about_one_gram():
+def test_kkmcex_fit_peak_memory_is_about_one_gram(peak_bytes):
     # the S x S block (8 S^2 bytes, 50 MB here) is the only array of its
     # size; beside it the gather holds one row block of at most
     # GATHER_BLOCK_BYTES and the rest is O(S): the factor rows of a block
@@ -108,30 +108,25 @@ def test_kkmcex_fit_peak_memory_is_about_one_gram():
     # boolean S x S mask (S^2 bytes, 6.25 MB), 39 times that allowance.
     # kkmcex_fit would solve this system by CG, so the Cholesky path is
     # called directly
-    import tracemalloc
     rng = np.random.default_rng(41)
     count = 2500
     kk, f, obs = random_problem(rng, 60, 50, count, 1e-2)
-    tracemalloc.start()
-    try:
-        solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2))
     assert peak <= 8 * count**2 + GATHER_BLOCK_BYTES + 8 * 8 * count
 
 
 def unit_top_kernel(rng, n):
     """Random SPD kernel scaled to top eigenvalue 1."""
     k = make_spd_kernel(rng, n)
-    return KernelMatrix(k.matrix / k._top_eigenvalue)
+    return KernelMatrix(k.matrix / k._eigenvalues.max())
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
-    # grids of 30..40 rows and columns sampled at 80-90 % give CG budgets of
-    # over 1100 products, above the 503 iterations of kappa ~ 1e3 (mu = 1e-3
-    # on unit-top kernels), so the rule picks CG for every mu in 1e-3..10;
+    # grids of 30..40 rows and columns sampled at 80-90 % give Cholesky
+    # costs of over 1100 products, above plain CG's worst case of 503 at
+    # kappa ~ 1e3 (mu = 1e-3 on unit-top kernels), so _plan picks CG for
+    # every mu in 1e-3..10;
     # a fallback would hide a CG that misses its tolerance, so the Cholesky
     # path fails the test
     rng = np.random.default_rng(300 + case)
@@ -146,7 +141,7 @@ def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
         # accurate: diffusion kernels (top eigenvalue 1, the rest decaying
         # far below mu) and mu = 1.001e-4 give G + mu I a condition number
         # near the bound kappa = 9991 (checked below); 40 x 40 at 90 % has
-        # a budget of 3888 products, above the bound's 1646 iterations
+        # a Cholesky cost of 3888 products, above the bound's 1646 iterations
         n = l = 40
         count = 1440
         mu = 1.001e-4
@@ -166,49 +161,103 @@ def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
+def flat_kernel(n, value):
+    """value * I, carrying its spectrum, so that no eigvalsh checks it."""
+    return KernelMatrix(value * np.eye(n), _spectrum=(np.full(n, value), np.eye(n)))
+
+
 @pytest.mark.parametrize("mu, s, n, l, expected", [
-    (1e-3, 6250, 250, 250, 503),  # exact-250: CG
-    (1e-4, 6250, 250, 250, None),  # k about 1650 > 1302 products of budget
-    (1e-6, 6250, 250, 250, None),  # criterion 7: k about 17600
-    (1e-3, 625, 250, 250, None),  # cli-fit: a budget of 1.3 products
-    (1e-5, 62500, 790, 790, None),  # within budget, but kappa tau = 1e-7
+    (1e-3, 6250, 250, 250, (0, 0, 503)),  # exact-250's sizes: plain CG
+    (1.2e-4, 6250, 250, 250, None),  # 1499 products > the Cholesky's 1302
+    (1e-4, 6250, 250, 250, None),  # kappa tau = 1.0001e-8: not admitted
+    (1e-6, 6250, 250, 250, None),  # criterion 7
+    (1e-3, 625, 250, 250, None),  # cli-fit: the Cholesky costs 1.3 products
+    (1e-5, 62500, 790, 790, None),  # cheaper, but kappa tau = 1e-7
 ])
-def test_cg_rule_picks_the_cheaper_exact_solver(mu, s, n, l, expected):
-    kappa = (1.0 + mu) / mu  # top eigenvalues 1
-    assert solvers._cg_iterations(kappa, s, n, l) == expected
+def test_plan_on_a_flat_spectrum_picks_plain_cg_or_the_cholesky(mu, s, n, l, expected):
+    # top eigenvalues 1, and all others too, so that no rectangle shrinks
+    # the condition bound (no side may reach (N + L) / 4): plain CG at
+    # kappa = (1 + mu) / mu against the Cholesky
+    kk = KroneckerKernel(flat_kernel(n, 1.0), flat_kernel(l, 1.0))
+    assert solvers._plan(kk, s, mu) == expected
 
 
-def test_cg_rule_iteration_bound_formula():
+def test_plan_budget_is_the_worst_case_iteration_count():
     # the worst-case count itself, where the coefficient tolerance admits
-    # kappa and the budget is large: ceil(sqrt(k) / 2 * ln(2 sqrt(k) / 1e-12))
+    # kappa and the Cholesky costs far more: ceil(sqrt(k) / 2 ln(2 sqrt(k)
+    # / 1e-12)); eigenvalues k - 1 and 1 and mu = 1 give kappa = k exactly
+    def plan(kappa):
+        return solvers._plan(KroneckerKernel(flat_kernel(100, kappa - 1.0),
+                                             flat_kernel(100, 1.0)), 10**6, 1.0)
+
     for kappa, expected in ((1001.0, 503), (101.0, 154), (1e4, 1647)):
-        assert solvers._cg_iterations(kappa, 10**6, 100, 100) == expected
-    assert solvers._cg_iterations(1e4 * 1.0001, 10**6, 100, 100) is None
-    assert solvers._cg_iterations(np.inf, 10**6, 100, 100) is None
+        assert plan(kappa) == (0, 0, expected)
+    assert plan(1e4 + 1.0) is None
 
 
-def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram():
-    # at 250 x 250, S = 6250, mu = 1e-3 the rule picks CG, which holds three
+@pytest.fixture(scope="module")
+def paper_data():
+    """exact-250's dataset: the benchmark's 250 x 250 diffusion pair."""
+    return generate_synthetic(250, 250, 0.03, 1.0, seed=11)
+
+
+@pytest.mark.parametrize("mu, expected", [
+    (1e-3, (21, 13, 161)),  # exact-250: at most 67 used over 10 draws
+    (1.5e-4, (26, 17, 380)),  # kappa 6668: plain CG's 1336 exceed 1302; 124 used
+    (1e-4, None),  # kappa 10001: not admitted
+    (1e-6, None),
+])
+def test_plan_prices_the_preconditioned_bound(paper_data, mu, expected):
+    # S = 6250.  The rectangle bounds the preconditioned system by 1 +
+    # lam_out / mu (109 at 1e-3, 582 at 1.5e-4), so its worst case is a
+    # fraction of the plain bound's; priced at the plain kappa, as the rule
+    # before it was, the 1.5e-4 row gets the Cholesky and fails
+    kk = KroneckerKernel(paper_data.kx, paper_data.ky)
+    assert solvers._plan(kk, 6250, mu) == expected
+
+
+def test_plan_at_cli_fit_size_reads_no_eigenvectors(paper_data, eig_calls):
+    # kernels read from CSV carry no spectrum: their PSD check's eigvalsh
+    # prices the plan, and S = 625 gets the Cholesky with no eigh at all
+    kk = KroneckerKernel(KernelMatrix(paper_data.kx.matrix), KernelMatrix(paper_data.ky.matrix))
+    assert solvers._plan(kk, 625, 1e-3) is None
+    assert eig_calls == {"eigh": 0, "eigvalsh": 2}
+
+
+def test_preconditioned_cg_past_the_plain_bound_matches_the_cholesky(paper_data, monkeypatch):
+    # mu = 1.5e-4, where the plain bound sent the fit to the Cholesky: the
+    # 26 x 17 rectangle's CG, with the fallback refused, lands on it
+    kk = KroneckerKernel(paper_data.kx, paper_data.ky)
+    obs = observe(paper_data.f, uniform_sample(250, 250, 6250, seed=2),
+                  NoiseSpec.target_snr(1.0, seed=3))
+    cholesky = solvers._kkmcex_cholesky
+
+    def no_cholesky(*args):
+        raise AssertionError("the CG solve fell back to Cholesky")
+
+    monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
+    coeffs = kkmcex_fit(kk, obs, 1.5e-4).dual_coeffs
+    expected = cholesky(kk, obs.sampling, obs.values, 1.5e-4)
+    assert np.linalg.norm(coeffs - expected) / np.linalg.norm(expected) <= 1e-8
+
+
+def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram(peak_bytes):
+    # at 250 x 250, S = 6250, mu = 1e-3 _plan picks CG, which holds three
     # N x L grids in float64 (0.5 MB each) and three in float32, float32
     # copies of Kx and Ky, and a few length-S vectors: about 3 MB.  The
     # S x S block it avoids is 312 MB
-    import tracemalloc
     rng = np.random.default_rng(42)
     n, count = 250, 6250
     kk = KroneckerKernel(unit_top_kernel(rng, n), unit_top_kernel(rng, n))
     obs = ObservationSet(uniform_sample(n, n, count, seed=6), rng.normal(size=count))
-    tracemalloc.start()
-    try:
-        kkmcex_fit(kk, obs, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: kkmcex_fit(kk, obs, 1e-3))
     assert peak <= 0.02 * count**2 * 8
 
 
 def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch):
-    # a budget of one product: one float32 CG step, then the true residual
-    # from one float64 product, which misses the tolerance.  The diffusion
+    # _plan's rectangle with a budget of one product: one float32 CG step,
+    # then the true residual from one float64 product, which misses the
+    # tolerance.  The diffusion
     # kernels make the step a preconditioned one, whose build and apply run
     # GEMMs of their own; a product is the pair of GEMMs by Kx and then Ky,
     # and the first one is told by its Kx-shaped left operand (N != L)
@@ -219,6 +268,7 @@ def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch)
     cg_results, cg = [], solvers._kkmcex_cg
     product_dtypes, gemm = [], solvers._blas.gemm
     preconditioners, woodbury = [], solvers._woodbury
+    plan = solvers._plan
 
     def counted_cg(*args):
         cg_results.append(cg(*args))
@@ -233,7 +283,7 @@ def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch)
         preconditioners.append(woodbury(*args))
         return preconditioners[-1]
 
-    monkeypatch.setattr(solvers, "_cg_iterations", lambda *args: 1)
+    monkeypatch.setattr(solvers, "_plan", lambda *args: plan(*args)[:2] + (1,))
     monkeypatch.setattr(solvers, "_kkmcex_cg", counted_cg)
     monkeypatch.setattr(solvers, "_woodbury", counted_woodbury)
     monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
@@ -246,14 +296,14 @@ def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch)
 
 
 def _preconditioned_duals(monkeypatch, kk, obs, mu):
-    """kkmcex_fit's duals, scattered onto the grid, and the (rx, ry) the
-    rule picked; fails unless CG ran preconditioned and kept its answer."""
-    rectangles, rectangle = [], solvers._rectangle
+    """kkmcex_fit's duals, scattered onto the grid, and the (rx, ry) that
+    _plan picked; fails unless CG ran preconditioned and kept its answer."""
+    plans, plan = [], solvers._plan
     preconditioners, woodbury = [], solvers._woodbury
 
-    def spied_rectangle(*args):
-        rectangles.append(rectangle(*args))
-        return rectangles[-1]
+    def spied_plan(*args):
+        plans.append(plan(*args))
+        return plans[-1]
 
     def spied_woodbury(*args):
         preconditioners.append(woodbury(*args))
@@ -262,24 +312,24 @@ def _preconditioned_duals(monkeypatch, kk, obs, mu):
     def no_cholesky(*args):
         raise AssertionError("the CG solve fell back to Cholesky")
 
-    monkeypatch.setattr(solvers, "_rectangle", spied_rectangle)
+    monkeypatch.setattr(solvers, "_plan", spied_plan)
     monkeypatch.setattr(solvers, "_woodbury", spied_woodbury)
     monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
     gamma = full_dual_vector(kkmcex_fit(kk, obs, mu))
-    assert len(rectangles) == 1 and rectangles[0][0] * rectangles[0][1] > 0
+    assert len(plans) == 1 and plans[0][0] * plans[0][1] > 0
     assert preconditioners[0] is not None
-    return gamma, rectangles[0]
+    return gamma, plans[0][:2]
 
 
 @pytest.mark.parametrize("case", ["bandlimited", "gaussian", "rectangular", "empty-lines"])
 def test_preconditioned_cg_matches_dense_oracle(case, monkeypatch):
-    # each case is admitted to CG (S is large enough for its budget) and
-    # has a decaying spectrum, so the rule picks a rectangle:
+    # each case is admitted to CG, at an S whose Cholesky costs more, and
+    # has a decaying spectrum, so _plan picks a rectangle:
     # - bandlimited: weights 1 on a pass band and 0 elsewhere, so the
     #   rectangle must keep the zero weights out (mu / 0 in W); it covers
     #   the whole band and makes P = G + mu I exact
     # - gaussian: a kernel with no carried spectrum, decomposed by eigh
-    # - rectangular: N != L, where the rule picks rx != ry
+    # - rectangular: N != L, where _plan picks rx != ry
     # - empty-lines: rows and columns with no sample, so B_i = 0
     rng = np.random.default_rng(7)
     n, l, mu = 40, 40, 1e-3
@@ -315,7 +365,7 @@ def test_preconditioned_cg_matches_dense_oracle(case, monkeypatch):
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
-def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch):
+def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch, peak_bytes):
     # one fixed 250 x 250 draw at exact-250's settings (the benchmark's
     # dataset, S = 6250, mu = 1e-3, SNR 1): the fit is deterministic, so
     # its products repeat exactly.  Measured: 60 float32 and 6 float64
@@ -325,7 +375,6 @@ def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch):
     # sit far below the plain CG's 131, which an identity preconditioner
     # (or a lost rectangle) brings back.  The preconditioned fit also keeps
     # within the memory bound of the plain CG's memory test above
-    import tracemalloc
     n, count = 250, 6250
     data = generate_synthetic(n, n, 0.03, 1.0, seed=11)
     kk = KroneckerKernel(data.kx, data.ky)
@@ -340,12 +389,7 @@ def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch):
         return gemm(a, b, out)
 
     monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
-    tracemalloc.start()
-    try:
-        kkmcex_fit(kk, obs, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: kkmcex_fit(kk, obs, 1e-3))
     single, double = products["float32"] // 2, products["float64"] // 2
     assert single <= 66 and double <= 7 and single + double <= 73
     assert peak <= 0.02 * count**2 * 8
@@ -353,15 +397,15 @@ def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch):
 
 def test_each_kernel_side_is_eigendecomposed_once(eig_calls, tmp_path):
     # a kernel with no carried spectrum is decomposed by one eigh on the
-    # first CG fit, and its two CG fits and two feature maps share it
+    # first CG fit that builds a rectangle, and its two CG fits and two
+    # feature maps share it
     rng = np.random.default_rng(8)
     kx, ky = (gaussian_kernel(rng.uniform(size=(side, 1)), 0.02) for side in (40, 36))
     kk = KroneckerKernel(kx, ky)
     obs = observe(rng.normal(size=(40, 36)), uniform_sample(40, 36, 1152, seed=1))
     for mu in (1e-1, 5e-2):
-        # both admitted to CG: kappa about 2.6e3 and 5.1e3
-        assert solvers._cg_iterations((kx._top_eigenvalue * ky._top_eigenvalue + mu) / mu,
-                                      1152, 40, 36) is not None
+        # both admitted to CG (kappa about 2.6e3 and 5.1e3), with a rectangle
+        assert solvers._plan(kk, 1152, mu)[0] > 0
         kkmcex_fit(kk, obs, mu)
         assert eig_calls == {"eigh": 2, "eigvalsh": 2}
     for d in (10, 20):
@@ -405,22 +449,16 @@ def test_kkmcex_failed_cholesky_names_mu_s_and_kappa():
         kkmcex_fit(KroneckerKernel(big, big), obs, 1e-100)
 
 
-def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s():
+def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s(peak_bytes):
     # Phi_S (S x d, 6.4 MB here) is never formed: the fit holds one gathered
     # block of FEATURE_BLOCK_BYTES (256 KB), its row-factor temporary of the
     # same size and the d x d Gram, about 0.08 of Phi_S; forming Phi_S in
     # one piece costs at least 1.0
-    import tracemalloc
     rng = np.random.default_rng(43)
     n, l, d, count = 200, 250, 20, 40000
     fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(l, d)))
     obs = ObservationSet(uniform_sample(n, l, count, seed=5), rng.normal(size=count))
-    tracemalloc.start()
-    try:
-        rrmcex_fit(fmap, obs, 1e-2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: rrmcex_fit(fmap, obs, 1e-2))
     assert peak <= 0.25 * count * d * 8
 
 
@@ -1093,11 +1131,10 @@ def test_ridge_gram_rule_picks_the_faster_path(s, d, pairs, other, grouped):
     assert solvers._grouped_gram_pays(s, d, pairs, other) is grouped
 
 
-def test_rrmcex_grouped_fit_holds_no_s_by_d_array():
+def test_rrmcex_grouped_fit_holds_no_s_by_d_array(peak_bytes):
     # at S = 40000, d = 50 and three row basis columns (6 pairs), Phi_S
     # would take 16 MB and an S x P array 1.92 MB; the grouped fit holds two
     # length-S buffers of 0.32 MB and one transient length-S array at a time
-    import tracemalloc
     rng = np.random.default_rng(49)
     kx = _kernel_with_spectrum(rng, [1e3, 0.9995e3, 0.999e3] + [1e-3] * 197)
     fmap = features_from_eig(kx, _kernel_with_spectrum(rng, rng.uniform(1, 1.1, 250)), 50)
@@ -1106,12 +1143,7 @@ def test_rrmcex_grouped_fit_holds_no_s_by_d_array():
     count = 40000
     assert solvers._grouped_gram_pays(count, 50, 6, other)
     obs = ObservationSet(uniform_sample(200, 250, count, seed=6), rng.normal(size=count))
-    tracemalloc.start()
-    try:
-        rrmcex_fit(fmap, obs, 1e-2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: rrmcex_fit(fmap, obs, 1e-2))
     assert peak <= 4 * count * 8
 
 
