@@ -13,7 +13,9 @@ condition number is at most 1 + lam_out / mu, lam_out the largest
 eigenvalue product left out.  One plan, _plan, priced from the factors'
 eigenvalues alone, picks the Cholesky, plain CG or a rectangle, whichever
 costs the fewest flops in the worst case.  On exact-250's draws it picks
-21 x 13 and halves the products of a fit.
+21 x 13 and halves the products of a fit.  The ridge fit decides its Gram
+once too, in _pairing.  A failed solve of any fit, and a diverging SGD
+fit, raise a NumericalError that names mu and S.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
 through ``kronmc._blas`` (which says why) and ``scipy.linalg``, the CG
@@ -46,17 +48,18 @@ CG_COEFF_TOL = 1e-8
 # 1e4 * 6e-8 = 6e-4 of the residual at the last replacement (measured:
 # 3e-7 to 2.5e-5 at kappa 1e3), so the factor must stay well above that.
 # On 20 draws at 250 x 250, S = 6250, mu = 1e-3, factors from 1e-1 to 1e-3
-# took on average 135 to 142 float32 and 12 to 4 float64 products without
-# the preconditioner, and 57.1 to 58.5 and 11.5 to 4 with it; at 0.53 of
-# a float64 product's time per float32 one (0.21 against 0.39 ms a GEMM),
-# 1e-2 (137 + 6) cost least without it, on a flat minimum from 3e-2 to
-# 3e-3, and with it (57.4 + 6, each step with its apply) it costs within
-# 3 % of 1e-3, which sits too near the drift
+# took on average 57.1 to 58.5 float32 and 11.5 to 4 float64 products; at
+# 0.53 of a float64 product's time per float32 one (0.21 against 0.39 ms a
+# GEMM), 1e-2 (57.4 + 6, each step with its apply) costs within 3 % of
+# 1e-3, which sits too near the drift
 CG_REPLACE = 1e-2
 # size of one block of gathered feature rows in _feature_blocks, which
-# ORRMCEX and the dsyrk path of rrmcex_fit run (of 64 KB to 1 MB, 256 KB fit
-# fastest on an 800 x 1250 grid at S = 250000, d = 50, a fit that now takes
-# the grouped path)
+# ORRMCEX and the dsyrk path of rrmcex_fit run.  Over sizes of 64 KB to
+# 1 MB, interleaved (2 cores, OpenBLAS), the dsyrk Gram at criterion 7's
+# d = 250, S = 6250 took 19.0, 14.6, 12.5, 11.4 and 11.9 ms (min of 30),
+# and orrmcex_run at criterion 9's settings (d = 50, S = 6250, 20 epochs)
+# 0.52-0.54 s at every size (min of 6): its per-observation updates, not
+# its gathers, set its time
 FEATURE_BLOCK_BYTES = 1 << 18
 # cost of one (pair, sample) step of _grouped_gram, in flops of _syrk_gram:
 # on the 800 x 1250 station grid at S = 250000 (2 cores, OpenBLAS), one
@@ -92,9 +95,10 @@ __all__ = [
 ]
 
 
-def _spd_solve(a, b, check_finite=True):
+def _spd_solve(a, b, where, check_finite=True):
     """Solve a x = b for symmetric positive-definite ``a``, read from its
-    lower triangle.
+    lower triangle; a failure raises a NumericalError that ends with the
+    caller's context ``where``.
 
     Consumes ``a``: a Fortran-ordered ``a`` is overwritten by its Cholesky
     factor, so callers pass an array they no longer need; any other layout
@@ -104,11 +108,13 @@ def _spd_solve(a, b, check_finite=True):
     """
     try:
         factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=check_finite)
-    except LinAlgError as exc:
-        raise NumericalError(f"positive-definite solve failed: {exc}") from exc
+    except ValueError as exc:
+        # a LinAlgError (not positive definite) is a ValueError, as is
+        # SciPy's report of a non-finite entry
+        raise NumericalError(f"positive-definite solve failed: {exc} ({where})") from exc
     # cho_factor has checked a; SciPy's own check would rescan the whole factor
     if not np.all(np.isfinite(b)):
-        raise NumericalError("positive-definite solve: right-hand side is not finite")
+        raise NumericalError(f"positive-definite solve: right-hand side is not finite ({where})")
     return cho_solve(factor, b, check_finite=False)
 
 
@@ -177,61 +183,72 @@ class StepSchedule:
 def _check_fit_inputs(obs, mu, grid):
     """Reject an empty sampling, a ridge weight ``mu`` that is not positive
     and finite, a non-finite observation, or a sampling of another grid
-    than ``grid``, the model's (N, L)."""
+    than ``grid``, the model's (N, L).  Returns the fit's context, "mu=...,
+    S=...", for its error messages."""
     sampling = obs.sampling
     if len(sampling) == 0:
         raise InvalidInputError("sampling is empty (S = 0)")
     check_number("mu", mu)
-    if not np.all(np.isfinite(obs.values)):
-        raise InvalidInputError("observations contain non-finite values")
+    bad = ~np.isfinite(obs.values)
+    if bad.any():
+        k = np.argmax(bad)
+        raise InvalidInputError(
+            f"observation {k + 1}, at grid entry ({sampling.row_indices0[k] + 1}, "
+            f"{sampling.col_indices0[k] + 1}), is not finite")
     if (sampling.n_rows, sampling.n_cols) != grid:
         raise InvalidInputError(
             f"sampling grid {sampling.n_rows} x {sampling.n_cols} does not match "
             f"model grid {grid[0]} x {grid[1]}")
+    return f"mu={mu:g}, S={len(sampling)}"
 
 
-def _kkmcex_cholesky(kernel, sampling, values, mu):
-    """Dual coefficients from the gathered S x S block, factored in place."""
+def _kkmcex_cholesky(kernel, sampling, values, mu, where):
+    """Dual coefficients from the gathered S x S block, factored in place;
+    ``where`` as in _spd_solve."""
     g = kron_submatrix(kernel, sampling)
     g[np.diag_indices_from(g)] += mu
     # g is exactly symmetric, so g.T is the same matrix as a Fortran-ordered
     # view, which LAPACK factors in place.  It is finite: |G_ij| is at most
     # the product of the factors' top eigenvalues, which kkmcex_fit checks
     # is finite, as are the kernels and mu
-    return _spd_solve(g.T, values, check_finite=False)
+    return _spd_solve(g.T, values, where, check_finite=False)
 
 
 def _plan(kernel, s, mu):
-    """How kkmcex_fit solves its S x S system: None for the Cholesky, else
-    (rx, ry, budget), the rectangle that _kkmcex_cg preconditions with and
-    its budget of products.  It reads mu, S, N, L and the factors'
-    eigenvalues alone, never their eigenvectors.
+    """How kkmcex_fit solves its S x S system, as (top, plan): top = lx[0]
+    ly[0], and plan None for the Cholesky, else (ox, oy, budget), the
+    indices of the eigenpairs of Kx and Ky on the rectangle that _kkmcex_cg
+    preconditions with, and its budget of products.  It reads mu, S, N, L
+    and the factors' eigenvalues alone, never their eigenvectors.
 
-    lx and ly are the factors' positive eigenvalues, descending.  CG is
-    admitted only when kappa CG_RTOL <= CG_COEFF_TOL, kappa = (lx[0] ly[0]
-    + mu) / mu the plain condition bound, since ||c - c*|| / ||c*|| <=
-    kappa ||r|| / ||m|| must hold the coefficients to CG_COEFF_TOL.  The top
-    rx x ry rectangle of factor eigenpairs (_woodbury) leaves out eigenvalue
-    products of at most lam_out = max(lx[rx] ly[0], lx[0] ly[ry]), so it
-    bounds the preconditioned condition number by k = 1 + lam_out / mu, and
-    CG's residual falls below CG_RTOL ||m|| within ceil(sqrt(k) / 2
-    ln(2 sqrt(k) / CG_RTOL)) steps.  A step is one product, 2 N L (N + L)
-    flops, and one apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2 flops,
-    d = rx ry; the build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The flops of
-    apply and build are priced at PRECOND_FLOP_COST, so no side is longer
-    than (N + L) / PRECOND_FLOP_COST, where one apply would cost a product.
-    The grid of those costs, whose (0, 0) is plain CG at kappa, gives the
+    lx and ly are the factors' positive eigenvalues, descending (ties in
+    index order), zero past them.  CG is admitted only when kappa CG_RTOL
+    <= CG_COEFF_TOL, kappa = (top + mu) / mu the plain condition bound,
+    since ||c - c*|| / ||c*|| <= kappa ||r|| / ||m|| must hold the
+    coefficients to CG_COEFF_TOL.  The top rx x ry rectangle of factor
+    eigenpairs (_woodbury) leaves out eigenvalue products of at most
+    lam_out = max(lx[rx] ly[0], lx[0] ly[ry]), so it bounds the
+    preconditioned condition number by k = 1 + lam_out / mu, and CG's
+    residual falls below CG_RTOL ||m|| within ceil(sqrt(k) / 2 ln(2 sqrt(k)
+    / CG_RTOL)) steps.  A step is one product, 2 N L (N + L) flops, and one
+    apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2 flops, d = rx ry; the
+    build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The flops of apply and
+    build are priced at PRECOND_FLOP_COST, so no side is longer than
+    (N + L) / PRECOND_FLOP_COST, where one apply would cost a product.  The
+    grid of those costs, whose (0, 0) is plain CG at kappa, gives the
     cheapest plan, and the Cholesky's S^3 / 3 flops are chosen unless that
     plan costs less.  Its worst-case step count is its budget.
     """
     n, l = kernel.n_rows, kernel.n_cols
     cap = int((n + l) / PRECOND_FLOP_COST)
-    # lx[rx] for rx = 0 .. min(len(lx), cap), zero past the positive spectrum
-    lx, ly = (np.append(np.sort(w[w > 0])[::-1], 0.0)[:cap + 1]
-              for w in (kernel.kx._eigenvalues, kernel.ky._eigenvalues))
-    # Python floats: an overflowing kappa is inf, as in kkmcex_fit
-    if not (float(lx[0]) * float(ly[0]) + mu) / mu * CG_RTOL <= CG_COEFF_TOL:
-        return None
+    wx, wy = kernel.kx._eigenvalues, kernel.ky._eigenvalues
+    ox, oy = (np.argsort(-w, kind="stable")[:np.count_nonzero(w > 0)] for w in (wx, wy))
+    # lx[rx] for rx = 0 .. min(len(ox), cap)
+    lx, ly = (np.append(w[o], 0.0)[:cap + 1] for w, o in ((wx, ox), (wy, oy)))
+    # Python floats: an overflowing product is inf
+    top = float(lx[0]) * float(ly[0])
+    if not (top + mu) / mu * CG_RTOL <= CG_COEFF_TOL:
+        return top, None
     rx = np.arange(len(lx), dtype=float)[:, None]
     ry = np.arange(len(ly), dtype=float)[None, :]
     d = rx * ry
@@ -243,48 +260,47 @@ def _plan(kernel, s, mu):
             + PRECOND_FLOP_COST * build)
     # a side of 0 costs what (0, 0) does, which comes first
     a, b = np.unravel_index(np.argmin(cost), cost.shape)
-    return (int(a), int(b), math.ceil(steps[a, b])) if cost[a, b] < s**3 / 3 else None
+    if not cost[a, b] < s**3 / 3:
+        return top, None
+    return top, (ox[:a], oy[:b], math.ceil(steps[a, b]))
 
 
-def _woodbury(kernel, flat, grid, out, mu, rx, ry):
+def _woodbury(kernel, flat, grid, out, mu, ox, oy):
     """The float32 apply r -> P^-1 r of _kkmcex_cg's preconditioner on the
-    top rx x ry rectangle, or None for an empty rectangle or a failed
-    factorization.
+    rectangle of eigenpairs ox of Kx and oy of Ky that _plan picked, or
+    None for an empty rectangle or a failed factorization.
 
-    P = mu I + Phi_R Lam_R Phi_R^T is G's part on the top rx x ry rectangle
-    of factor eigenpairs, plus mu I: column (a, b) of the S x d matrix
-    Phi_R, d = rx ry, holds the sampled entries of ux[:, a] uy[:, b]^T, ux
-    and uy the factors' top eigenvectors, and Lam_R the products lx[a]
-    ly[b].  By Woodbury, P^-1 r = (r - Phi_R W Phi_R^T r) / mu with W =
+    P = mu I + Phi_R Lam_R Phi_R^T is G's part on that rx x ry rectangle,
+    plus mu I: column (a, b) of the S x d matrix Phi_R, d = rx ry, holds
+    the sampled entries of ux[:, a] uy[:, b]^T, ux and uy the eigenvectors
+    ox and oy, and Lam_R the products lx[a] ly[b] of their eigenvalues.
+    By Woodbury, P^-1 r = (r - Phi_R W Phi_R^T r) / mu with W =
     (Phi_R^T Phi_R + mu Lam_R^-1)^-1, and Phi_R^T r is ux^T R uy for R the
     residual scattered into ``grid``; Phi_R W v is gathered from ux V uy^T,
     written into ``out``.  The Gram Phi_R^T Phi_R is sum_i (x_i x_i^T) kron
     B_i, x_i row i of ux and B_i the sum of y_j y_j^T over the sampled
     columns j of row i: the B_i are one product by the sample mask, and
-    the Gram's row block of each a one product of them by x_i[a] x_i, so
-    no S x d array is formed.  Gram, Cholesky and inverse run in float32
-    in the one d x d array kept as W; only W, ux and uy are kept.
+    the Gram one product of them by the x_i x_i^T, so no S x d array is
+    formed.  Gram, Cholesky and inverse run in float32 in the one d x d
+    array kept as W; only W, ux and uy are kept.
 
     ``grid`` is the float32 product's scatter grid, zero off the sampled
     cells ``flat``; each scatter writes all of them, so it stays so.
     """
+    rx, ry = len(ox), len(oy)
     if rx * ry == 0:
         return None
-    l, d = grid.shape[1], rx * ry
-    # the top eigenpairs, whose eigenvalues _plan found positive
-    ox, oy = (np.argsort(-k._eigenvalues, kind="stable")[:r]
-              for k, r in ((kernel.kx, rx), (kernel.ky, ry)))
+    (n, l), d = grid.shape, rx * ry
     lam = np.outer(kernel.kx._eigenvalues[ox], kernel.ky._eigenvalues[oy]).ravel()
     ux = kernel.kx._eig[1][:, ox].astype(np.float32)
     uy = kernel.ky._eig[1][:, oy].astype(np.float32)
     cells = grid.ravel()
     cells[flat] = 1.0
     b = _blas.gemm(grid, (uy[:, :, None] * uy[:, None, :]).reshape(l, ry * ry))
-    # the Gram's row block of each a, (a, b) x (a', b') <- (a', b, b'),
-    # written straight into the array that is factored and inverted
-    w = np.empty((d, d), np.float32)
-    for i, block in enumerate(w.reshape(rx, ry, rx, ry)):
-        block[...] = _blas.gemm((ux * ux[:, i, None]).T, b).reshape(rx, ry, ry).transpose(1, 0, 2)
+    # (a, a') x (b, b') -> (a, b) x (a', b'), copied into the C-ordered
+    # array that is factored and inverted
+    w = _blas.gemm((ux[:, :, None] * ux[:, None, :]).reshape(n, rx * rx).T, b)
+    w = w.reshape(rx, rx, ry, ry).transpose(0, 2, 1, 3).reshape(d, d)
     del b
     w.flat[::d + 1] += mu / lam
     # w is symmetric, so w.T is a Fortran-ordered view that LAPACK factors
@@ -321,7 +337,7 @@ def _kkmcex_cg(kernel, sampling, values, mu, plan):
     float64: each time r has fallen by CG_REPLACE, and before any stop or
     when the budget is spent, r is replaced by the true residual
     m - (G + mu I) x from a float64 product, and CG stops only on a true
-    residual of at most CG_RTOL / 2 ||m||.  ``plan`` is _plan's (rx, ry,
+    residual of at most CG_RTOL / 2 ||m||.  ``plan`` is _plan's (ox, oy,
     budget), and products of both precisions count against its budget.
 
     The top of the product spectrum is what sets kappa, so the steps are
@@ -334,9 +350,8 @@ def _kkmcex_cg(kernel, sampling, values, mu, plan):
     exact-250's settings (250 x 250, S = 6250, mu = 1e-3) it picks 21 x 13,
     which bounds the condition number by 109 instead of 1001, and a budget
     of 161 products: over 20 draws a fit took 57.4 float32 products on
-    average instead of 137.5 (at most 64 instead of 164), and 6 float64
-    ones as before.  An apply costs about a third of a product and the
-    build about 2 ms.
+    average (at most 64) and 6 float64 ones.  An apply costs about a third
+    of a product and the build about 2 ms.
     """
     n, l = kernel.n_rows, kernel.n_cols
     flat = sampling.row_indices0 * l + sampling.col_indices0
@@ -356,8 +371,8 @@ def _kkmcex_cg(kernel, sampling, values, mu, plan):
         g.ravel()[flat] = c
         return _blas.gemm(_blas.gemm(kx, g), ky, out=g).ravel()[flat] + mu * c
 
-    rx, ry, budget = plan
-    precondition = _woodbury(kernel, flat, grid, full, mu, rx, ry) or (lambda r: r)
+    ox, oy, budget = plan
+    precondition = _woodbury(kernel, flat, grid, full, mu, ox, oy) or (lambda r: r)
     x, p = np.zeros(len(flat)), np.zeros(len(flat))
     r = values.copy()
     rz = 1.0
@@ -396,21 +411,16 @@ def kkmcex_fit(kernel, obs, mu):
     G as the only S x S array, adds mu to its diagonal and factors it in
     place, so its peak memory is about one S x S block.
     """
-    _check_fit_inputs(obs, mu, (kernel.n_rows, kernel.n_cols))
+    where = _check_fit_inputs(obs, mu, (kernel.n_rows, kernel.n_cols))
     sampling = obs.sampling
-    top_x, top_y = (max(float(k._eigenvalues.max()), 0.0) for k in (kernel.kx, kernel.ky))
-    top = top_x * top_y
-    kappa = (top + mu) / mu
-    where = f"mu={mu:g}, S={len(sampling)}, condition bound {kappa:.3g}"
-    if not np.isfinite(top + mu):
+    top, plan = _plan(kernel, len(sampling), mu)
+    where += f", condition bound {(top + mu) / mu:.3g}"
+    if not math.isfinite(top + mu):
         raise NumericalError(f"kernel eigenvalue product overflows ({where})")
-    plan = _plan(kernel, len(sampling), mu)
     coeffs = None if plan is None else _kkmcex_cg(kernel, sampling, obs.values, mu, plan)
     if coeffs is None:
         try:
-            coeffs = _kkmcex_cholesky(kernel, sampling, obs.values, mu)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} ({where})") from exc
+            coeffs = _kkmcex_cholesky(kernel, sampling, obs.values, mu, where)
         except MemoryError as exc:
             raise NumericalError(f"the S x S block of {8 * len(sampling)**2} bytes "
                                  f"cannot be allocated ({where})") from exc
@@ -466,22 +476,29 @@ def _syrk_gram(features, rows0, cols0, values):
     return a, rhs
 
 
-def _pairing(features):
+def _pairing(features, s):
     """The side of a factored map (see kernels._factored_map) with fewer
-    distinct basis columns, as (on_cols, basis, groups, other): whether it
-    is the column side, its distinct basis columns, the basis column of each
-    feature, and the length of the other side.  None for a map without
-    factors.
+    distinct basis columns m, on which _grouped_gram builds the Gram of S
+    sampled rows, as (on_cols, basis, groups, z): whether it is the column
+    side, its basis columns, the basis column of each feature, and the
+    other side's factor with the weights folded in.  None for a map without
+    factors, or when _syrk_gram's S d^2 flops cost less than grouping:
+    GROUPED_PAIR_COST a sample for each of the m (m + 1) / 2 pairs, plus
+    at most 2 L' d^2 flops for the products of its blocks, L' the other
+    side's length.
     """
     if features._factors is None:
         return None
-    ux, ia, uy, ib, _ = features._factors
-    if ux.shape[1] <= uy.shape[1]:
-        return False, ux, ia, uy.shape[0]
-    return True, uy, ib, ux.shape[0]
+    ux, ia, uy, ib, w = features._factors
+    on_cols = ux.shape[1] > uy.shape[1]
+    basis, groups, other = (uy, ib, ux.shape[0]) if on_cols else (ux, ia, uy.shape[0])
+    m, d = basis.shape[1], features.dim
+    if not GROUPED_PAIR_COST * (m * (m + 1) // 2) * s + 2 * other * d * d < s * d * d:
+        return None
+    return on_cols, basis, groups, features.x if on_cols else features.y * w
 
 
-def _grouped_gram(features, rows0, cols0, values):
+def _grouped_gram(pairing, rows0, cols0, values):
     """The Gram Phi_S^T Phi_S, Fortran-ordered, and Phi_S^T m of a factored
     map, with no S x d array.
 
@@ -494,14 +511,11 @@ def _grouped_gram(features, rows0, cols0, values):
     Z_a^T times the bincount of ux[i, a] m.  The column side pairs the same
     way with Z_b = x[:, group b].
     """
-    on_cols, basis, groups, other = _pairing(features)
-    if on_cols:
-        pair0, other0, z = cols0, rows0, features.x
-    else:
-        pair0, other0, z = rows0, cols0, features.y * features._factors[4]
+    on_cols, basis, groups, z = pairing
+    pair0, other0 = (cols0, rows0) if on_cols else (rows0, cols0)
+    other, d = z.shape
     basis_rows = np.ascontiguousarray(basis.T)
     members = [np.flatnonzero(groups == g) for g in range(basis.shape[1])]
-    d = features.dim
     gram = np.zeros((d, d), order="F")
     rhs = np.zeros(d)
     left, right = np.empty(len(pair0)), np.empty(len(pair0))
@@ -523,44 +537,28 @@ def _grouped_gram(features, rows0, cols0, values):
     return gram, rhs
 
 
-def _grouped_gram_pays(s, d, pairs, other):
-    """Whether _grouped_gram builds the Gram of S sampled rows of a d-column
-    map, whose paired side has ``pairs`` index pairs and whose other side
-    ``other`` entries, in less time than the S d^2 flops of _syrk_gram.
-
-    Its cost is GROUPED_PAIR_COST per pair and sample, plus at most
-    2 other d^2 flops for the products of its blocks.
-    """
-    return GROUPED_PAIR_COST * pairs * s + 2 * other * d * d < s * d * d
-
-
 def rrmcex_fit(features, obs, mu):
     """Ridge regression on the sampled feature rows.
 
     Solves (Phi_S^T Phi_S + mu I) xi = Phi_S^T m where Phi_S holds the
     feature rows at the sampled entries; Phi_S is never formed.  A map
     built by features_from_eig or features_from_svd keeps its Kronecker
-    factors.  When _grouped_gram_pays, the Gram is summed over the P index
-    pairs of the side with fewer distinct basis columns (_grouped_gram):
-    O(P S + L' d^2), L' the other side's length, in length-S temporaries.
-    Otherwise, and for a map built from x and y alone, the rows are
-    gathered in blocks into dsyrk (_syrk_gram): O(d^2 S), in one block.
-    The Cholesky solve reads only the lower triangle and factors it in
-    place.
+    factors.  When grouping pays (_pairing), the Gram is summed over the P
+    index pairs of the side with fewer distinct basis columns
+    (_grouped_gram): O(P S + L' d^2), L' the other side's length, in
+    length-S temporaries.  Otherwise, and for a map built from x and y
+    alone, the rows are gathered in blocks into dsyrk (_syrk_gram):
+    O(d^2 S), in one block.  The Cholesky solve reads only the lower
+    triangle and factors it in place.
     """
-    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
+    where = _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
     s = obs.sampling
-    d = features.dim
-    gram = _syrk_gram
-    pairing = _pairing(features)
-    if pairing is not None:
-        _, basis, _, other = pairing
-        m = basis.shape[1]
-        if _grouped_gram_pays(len(s), d, m * (m + 1) // 2, other):
-            gram = _grouped_gram
-    a, rhs = gram(features, s.row_indices0, s.col_indices0, obs.values)
+    pairing = _pairing(features, len(s))
+    a, rhs = (_syrk_gram(features, s.row_indices0, s.col_indices0, obs.values)
+              if pairing is None else
+              _grouped_gram(pairing, s.row_indices0, s.col_indices0, obs.values))
     a[np.diag_indices_from(a)] += mu
-    return RrmcexModel(features, mu, _spd_solve(a, rhs))
+    return RrmcexModel(features, mu, _spd_solve(a, rhs, where))
 
 
 def rrmcex_predict(model):
@@ -606,6 +604,21 @@ def _eval_stride(eval_hook, eval_every, count):
     return None if eval_hook is None else eval_every or count
 
 
+def _check_iterate(method, n, schedule, where, *arrays):
+    """Raise a NumericalError naming ``method``, the iteration n and its
+    step size unless every array of an SGD fit's iterate is finite.
+
+    An SGD fit runs its updates and evaluation hook with numpy's overflow
+    and invalid-value warnings off, and calls this at each epoch's end and
+    before each evaluation: a NaN or inf, once there, stays, so a fit that
+    overflows stops at the end of that epoch at the latest.  An evaluation
+    of a finite iterate too large to square reads inf.
+    """
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{method} diverged: the iterate after iteration {n}, "
+                             f"step size {schedule.step(n):g}, is not finite ({where})")
+
+
 def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
                 eval_every=None):
     """Stream the observations for several epochs of seeded-order SGD.
@@ -613,22 +626,26 @@ def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
     Starts from xi = 0, visits the observations in a fresh random order each
     epoch, and applies the streaming update with the scheduled step size.
     ``eval_hook(iteration, model)`` fires every ``eval_every`` iterations
-    (default: once per epoch).
+    (default: once per epoch).  A diverging fit raises a NumericalError
+    (_check_iterate).
     """
     orders = _seeded_orders(len(obs.values), epochs, seed)
-    _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
+    where = _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
     s, values = obs.sampling, obs.values
     stride = _eval_stride(eval_hook, eval_every, len(values))
     xi = np.zeros(features.dim)
     n = 0
-    for order in orders:
-        for start, block in _feature_blocks(features, s.row_indices0[order],
-                                            s.col_indices0[order]):
-            for k, phi_row in zip(order[start:start + len(block)], block):
-                n += 1
-                _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
-                if stride is not None and n % stride == 0:
-                    eval_hook(n, RrmcexModel(features, mu, xi.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in orders:
+            for start, block in _feature_blocks(features, s.row_indices0[order],
+                                                s.col_indices0[order]):
+                for k, phi_row in zip(order[start:start + len(block)], block):
+                    n += 1
+                    _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
+                    if stride is not None and n % stride == 0:
+                        _check_iterate("orrmcex", n, schedule, where, xi)
+                        eval_hook(n, RrmcexModel(features, mu, xi.copy()))
+            _check_iterate("orrmcex", n, schedule, where, xi)
     return RrmcexModel(features, mu, xi)
 
 
@@ -656,8 +673,9 @@ def _als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv):
     return fit + reg
 
 
-def _als_half_step(m_vals, own_idx, other_idx, other, n_own, p, mu, kinv):
-    """Exact minimization over one factor with the other held fixed.
+def _als_half_step(m_vals, own_idx, other_idx, other, n_own, p, mu, kinv, where):
+    """Exact minimization over one factor with the other held fixed;
+    ``where`` as in _spd_solve.
 
     The normal equations couple the rows of the updated factor through the
     inverse-kernel regularizer, so all n_own * p unknowns are solved at once.
@@ -676,7 +694,7 @@ def _als_half_step(m_vals, own_idx, other_idx, other, n_own, p, mu, kinv):
     at[diag, :, diag, :] = blocks
     rhs = np.zeros(size)
     np.add.at(rhs.reshape(n_own, p), own_idx, m_vals[:, None] * v)
-    return _spd_solve(at.reshape(size, size).T, rhs).reshape(n_own, p)
+    return _spd_solve(at.reshape(size, size).T, rhs, where).reshape(n_own, p)
 
 
 def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
@@ -692,7 +710,7 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     check_integer("rank bound", p, 1)
     check_integer("max_iters", max_iters, 1)
     check_number("rel_tol", rel_tol, "nonnegative")
-    _check_fit_inputs(obs, mu, (kx.side, ky.side))
+    where = _check_fit_inputs(obs, mu, (kx.side, ky.side))
     sampling = obs.sampling
     n, l = sampling.n_rows, sampling.n_cols
     w, h = _factor_init(n, l, p, seed)
@@ -703,13 +721,13 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     m_vals = obs.values
     objectives = [_als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)]
     for _ in range(max_iters):
-        w = _als_half_step(m_vals, rows, cols, h, n, p, mu, kxinv)
-        h = _als_half_step(m_vals, cols, rows, w, l, p, mu, kyinv)
+        w = _als_half_step(m_vals, rows, cols, h, n, p, mu, kxinv, where)
+        h = _als_half_step(m_vals, cols, rows, w, l, p, mu, kyinv, where)
         obj = _als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)
         prev = objectives[-1]
         if obj > prev + 1e-10:
             raise NumericalError(
-                f"alternating minimization objective increased ({prev:g} -> {obj:g})"
+                f"alternating minimization objective increased ({prev:g} -> {obj:g}; {where})"
             )
         objectives.append(obj)
         if prev - obj < rel_tol * max(abs(prev), 1e-30):
@@ -733,7 +751,8 @@ def factor_sgd_fit(obs, p, mu, schedule, epochs, seed, eval_hook=None,
                    eval_every=None):
     """Row-wise SGD on the entrywise factorization objective, from the
     factors _factor_init draws from ``seed``, in a fresh seeded order each
-    of ``epochs`` (at least 1) epochs; ``eval_hook`` as in orrmcex_run.
+    of ``epochs`` (at least 1) epochs; ``eval_hook`` and divergence as in
+    orrmcex_run.
 
     Each observed entry contributes its squared residual plus per-row ridge
     terms weighted by mu over the number of observations touching that row
@@ -744,20 +763,23 @@ def factor_sgd_fit(obs, p, mu, schedule, epochs, seed, eval_hook=None,
     orders = _seeded_orders(len(obs.values), epochs, seed)
     sampling = obs.sampling
     w, h = _factor_init(sampling.n_rows, sampling.n_cols, p, seed)
-    _check_fit_inputs(obs, mu, (len(w), len(h)))
+    where = _check_fit_inputs(obs, mu, (len(w), len(h)))
     rows, cols, m_vals = sampling.row_indices0, sampling.col_indices0, obs.values
     stride = _eval_stride(eval_hook, eval_every, len(m_vals))
     row_counts = np.bincount(rows, minlength=sampling.n_rows).astype(float)
     col_counts = np.bincount(cols, minlength=sampling.n_cols).astype(float)
     step_no = 0
-    for order in orders:
-        for k in order:
-            step_no += 1
-            i, j = rows[k], cols[k]
-            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),
-                               mu / row_counts[i], mu / col_counts[j])
-            if stride is not None and step_no % stride == 0:
-                eval_hook(step_no, FactorModel(w.copy(), h.copy(), mu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in orders:
+            for k in order:
+                step_no += 1
+                i, j = rows[k], cols[k]
+                _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),
+                                   mu / row_counts[i], mu / col_counts[j])
+                if stride is not None and step_no % stride == 0:
+                    _check_iterate("factor_sgd", step_no, schedule, where, w, h)
+                    eval_hook(step_no, FactorModel(w.copy(), h.copy(), mu))
+            _check_iterate("factor_sgd", step_no, schedule, where, w, h)
     return FactorModel(w, h, mu)
 
 

@@ -30,6 +30,21 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
+def gemm_calls(monkeypatch):
+    """Live list of kronmc's matrix products: (left shape, right shape,
+    dtype) of every call to ``kronmc._blas.gemm``, dtype the product's."""
+    calls, gemm = [], kronmc._blas.gemm
+
+    def recorded(a, b, out=None):
+        product = gemm(a, b, out)
+        calls.append((np.shape(a), np.shape(b), product.dtype.name))
+        return product
+
+    monkeypatch.setattr(kronmc._blas, "gemm", recorded)
+    return calls
+
+
+@pytest.fixture
 def peak_bytes():
     """``peak_bytes(call)``: the peak bytes that tracemalloc traces while
     ``call()`` runs, which numpy reports every array allocation to."""

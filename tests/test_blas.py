@@ -91,9 +91,9 @@ def test_guard_catches_a_product_reintroduced_in_kkmcex_predict():
      "phi_row = model.features.row(i, j)\n"
      "    xi -= t * (phi_row * (phi_row @ xi - m) + mu * xi)",
      "orrmcex_step"),
-    ("            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
-     "            err = m_vals[k] - w[i] @ h[j]\n"
-     "            _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
+    ("                _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
+     "                err = m_vals[k] - w[i] @ h[j]\n"
+     "                _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),",
      "factor_sgd_fit"),
 ], ids=["orrmcex_run", "orrmcex_step", "factor_sgd_fit"])
 def test_guard_catches_a_dot_inlined_outside_the_sgd_updates(routed, inlined, function):

@@ -196,6 +196,20 @@ def test_gridsearch_cli(tmp_path):
     assert out.read_bytes() == a
 
 
+@pytest.mark.parametrize("method, step", [("orrmcex", 50), ("factor_sgd", 5)])
+@pytest.mark.parametrize("subcommand", ["sweep", "online", "fit"])
+def test_a_diverging_sgd_fit_exits_2(tmp_path, capsys, subcommand, method, step):
+    # constant steps at which both SGD fits overflow to NaN within 5 epochs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("synth = 1\nn = 20\nl = 15\ngraph_p = 0.2\nps = 40\nmu = 0.1\n"
+                   f"epochs = 5\nstep_rule = constant\nstep_c = {step}\n")
+    flags = ["--ps", "40", "--mu", "0.1"] if subcommand == "fit" else []
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--method", method, "--seed", "3", *flags]) == 2
+    assert f"numerical error: {method} diverged" in capsys.readouterr().err
+    assert not any(tmp_path.glob("x*"))
+
+
 def test_online_cli_trace(tmp_path):
     cfg = tmp_path / "online.cfg"
     cfg.write_text("synth = 1\nn = 8\nl = 8\ngraph_p = 0.3\n"

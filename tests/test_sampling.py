@@ -128,6 +128,23 @@ def test_observe_hits_exact_target_snr():
             assert abs(np.mean(e**2) / (np.sum(f**2) / (snr * f.size)) - 1.0) <= 1e-12
 
 
+def test_observe_peak_memory_is_a_few_length_s_arrays(peak_bytes):
+    # snr-1 observation of S = 40 000 cells of a 2000 x 2000 grid (32 MB).
+    # At most four length-S float arrays are live at once: the values, the
+    # noise draw, its scaled copy and their sum; the flat positions (two
+    # length-S intp arrays while they are built) and the S-byte finiteness
+    # mask go before the draw.  So the bound is five length-S arrays, 1.6
+    # MB, where 3.13 S floats (1.0 MB) were measured; a noise draw over the
+    # whole grid, the 32 MB that observe no longer allocates, exceeds it
+    # twenty-fold
+    n = l = 2000
+    count = 40_000
+    f = np.random.default_rng(52).normal(size=(n, l))
+    sampling = uniform_sample(n, l, count, seed=1)
+    peak = peak_bytes(lambda: observe(f, sampling, NoiseSpec.target_snr(1.0, seed=2)))
+    assert peak <= 5 * 8 * count
+
+
 def test_observe_shape_mismatch():
     s = uniform_sample(3, 3, 4, seed=0)
     with pytest.raises(InvalidInputError):

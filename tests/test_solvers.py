@@ -14,7 +14,7 @@ from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
 from kronmc import solvers
 from kronmc.errors import NumericalError
 from kronmc.graphs import build_laplacian, erdos_renyi
-from kronmc.kernels import (GATHER_BLOCK_BYTES, Bandlimited, gaussian_kernel,
+from kronmc.kernels import (GATHER_BLOCK_BYTES, Bandlimited, _factored_map, gaussian_kernel,
                             kron_submatrix, spectral_kernel)
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
@@ -91,7 +91,7 @@ def test_kkmcex_multi_block_gather_matches_dense_oracle():
     n, l, count, mu = 60, 50, 2500, 1e-2
     kk, f, obs = random_problem(rng, n, l, count, mu)
     kx, ky = kk.kx.matrix.copy(), kk.ky.matrix.copy()
-    coeffs = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, mu)
+    coeffs = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, mu, "")
     assert np.array_equal(kk.kx.matrix, kx) and np.array_equal(kk.ky.matrix, ky)
     oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
     gamma = full_dual_vector(KkmcexModel(kk, obs.sampling, mu, coeffs))
@@ -111,7 +111,7 @@ def test_kkmcex_fit_peak_memory_is_about_one_gram(peak_bytes):
     rng = np.random.default_rng(41)
     count = 2500
     kk, f, obs = random_problem(rng, 60, 50, count, 1e-2)
-    peak = peak_bytes(lambda: solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2))
+    peak = peak_bytes(lambda: solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2, ""))
     assert peak <= 8 * count**2 + GATHER_BLOCK_BYTES + 8 * 8 * count
 
 
@@ -166,6 +166,12 @@ def flat_kernel(n, value):
     return KernelMatrix(value * np.eye(n), _spectrum=(np.full(n, value), np.eye(n)))
 
 
+def planned(kk, s, mu):
+    """_plan's choice as (rx, ry, budget), or None for the Cholesky."""
+    plan = solvers._plan(kk, s, mu)[1]
+    return None if plan is None else (len(plan[0]), len(plan[1]), plan[2])
+
+
 @pytest.mark.parametrize("mu, s, n, l, expected", [
     (1e-3, 6250, 250, 250, (0, 0, 503)),  # exact-250's sizes: plain CG
     (1.2e-4, 6250, 250, 250, None),  # 1499 products > the Cholesky's 1302
@@ -179,7 +185,7 @@ def test_plan_on_a_flat_spectrum_picks_plain_cg_or_the_cholesky(mu, s, n, l, exp
     # the condition bound (no side may reach (N + L) / 4): plain CG at
     # kappa = (1 + mu) / mu against the Cholesky
     kk = KroneckerKernel(flat_kernel(n, 1.0), flat_kernel(l, 1.0))
-    assert solvers._plan(kk, s, mu) == expected
+    assert planned(kk, s, mu) == expected
 
 
 def test_plan_budget_is_the_worst_case_iteration_count():
@@ -187,8 +193,8 @@ def test_plan_budget_is_the_worst_case_iteration_count():
     # kappa and the Cholesky costs far more: ceil(sqrt(k) / 2 ln(2 sqrt(k)
     # / 1e-12)); eigenvalues k - 1 and 1 and mu = 1 give kappa = k exactly
     def plan(kappa):
-        return solvers._plan(KroneckerKernel(flat_kernel(100, kappa - 1.0),
-                                             flat_kernel(100, 1.0)), 10**6, 1.0)
+        return planned(KroneckerKernel(flat_kernel(100, kappa - 1.0), flat_kernel(100, 1.0)),
+                       10**6, 1.0)
 
     for kappa, expected in ((1001.0, 503), (101.0, 154), (1e4, 1647)):
         assert plan(kappa) == (0, 0, expected)
@@ -211,16 +217,24 @@ def test_plan_prices_the_preconditioned_bound(paper_data, mu, expected):
     # S = 6250.  The rectangle bounds the preconditioned system by 1 +
     # lam_out / mu (109 at 1e-3, 582 at 1.5e-4), so its worst case is a
     # fraction of the plain bound's; priced at the plain kappa, as the rule
-    # before it was, the 1.5e-4 row gets the Cholesky and fails
+    # before it was, the 1.5e-4 row gets the Cholesky and fails.  The
+    # rectangle's eigenpairs are each side's top ones, in a stable
+    # descending sort of its eigenvalues
     kk = KroneckerKernel(paper_data.kx, paper_data.ky)
-    assert solvers._plan(kk, 6250, mu) == expected
+    top, plan = solvers._plan(kk, 6250, mu)
+    assert planned(kk, 6250, mu) == expected
+    wx, wy = paper_data.kx._eigenvalues, paper_data.ky._eigenvalues
+    assert top == float(wx.max()) * float(wy.max())
+    if plan is not None:
+        for w, order in ((wx, plan[0]), (wy, plan[1])):
+            assert np.array_equal(order, np.argsort(-w, kind="stable")[:len(order)])
 
 
 def test_plan_at_cli_fit_size_reads_no_eigenvectors(paper_data, eig_calls):
     # kernels read from CSV carry no spectrum: their PSD check's eigvalsh
     # prices the plan, and S = 625 gets the Cholesky with no eigh at all
     kk = KroneckerKernel(KernelMatrix(paper_data.kx.matrix), KernelMatrix(paper_data.ky.matrix))
-    assert solvers._plan(kk, 625, 1e-3) is None
+    assert planned(kk, 625, 1e-3) is None
     assert eig_calls == {"eigh": 0, "eigvalsh": 2}
 
 
@@ -237,7 +251,7 @@ def test_preconditioned_cg_past_the_plain_bound_matches_the_cholesky(paper_data,
 
     monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
     coeffs = kkmcex_fit(kk, obs, 1.5e-4).dual_coeffs
-    expected = cholesky(kk, obs.sampling, obs.values, 1.5e-4)
+    expected = cholesky(kk, obs.sampling, obs.values, 1.5e-4, "")
     assert np.linalg.norm(coeffs - expected) / np.linalg.norm(expected) <= 1e-8
 
 
@@ -254,7 +268,7 @@ def test_kkmcex_cg_fit_peak_memory_is_far_below_one_gram(peak_bytes):
     assert peak <= 0.02 * count**2 * 8
 
 
-def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch):
+def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch, gemm_calls):
     # _plan's rectangle with a budget of one product: one float32 CG step,
     # then the true residual from one float64 product, which misses the
     # tolerance.  The diffusion
@@ -266,7 +280,6 @@ def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch)
     kk = KroneckerKernel(data.kx, data.ky)
     obs = observe(data.f, uniform_sample(n, l, 900, seed=43))
     cg_results, cg = [], solvers._kkmcex_cg
-    product_dtypes, gemm = [], solvers._blas.gemm
     preconditioners, woodbury = [], solvers._woodbury
     plan = solvers._plan
 
@@ -274,24 +287,25 @@ def test_kkmcex_cg_that_misses_its_tolerance_falls_back_to_cholesky(monkeypatch)
         cg_results.append(cg(*args))
         return cg_results[-1]
 
-    def counted_gemm(a, b, out=None):
-        if a.shape == (n, n) and b.shape == (n, l):
-            product_dtypes.append(a.dtype.name)
-        return gemm(a, b, out)
-
     def counted_woodbury(*args):
         preconditioners.append(woodbury(*args))
         return preconditioners[-1]
 
-    monkeypatch.setattr(solvers, "_plan", lambda *args: plan(*args)[:2] + (1,))
+    def one_product(*args):
+        top, (ox, oy, _) = plan(*args)
+        return top, (ox, oy, 1)
+
+    monkeypatch.setattr(solvers, "_plan", one_product)
     monkeypatch.setattr(solvers, "_kkmcex_cg", counted_cg)
     monkeypatch.setattr(solvers, "_woodbury", counted_woodbury)
-    monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
+    gemm_calls.clear()
     coeffs = kkmcex_fit(kk, obs, 1e-2).dual_coeffs
+    product_dtypes = [dtype for left, right, dtype in gemm_calls
+                      if left == (n, n) and right == (n, l)]
     assert cg_results == [None]
     assert len(preconditioners) == 1 and preconditioners[0] is not None
     assert product_dtypes == ["float32", "float64"]
-    expected = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2)
+    expected = solvers._kkmcex_cholesky(kk, obs.sampling, obs.values, 1e-2, "")
     assert np.array_equal(coeffs, expected)
 
 
@@ -316,9 +330,10 @@ def _preconditioned_duals(monkeypatch, kk, obs, mu):
     monkeypatch.setattr(solvers, "_woodbury", spied_woodbury)
     monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
     gamma = full_dual_vector(kkmcex_fit(kk, obs, mu))
-    assert len(plans) == 1 and plans[0][0] * plans[0][1] > 0
+    (_, (ox, oy, _)), = plans
+    assert len(ox) * len(oy) > 0
     assert preconditioners[0] is not None
-    return gamma, plans[0][:2]
+    return gamma, (len(ox), len(oy))
 
 
 @pytest.mark.parametrize("case", ["bandlimited", "gaussian", "rectangular", "empty-lines"])
@@ -365,7 +380,7 @@ def test_preconditioned_cg_matches_dense_oracle(case, monkeypatch):
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
 
 
-def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch, peak_bytes):
+def test_preconditioned_cg_product_count_on_a_paper_scale_draw(gemm_calls, peak_bytes):
     # one fixed 250 x 250 draw at exact-250's settings (the benchmark's
     # dataset, S = 6250, mu = 1e-3, SNR 1): the fit is deterministic, so
     # its products repeat exactly.  Measured: 60 float32 and 6 float64
@@ -379,18 +394,12 @@ def test_preconditioned_cg_product_count_on_a_paper_scale_draw(monkeypatch, peak
     data = generate_synthetic(n, n, 0.03, 1.0, seed=11)
     kk = KroneckerKernel(data.kx, data.ky)
     obs = observe(data.f, uniform_sample(n, n, count, seed=2), NoiseSpec.target_snr(1.0, seed=3))
-    products, gemm = {"float32": 0, "float64": 0}, solvers._blas.gemm
-
-    def counted_gemm(a, b, out=None):
-        # each product is two n x n by n x n GEMMs; no GEMM of the
-        # preconditioner has that shape
-        if a.shape == b.shape == (n, n):
-            products[a.dtype.name] += 1
-        return gemm(a, b, out)
-
-    monkeypatch.setattr(solvers._blas, "gemm", counted_gemm)
+    gemm_calls.clear()
     peak = peak_bytes(lambda: kkmcex_fit(kk, obs, 1e-3))
-    single, double = products["float32"] // 2, products["float64"] // 2
+    # each product is two n x n by n x n GEMMs; no GEMM of the
+    # preconditioner has that shape
+    products = [dtype for left, right, dtype in gemm_calls if left == right == (n, n)]
+    single, double = products.count("float32") // 2, products.count("float64") // 2
     assert single <= 66 and double <= 7 and single + double <= 73
     assert peak <= 0.02 * count**2 * 8
 
@@ -405,7 +414,7 @@ def test_each_kernel_side_is_eigendecomposed_once(eig_calls, tmp_path):
     obs = observe(rng.normal(size=(40, 36)), uniform_sample(40, 36, 1152, seed=1))
     for mu in (1e-1, 5e-2):
         # both admitted to CG (kappa about 2.6e3 and 5.1e3), with a rectangle
-        assert solvers._plan(kk, 1152, mu)[0] > 0
+        assert planned(kk, 1152, mu)[0] > 0
         kkmcex_fit(kk, obs, mu)
         assert eig_calls == {"eigh": 2, "eigvalsh": 2}
     for d in (10, 20):
@@ -449,6 +458,27 @@ def test_kkmcex_failed_cholesky_names_mu_s_and_kappa():
         kkmcex_fit(KroneckerKernel(big, big), obs, 1e-100)
 
 
+def test_a_failed_ridge_or_als_solve_names_mu_and_s(monkeypatch):
+    # the ridge Gram of 1e160-sized features overflows to inf, which SciPy
+    # reports by a plain ValueError
+    from scipy.linalg import LinAlgError
+    obs = ObservationSet(uniform_sample(4, 3, 6, seed=1), np.ones(6))
+    with pytest.raises(NumericalError, match=r"infs or NaNs \(mu=0\.1, S=6\)"):
+        rrmcex_fit(FeatureMap(np.full((4, 2), 1e160), np.ones((3, 2))), obs, 0.1)
+    # ALS's first half step solves for N p = 4 x 2 unknowns at once; the
+    # factorization refuses that 8 x 8 system
+    cho_factor = solvers.cho_factor
+
+    def refuse(a, **kwargs):
+        if a.shape == (8, 8):
+            raise LinAlgError("forced")
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(solvers, "cho_factor", refuse)
+    with pytest.raises(NumericalError, match=r"forced \(mu=0\.1, S=6\)"):
+        als_fit(obs, KernelMatrix(np.eye(4)), KernelMatrix(np.eye(3)), 2, 0.1)
+
+
 def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s(peak_bytes):
     # Phi_S (S x d, 6.4 MB here) is never formed: the fit holds one gathered
     # block of FEATURE_BLOCK_BYTES (256 KB), its row-factor temporary of the
@@ -466,24 +496,28 @@ def test_spd_solve_rejects_non_finite_right_hand_side():
     from kronmc.errors import NumericalError
     from kronmc.solvers import _spd_solve
     for bad in (np.nan, np.inf):
-        with pytest.raises(NumericalError, match="right-hand side"):
-            _spd_solve(np.eye(2), np.array([1.0, bad]))
+        with pytest.raises(NumericalError, match=r"right-hand side .*\(mu=1, S=2\)"):
+            _spd_solve(np.eye(2), np.array([1.0, bad]), "mu=1, S=2")
 
 
-def test_spd_solve_rejects_indefinite_matrix():
+def test_spd_solve_rejects_indefinite_or_non_finite_matrix():
+    # SciPy reports the indefinite matrix by a LinAlgError and the
+    # non-finite one by a plain ValueError; both become a NumericalError
+    # that names the caller's context
     from kronmc.errors import NumericalError
     from kronmc.solvers import _spd_solve
     for a in (np.array([[1.0, 2.0], [2.0, 1.0]]),
-              np.asfortranarray([[1.0, 0.0], [0.0, -1.0]])):
-        with pytest.raises(NumericalError):
-            _spd_solve(a, np.ones(2))
+              np.asfortranarray([[1.0, 0.0], [0.0, -1.0]]),
+              np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(NumericalError, match=r"\(mu=1, S=2\)$"):
+            _spd_solve(a, np.ones(2), "mu=1, S=2")
 
 
 def test_spd_solve_factors_fortran_input_in_place():
     from kronmc.solvers import _spd_solve
     a = np.asfortranarray([[4.0, 2.0], [2.0, 3.0]])
     expected = np.linalg.solve(a, [1.0, 2.0])
-    x = _spd_solve(a, np.array([1.0, 2.0]))
+    x = _spd_solve(a, np.array([1.0, 2.0]), "")
     assert np.allclose(x, expected, rtol=1e-14)
     assert np.allclose(np.tril(a), np.linalg.cholesky([[4.0, 2.0], [2.0, 3.0]]))
 
@@ -1087,16 +1121,20 @@ def _paired_map(kind, rng):
 
 @pytest.mark.parametrize("kind, pairs_on", [("row", "rows"), ("col", "cols"),
                                             ("both", None), ("svd", None)])
-def test_both_ridge_grams_match_the_dense_table(kind, pairs_on):
+def test_both_ridge_grams_match_the_dense_table(kind, pairs_on, monkeypatch):
     # a Gram entry's rounding error is a few eps times sum_s |phi_sc phi_sc'|,
     # at most sqrt(G_cc G_c'c') by Cauchy-Schwarz, and a right-hand side
     # entry's a few eps times sqrt(G_cc) ||m||; both are checked to 1e-12 of
     # those scales.  Scaling one off-diagonal group block by 1 + 1e-9 fails
     # on "both" and "svd", and pairing a side with the other side's sample
-    # indices fails on all four maps
+    # indices fails on all four maps.  The rule never groups maps this
+    # small, so it is told that pairs cost nothing, and hands out the
+    # pairing it would take
     rng = np.random.default_rng(48)
     fmap = _paired_map(kind, rng)
-    on_cols, basis, _, _ = solvers._pairing(fmap)
+    monkeypatch.setattr(solvers, "GROUPED_PAIR_COST", 0)
+    pairing = solvers._pairing(fmap, 10**6)
+    on_cols, basis, _, _ = pairing
     assert {"rows": not on_cols, "cols": on_cols, None: basis.shape[1] > 1}[pairs_on]
     n, l = fmap.n_rows, fmap.n_cols
     phi = fmap.phi
@@ -1107,8 +1145,8 @@ def test_both_ridge_grams_match_the_dense_table(kind, pairs_on):
         phi_s = phi[s.vec_indices0]
         gram, rhs = phi_s.T @ phi_s, phi_s.T @ values
         scale = np.sqrt(np.diag(gram))
-        for helper in (solvers._syrk_gram, solvers._grouped_gram):
-            a, r = helper(fmap, s.row_indices0, s.col_indices0, values)
+        for helper, source in ((solvers._syrk_gram, fmap), (solvers._grouped_gram, pairing)):
+            a, r = helper(source, s.row_indices0, s.col_indices0, values)
             error = np.abs(a - gram)[lower]
             assert np.all(error <= 1e-12 * np.outer(scale, scale)[lower]), (helper, count)
             assert np.all(np.abs(r - rhs) <= 1e-12 * scale * np.linalg.norm(values))
@@ -1116,19 +1154,27 @@ def test_both_ridge_grams_match_the_dense_table(kind, pairs_on):
         assert np.all(np.abs(a - gram) <= 1e-12 * np.outer(scale, scale))
 
 
-@pytest.mark.parametrize("s, d, pairs, other, grouped", [
+@pytest.mark.parametrize("s, d, m, other, grouped", [
     (250_000, 50, 1, 1250, True),    # ridge-stations
     (10_000, 50, 1, 1250, True),     # the station grid at P_s = 1 %
-    (625, 250, 861, 250, False),     # criterion 7 at P_s = 1 %
-    (6250, 250, 861, 250, False),    # and at 10 %
-    (6250, 50, 91, 250, False),      # 250 x 250 at d = 50
-    (62_410, 50, 276, 790, False),   # 790 x 790 at d = 50
+    (625, 250, 41, 250, False),      # criterion 7 at P_s = 1 %
+    (6250, 250, 41, 250, False),     # and at 10 %
+    (6250, 50, 13, 250, False),      # 250 x 250 at d = 50
+    (62_410, 50, 23, 790, False),    # 790 x 790 at d = 50
 ])
-def test_ridge_gram_rule_picks_the_faster_path(s, d, pairs, other, grouped):
-    # the paths' times (min-median of 10 interleaved, 2 cores), dsyrk ->
-    # grouped: 45-50 -> 4.0-4.3 ms, 1.7-1.8 -> 0.56-0.61 ms, 1.4-1.7 ->
-    # 19-25 ms, 14-16 -> 45-54 ms, 1.1-1.2 -> 3.8-4.5 ms, 12-15 -> 77-94 ms
-    assert solvers._grouped_gram_pays(s, d, pairs, other) is grouped
+def test_ridge_gram_rule_picks_the_faster_path(s, d, m, other, grouped):
+    # a map of d features whose row side has m basis columns (P = m (m +
+    # 1) / 2 pairs: 1, 861, 91 and 276 above) and whose column side has d,
+    # of length ``other``.  The paths' times (min-median of 10
+    # interleaved, 2 cores), dsyrk -> grouped: 45-50 -> 4.0-4.3 ms,
+    # 1.7-1.8 -> 0.56-0.61 ms, 1.4-1.7 -> 19-25 ms, 14-16 -> 45-54 ms,
+    # 1.1-1.2 -> 3.8-4.5 ms, 12-15 -> 77-94 ms
+    fmap = _factored_map(np.zeros((1, m)), np.arange(d) % m, np.zeros((other, d)),
+                         np.arange(d), np.ones(d))
+    pairing = solvers._pairing(fmap, s)
+    assert (pairing is not None) is grouped
+    if grouped:
+        assert not pairing[0] and pairing[1].shape[1] == m
 
 
 def test_rrmcex_grouped_fit_holds_no_s_by_d_array(peak_bytes):
@@ -1138,16 +1184,15 @@ def test_rrmcex_grouped_fit_holds_no_s_by_d_array(peak_bytes):
     rng = np.random.default_rng(49)
     kx = _kernel_with_spectrum(rng, [1e3, 0.9995e3, 0.999e3] + [1e-3] * 197)
     fmap = features_from_eig(kx, _kernel_with_spectrum(rng, rng.uniform(1, 1.1, 250)), 50)
-    on_cols, basis, _, other = solvers._pairing(fmap)
-    assert not on_cols and basis.shape[1] == 3
     count = 40000
-    assert solvers._grouped_gram_pays(count, 50, 6, other)
+    on_cols, basis, _, _ = solvers._pairing(fmap, count)
+    assert not on_cols and basis.shape[1] == 3
     obs = ObservationSet(uniform_sample(200, 250, count, seed=6), rng.normal(size=count))
     peak = peak_bytes(lambda: rrmcex_fit(fmap, obs, 1e-2))
     assert peak <= 4 * count * 8
 
 
-EMPTY_FITS = {
+FITS = {
     "kkmcex": lambda kk, fmap, obs, schedule: kkmcex_fit(kk, obs, 0.1),
     "rrmcex": lambda kk, fmap, obs, schedule: rrmcex_fit(fmap, obs, 0.1),
     "orrmcex": lambda kk, fmap, obs, schedule: orrmcex_run(fmap, obs, schedule, 0.1, 1),
@@ -1157,7 +1202,7 @@ EMPTY_FITS = {
 }
 
 
-@pytest.mark.parametrize("method", list(EMPTY_FITS))
+@pytest.mark.parametrize("method", list(FITS))
 def test_every_fit_rejects_an_empty_sampling(method):
     # with no observation, four fits would return an all-zero estimate and
     # factor SGD its random initial factors
@@ -1166,7 +1211,40 @@ def test_every_fit_rejects_an_empty_sampling(method):
     fmap = features_from_eig(kk.kx, kk.ky, 6)
     empty = ObservationSet(SamplingSet(12, 10, ()), np.zeros(0))
     with pytest.raises(InvalidInputError, match=r"sampling is empty \(S = 0\)"):
-        EMPTY_FITS[method](kk, fmap, empty, StepSchedule.constant(0.01))
+        FITS[method](kk, fmap, empty, StepSchedule.constant(0.01))
+
+
+@pytest.mark.parametrize("method", list(FITS))
+def test_every_fit_names_a_non_finite_observation(method):
+    # observation 4 of 8 is NaN; the message gives its 1-based position in
+    # the sampling and its 1-based grid entry
+    rng = np.random.default_rng(50)
+    kk = KroneckerKernel(make_spd_kernel(rng, 12), make_spd_kernel(rng, 10))
+    fmap = features_from_eig(kk.kx, kk.ky, 6)
+    sampling = uniform_sample(12, 10, 8, seed=1)
+    values = rng.normal(size=8)
+    values[3] = np.nan
+    entry = (sampling.row_indices0[3] + 1, sampling.col_indices0[3] + 1)
+    with pytest.raises(InvalidInputError,
+                       match=rf"observation 4, at grid entry \({entry[0]}, {entry[1]}\), is not"):
+        FITS[method](kk, fmap, ObservationSet(sampling, values), StepSchedule.constant(0.01))
+
+
+@pytest.mark.parametrize("method, step", [("orrmcex", 50.0), ("factor_sgd", 5.0)])
+def test_a_diverging_sgd_fit_is_a_numerical_error(method, step):
+    # at these constant steps both fits overflow to NaN within 5 epochs on
+    # this grid, where the sweep returned NMSE nan and the overflow
+    # warnings escaped; the online protocol evaluates the iterate every 7
+    # updates, and each evaluation is checked first
+    from kronmc.bench import ExperimentConfig, run_online, run_sweep
+    dataset = generate_synthetic(20, 15, 0.2, 1.0, seed=3)
+    config = ExperimentConfig(method, (40,), realizations=2, mu_grid=(0.1,), epochs=5,
+                              schedule=StepSchedule.constant(step))
+    message = rf"{method} diverged: the iterate after iteration \d+, step size {step:g}, "
+    with pytest.raises(NumericalError, match=message + r"is not finite \(mu=0\.1, S=120\)"):
+        run_sweep(config, dataset)
+    with pytest.raises(NumericalError, match=message):
+        run_online(config, dataset, stride=7)
 
 
 def test_an_unallocatable_kkmcex_block_is_a_numerical_error(monkeypatch, tmp_path):
