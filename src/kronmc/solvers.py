@@ -14,8 +14,9 @@ eigenvalue product left out.  One plan, _plan, priced from the factors'
 eigenvalues alone, picks the Cholesky, plain CG or a rectangle, whichever
 costs the fewest flops in the worst case.  On exact-250's draws it picks
 21 x 13 and halves the products of a fit.  The ridge fit decides its Gram
-once too, in _pairing.  A failed solve of any fit, and a diverging SGD
-fit, raise a NumericalError that names mu and S.
+once too, in _pairing.  The two SGD fits share one epoch loop, _sgd_run.
+A failed solve of any fit, and a diverging SGD fit, raise a NumericalError
+that names mu and S.
 
 Every product, factorization and solve runs on SciPy's BLAS and LAPACK,
 through ``kronmc._blas`` (which says why) and ``scipy.linalg``, the CG
@@ -173,11 +174,15 @@ class StepSchedule:
     def decay(cls, c, n0):
         return cls("decay", c, n0)
 
-    def step(self, n):
-        """Step size at 1-based iteration n."""
+    def steps(self, first, count):
+        """Step sizes of the 1-based iterations first, ..., first + count - 1,
+        as one float64 array: c, or c / (n + n0) computed as the Python
+        scalar would be, bit for bit while c, n and n0 stay below 2**53."""
         if self.rule == "constant":
-            return self.c
-        return self.c / (n + self.n0)
+            return np.full(count, self.c, dtype=float)
+        n = np.arange(first, first + count, dtype=float)
+        n += self.n0
+        return np.divide(self.c, n, out=n)
 
 
 def _check_fit_inputs(obs, mu, grid):
@@ -588,65 +593,63 @@ def orrmcex_step(model, i, j, m, t, mu):
     return RrmcexModel(model.features, mu, xi)
 
 
-def _seeded_orders(count, epochs, seed):
-    """``epochs`` fresh seeded permutations of range(count), drawn lazily."""
-    check_integer("epochs", epochs, 0)
+def _sgd_run(method, obs, grid, mu, schedule, epochs, seed, eval_hook, eval_every,
+             init, sweep, snapshot):
+    """Run ``epochs`` (at least 1) epochs of SGD from ``init()``, a tuple of
+    arrays made once the arguments pass, and return ``snapshot(*iterate)``.
+
+    Each epoch draws a fresh permutation of the observations from ``seed``.
+    ``sweep(*iterate, visits, steps)`` updates the iterate in place once per
+    index of ``visits``; update n, counted from 1 over all epochs, takes
+    step size schedule.steps(n, 1).  With ``eval_hook``, the order is cut
+    every ``eval_every`` updates (default: at each epoch's end), and each
+    cut calls ``eval_hook(n, snapshot(*iterate))``.  Updates and hooks run
+    with numpy's overflow warnings off; the iterate is checked finite at
+    each cut and each epoch's end, so a diverging fit raises a
+    NumericalError naming ``method``, the iteration and its step size.  An
+    evaluation of a finite iterate too large to square reads inf.
+    """
+    check_integer("epochs", epochs, 1)
     check_integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    return (rng.permutation(count) for _ in range(epochs))
-
-
-def _eval_stride(eval_hook, eval_every, count):
-    """Updates between two calls of an SGD fit's ``eval_hook``: ``eval_every``,
-    else one epoch of ``count``; None without a hook."""
+    where = _check_fit_inputs(obs, mu, grid)
     if eval_every is not None:
         check_integer("eval_every", eval_every, 1)
-    return None if eval_hook is None else eval_every or count
-
-
-def _check_iterate(method, n, schedule, where, *arrays):
-    """Raise a NumericalError naming ``method``, the iteration n and its
-    step size unless every array of an SGD fit's iterate is finite.
-
-    An SGD fit runs its updates and evaluation hook with numpy's overflow
-    and invalid-value warnings off, and calls this at each epoch's end and
-    before each evaluation: a NaN or inf, once there, stays, so a fit that
-    overflows stops at the end of that epoch at the latest.  An evaluation
-    of a finite iterate too large to square reads inf.
-    """
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericalError(f"{method} diverged: the iterate after iteration {n}, "
-                             f"step size {schedule.step(n):g}, is not finite ({where})")
+    count = len(obs.values)
+    stride = count if eval_hook is None or eval_every is None else eval_every
+    rng = np.random.default_rng(seed)
+    iterate = init()
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(count)
+            cuts = [*range(stride - n % stride, count, stride), count]
+            for start, stop in zip([0, *cuts], cuts):
+                steps = schedule.steps(n + 1, stop - start)
+                sweep(*iterate, order[start:stop], steps)
+                n += stop - start
+                if not all(np.isfinite(a).all() for a in iterate):
+                    raise NumericalError(
+                        f"{method} diverged: the iterate after iteration {n}, "
+                        f"step size {steps[-1]:g}, is not finite ({where})")
+                if eval_hook is not None and n % stride == 0:
+                    eval_hook(n, snapshot(*iterate))
+    return snapshot(*iterate)
 
 
 def orrmcex_run(features, obs, schedule, mu, epochs, eval_hook=None, seed=0,
                 eval_every=None):
-    """Stream the observations for several epochs of seeded-order SGD.
+    """Streaming SGD from xi = 0 over the observations, ``epochs`` times in
+    seeded orders; the schedule, hook and divergence as in _sgd_run."""
+    rows0, cols0, values = obs.sampling.row_indices0, obs.sampling.col_indices0, obs.values
 
-    Starts from xi = 0, visits the observations in a fresh random order each
-    epoch, and applies the streaming update with the scheduled step size.
-    ``eval_hook(iteration, model)`` fires every ``eval_every`` iterations
-    (default: once per epoch).  A diverging fit raises a NumericalError
-    (_check_iterate).
-    """
-    orders = _seeded_orders(len(obs.values), epochs, seed)
-    where = _check_fit_inputs(obs, mu, (features.n_rows, features.n_cols))
-    s, values = obs.sampling, obs.values
-    stride = _eval_stride(eval_hook, eval_every, len(values))
-    xi = np.zeros(features.dim)
-    n = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in orders:
-            for start, block in _feature_blocks(features, s.row_indices0[order],
-                                                s.col_indices0[order]):
-                for k, phi_row in zip(order[start:start + len(block)], block):
-                    n += 1
-                    _orrmcex_update(xi, phi_row, values[k], schedule.step(n), mu)
-                    if stride is not None and n % stride == 0:
-                        _check_iterate("orrmcex", n, schedule, where, xi)
-                        eval_hook(n, RrmcexModel(features, mu, xi.copy()))
-            _check_iterate("orrmcex", n, schedule, where, xi)
-    return RrmcexModel(features, mu, xi)
+    def sweep(xi, visits, steps):
+        for start, block in _feature_blocks(features, rows0[visits], cols0[visits]):
+            for k, t, phi_row in zip(visits[start:], steps[start:], block):
+                _orrmcex_update(xi, phi_row, values[k], t, mu)
+
+    return _sgd_run("orrmcex", obs, (features.n_rows, features.n_cols), mu, schedule,
+                    epochs, seed, eval_hook, eval_every, lambda: (np.zeros(features.dim),),
+                    sweep, lambda xi: RrmcexModel(features, mu, xi.copy()))
 
 
 def _factor_init(n, l, p, seed):
@@ -719,19 +722,20 @@ def als_fit(obs, kx, ky, p, mu, max_iters=500, rel_tol=1e-6, seed=0,
     rows = sampling.row_indices0
     cols = sampling.col_indices0
     m_vals = obs.values
-    objectives = [_als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)]
-    for _ in range(max_iters):
-        w = _als_half_step(m_vals, rows, cols, h, n, p, mu, kxinv, where)
-        h = _als_half_step(m_vals, cols, rows, w, l, p, mu, kyinv, where)
-        obj = _als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)
-        prev = objectives[-1]
-        if obj > prev + 1e-10:
-            raise NumericalError(
-                f"alternating minimization objective increased ({prev:g} -> {obj:g}; {where})"
-            )
-        objectives.append(obj)
-        if prev - obj < rel_tol * max(abs(prev), 1e-30):
-            break
+    # an overflow reaches _spd_solve as a non-finite system, which it names
+    with np.errstate(over="ignore", invalid="ignore"):
+        objectives = [_als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)]
+        for _ in range(max_iters):
+            w = _als_half_step(m_vals, rows, cols, h, n, p, mu, kxinv, where)
+            h = _als_half_step(m_vals, cols, rows, w, l, p, mu, kyinv, where)
+            obj = _als_objective(m_vals, rows, cols, w, h, mu, kxinv, kyinv)
+            prev = objectives[-1]
+            if obj > prev + 1e-10:
+                raise NumericalError(f"alternating minimization objective increased "
+                                     f"({prev:g} -> {obj:g}; {where})")
+            objectives.append(obj)
+            if prev - obj < rel_tol * max(abs(prev), 1e-30):
+                break
     model = FactorModel(w, h, mu)
     return (model, objectives) if return_objectives else model
 
@@ -750,37 +754,28 @@ def _factor_sgd_update(w, h, i, j, m, t, reg_w, reg_h):
 def factor_sgd_fit(obs, p, mu, schedule, epochs, seed, eval_hook=None,
                    eval_every=None):
     """Row-wise SGD on the entrywise factorization objective, from the
-    factors _factor_init draws from ``seed``, in a fresh seeded order each
-    of ``epochs`` (at least 1) epochs; ``eval_hook`` and divergence as in
-    orrmcex_run.
+    factors _factor_init draws from ``seed``; the rest as in orrmcex_run.
 
     Each observed entry contributes its squared residual plus per-row ridge
     terms weighted by mu over the number of observations touching that row
     or column; updates follow the exact gradient of that summand.
     """
     check_integer("rank bound", p, 1)
-    check_integer("epochs", epochs, 1)
-    orders = _seeded_orders(len(obs.values), epochs, seed)
     sampling = obs.sampling
-    w, h = _factor_init(sampling.n_rows, sampling.n_cols, p, seed)
-    where = _check_fit_inputs(obs, mu, (len(w), len(h)))
+    n, l = sampling.n_rows, sampling.n_cols
     rows, cols, m_vals = sampling.row_indices0, sampling.col_indices0, obs.values
-    stride = _eval_stride(eval_hook, eval_every, len(m_vals))
-    row_counts = np.bincount(rows, minlength=sampling.n_rows).astype(float)
-    col_counts = np.bincount(cols, minlength=sampling.n_cols).astype(float)
-    step_no = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in orders:
-            for k in order:
-                step_no += 1
-                i, j = rows[k], cols[k]
-                _factor_sgd_update(w, h, i, j, m_vals[k], schedule.step(step_no),
-                                   mu / row_counts[i], mu / col_counts[j])
-                if stride is not None and step_no % stride == 0:
-                    _check_iterate("factor_sgd", step_no, schedule, where, w, h)
-                    eval_hook(step_no, FactorModel(w.copy(), h.copy(), mu))
-            _check_iterate("factor_sgd", step_no, schedule, where, w, h)
-    return FactorModel(w, h, mu)
+    row_counts = np.bincount(rows, minlength=n).astype(float)
+    col_counts = np.bincount(cols, minlength=l).astype(float)
+
+    def sweep(w, h, visits, steps):
+        for k, t in zip(visits, steps):
+            i, j = rows[k], cols[k]
+            _factor_sgd_update(w, h, i, j, m_vals[k], t,
+                               mu / row_counts[i], mu / col_counts[j])
+
+    return _sgd_run("factor_sgd", obs, (n, l), mu, schedule, epochs, seed, eval_hook,
+                    eval_every, lambda: _factor_init(n, l, p, seed), sweep,
+                    lambda w, h: FactorModel(w.copy(), h.copy(), mu))
 
 
 def factor_predict(model):

@@ -210,6 +210,18 @@ def test_a_diverging_sgd_fit_exits_2(tmp_path, capsys, subcommand, method, step)
     assert not any(tmp_path.glob("x*"))
 
 
+def test_an_overflowing_als_fit_exits_2(tmp_path, capsys):
+    # no noise: the snr target rejects an overflowing sum(f**2) first
+    for name, matrix in (("f", np.full((4, 3), 1e200)), ("kx", np.eye(4)), ("ky", np.eye(3))):
+        np.savetxt(tmp_path / f"{name}.csv", matrix, delimiter=",")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("".join(f"{name} = {tmp_path / name}.csv\n" for name in ("f", "kx", "ky")))
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", "als",
+                 "--ps", "50", "--mu", "0.1", "--rank", "2"]) == 2
+    assert "numerical error: positive-definite solve failed" in capsys.readouterr().err
+    assert not any(tmp_path.glob("x*"))
+
+
 def test_online_cli_trace(tmp_path):
     cfg = tmp_path / "online.cfg"
     cfg.write_text("synth = 1\nn = 8\nl = 8\ngraph_p = 0.3\n"

@@ -99,7 +99,7 @@ INTEGER_CASES = {
         _FEATURES, _OBS, _STEP, 0.1, 1, eval_hook=lambda *_: None, eval_every=v),
         (0, -1, 1.5)),
     "orrmcex_run-epochs": ("epochs", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, 0.1, v),
-                           (-1, 1.5)),
+                           (0, -1, 1.5)),
     "orrmcex_run-seed": ("seed", lambda v: orrmcex_run(_FEATURES, _OBS, _STEP, 0.1, 1, seed=v),
                          (-1, 1.5)),
     "factor_sgd_fit-epochs": ("epochs", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, v, 0),

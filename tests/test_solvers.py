@@ -479,6 +479,15 @@ def test_a_failed_ridge_or_als_solve_names_mu_and_s(monkeypatch):
         als_fit(obs, KernelMatrix(np.eye(4)), KernelMatrix(np.eye(3)), 2, 0.1)
 
 
+def test_an_overflowing_als_fit_names_mu_and_s():
+    # observations of 1e200 overflow the half step's outer products; the
+    # overflow warning escaped before the solve could name the fit
+    obs = ObservationSet(uniform_sample(4, 3, 6, 0), np.full(6, 1e200))
+    with pytest.raises(NumericalError,
+                       match=r"positive-definite solve failed: .*\(mu=0\.1, S=6\)"):
+        als_fit(obs, KernelMatrix(np.eye(4)), KernelMatrix(np.eye(3)), 2, 0.1)
+
+
 def test_rrmcex_fit_peak_memory_is_one_block_not_phi_s(peak_bytes):
     # Phi_S (S x d, 6.4 MB here) is never formed: the fit holds one gathered
     # block of FEATURE_BLOCK_BYTES (256 KB), its row-factor temporary of the
@@ -670,12 +679,29 @@ def test_orrmcex_run_converges_to_batch_solution():
     assert np.linalg.norm(online - batch) / np.linalg.norm(batch) <= 0.01
 
 
-def test_orrmcex_run_zero_epochs_and_determinism():
+def test_orrmcex_run_peak_memory_is_two_blocks_and_a_few_orders(peak_bytes):
+    # at criterion 9's scale (d = 50, S = 6250) an epoch, one segment
+    # without a hook, holds its order, the order's row and column indices,
+    # its steps (4 arrays of S words), the reused block of FEATURE_BLOCK_BYTES
+    # (256 KB) and the row-factor temporary of FeatureMap.rows of the same
+    # size.  Measured: two blocks plus 4.2 S words (0.73 MB) with or without
+    # a hook, against this bound of 0.77 MB.  Gathering a segment's S x d
+    # feature rows in one call holds 2.5 MB twice
+    rng = np.random.default_rng(48)
+    n, d, count = 250, 50, 6250
+    fmap = FeatureMap(rng.normal(size=(n, d)), rng.normal(size=(n, d)))
+    obs = ObservationSet(uniform_sample(n, n, count, seed=9), rng.normal(size=count))
+    schedule = StepSchedule.decay(5e-3 * count, 5.0 * count)
+    for hook in (None, lambda n, m: None):
+        peak = peak_bytes(lambda: orrmcex_run(fmap, obs, schedule, 1e-4 / count, 2,
+                                              eval_hook=hook, seed=1))
+        assert peak <= 2 * FEATURE_BLOCK_BYTES + 5 * 8 * count
+
+
+def test_orrmcex_run_determinism():
     rng = np.random.default_rng(15)
     kk, f, obs = random_problem(rng, 3, 3, 6, mu=0.0)
     fmap = features_from_eig(kk.kx, kk.ky, 4)
-    init = orrmcex_run(fmap, obs, StepSchedule.constant(0.1), 0.01, epochs=0)
-    assert np.array_equal(init.xi, np.zeros(4))
     a = orrmcex_run(fmap, obs, StepSchedule.decay(0.5, 10), 0.01, epochs=5, seed=7)
     b = orrmcex_run(fmap, obs, StepSchedule.decay(0.5, 10), 0.01, epochs=5, seed=7)
     assert np.array_equal(a.xi, b.xi)
@@ -701,12 +727,28 @@ def test_orrmcex_run_epoch_averages_approach_batch():
 
 
 def test_step_schedule():
-    assert StepSchedule.constant(0.2).step(99) == 0.2
-    assert StepSchedule.decay(1.0, 4.0).step(1) == pytest.approx(0.2)
+    assert StepSchedule.constant(0.2).steps(99, 2).tolist() == [0.2, 0.2]
+    assert StepSchedule.decay(1.0, 4.0).steps(1, 1)[0] == pytest.approx(0.2)
     with pytest.raises(InvalidInputError):
         StepSchedule.constant(0.0)
     with pytest.raises(InvalidInputError):
         StepSchedule.decay(1.0, 0.0)
+
+
+POSITIVE = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("constant", "decay")), POSITIVE, POSITIVE,
+       st.integers(1, 10**9), st.integers(0, 300))
+def test_step_schedule_steps_equal_the_scalar_rule_bit_for_bit(rule, c, n0, first, count):
+    # the SGD fits take their steps as arrays; each must be the float the
+    # scalar rule c / (n + n0), or c, gives in Python
+    schedule = StepSchedule(rule, c, n0)
+    steps = schedule.steps(first, count)
+    assert steps.dtype == np.float64 and steps.shape == (count,)
+    scalar = [c if rule == "constant" else c / (n + n0) for n in range(first, first + count)]
+    assert all(a == b for a, b in zip(steps.tolist(), scalar))
 
 
 # ---------------------------------------------------------------- als
@@ -858,31 +900,57 @@ def test_factor_sgd_tiny_steps_leave_factors_near_init():
     assert np.allclose(model.h, h0, atol=1e-250)
 
 
-def test_factor_sgd_rejects_negative_epochs():
-    obs = observe(np.ones((3, 3)), uniform_sample(3, 3, 4, seed=1))
-    with pytest.raises(InvalidInputError, match="epochs must be at least 1, got -1"):
-        factor_sgd_fit(obs, 2, 0.1, StepSchedule.constant(0.1), -1, seed=0)
+# the two SGD fits on the 8 observations of SGD_OBS, by seed, epochs and hook
+SGD_OBS = observe(np.random.default_rng(24).normal(size=(4, 4)), uniform_sample(4, 4, 8, seed=1))
+SGD_FEATURES = features_from_eig(gaussian_kernel(np.arange(4.0)[:, None], 1.0),
+                                 gaussian_kernel(np.arange(4.0)[:, None], 1.0), 5)
+SGD_FITS = {
+    "orrmcex": lambda seed, epochs, **hook: orrmcex_run(
+        SGD_FEATURES, SGD_OBS, StepSchedule.decay(0.5, 10.0), 0.1, epochs, seed=seed, **hook),
+    "factor_sgd": lambda seed, epochs, **hook: factor_sgd_fit(
+        SGD_OBS, 2, 0.1, StepSchedule.decay(0.5, 10.0), epochs, seed, **hook),
+}
 
 
+def _iterate(model):
+    return (model.xi,) if isinstance(model, RrmcexModel) else (model.w, model.h)
+
+
+@pytest.mark.parametrize("method", list(SGD_FITS))
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_sgd_fits_reject_fewer_than_one_epoch(method, epochs):
+    # orrmcex_run(epochs=0) returned xi = 0, factor_sgd_fit its random init
+    with pytest.raises(InvalidInputError, match=f"epochs must be at least 1, got {epochs}"):
+        SGD_FITS[method](0, epochs)
+
+
+@pytest.mark.parametrize("method", list(SGD_FITS))
 @pytest.mark.parametrize("every, iterations", [(None, [8, 16, 24]), (5, [5, 10, 15, 20]),
+                                              (3, [3, 6, 9, 12, 15, 18, 21, 24]),
                                               (8, [8, 16, 24])])
-def test_factor_sgd_hook_fires_every_eval_every_updates_else_once_per_epoch(
-        every, iterations):
+def test_sgd_hook_fires_every_eval_every_updates_else_once_per_epoch(
+        method, every, iterations):
     # 8 observations, 3 epochs: without eval_every the hook fires at each
-    # epoch's end (a hook alone raised a raw TypeError before)
-    obs = observe(np.random.default_rng(24).normal(size=(4, 4)),
-                  uniform_sample(4, 4, 8, seed=1))
-    schedule = StepSchedule.decay(0.5, 10.0)
+    # epoch's end; strides 5 and 3 cut the orders across epochs
     seen = []
-    factor_sgd_fit(obs, 2, 0.1, schedule, 3, seed=2,
-                   eval_hook=lambda n, m: seen.append((n, m)), eval_every=every)
+    SGD_FITS[method](2, 3, eval_hook=lambda n, m: seen.append((n, m)), eval_every=every)
     assert [n for n, _ in seen] == iterations
-    # a model handed to the hook keeps the factors after its n updates: the
+    # a model handed to the hook keeps the iterate after its n updates: the
     # epochs' orders are drawn in turn, so a fit of n / 8 epochs ends there
     for n, model in seen:
         if n % 8 == 0:
-            ref = factor_sgd_fit(obs, 2, 0.1, schedule, n // 8, seed=2)
-            assert np.array_equal(model.w, ref.w) and np.array_equal(model.h, ref.h)
+            ref = SGD_FITS[method](2, n // 8)
+            assert all(map(np.array_equal, _iterate(model), _iterate(ref)))
+
+
+@pytest.mark.parametrize("method", list(SGD_FITS))
+@pytest.mark.parametrize("every", [1, 3, 5, 7, 8, 13])
+def test_sgd_cuts_leave_the_arithmetic_unchanged(method, every):
+    # cutting the orders at each evaluation changes which updates one call
+    # of the method's sweep runs, and no bit of the end point
+    plain = SGD_FITS[method](4, 5)
+    cut = SGD_FITS[method](4, 5, eval_hook=lambda n, m: None, eval_every=every)
+    assert all(map(np.array_equal, _iterate(cut), _iterate(plain)))
 
 
 def test_factor_sgd_fits_rank_one_full_observation():
