@@ -31,7 +31,7 @@ from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
 from .solvers import (FactorModel, KkmcexModel, RrmcexModel, StepSchedule,
                       als_fit, factor_predict, factor_sgd_fit, kkmcex_fit,
                       kkmcex_predict, load_factor_model, load_kkmcex_model,
-                      load_rrmcex_model, orrmcex_run, orrmcex_step,
-                      rrmcex_fit, rrmcex_predict, save_model)
+                      load_rrmcex_model, orrmcex_run, rrmcex_fit,
+                      rrmcex_predict, save_model)
 
 __version__ = "0.1.0"

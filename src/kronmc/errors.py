@@ -13,14 +13,13 @@ class NumericalError(RuntimeError):
 
 def check_number(name, value, sign="positive"):
     """Raise an InvalidInputError naming ``name`` unless ``value`` is a
-    finite real number of the given ``sign``: positive, nonnegative or
-    any.  A bool is not a number here, though Python counts it as one."""
+    finite real number of the given ``sign``: positive or nonnegative.  A
+    bool is not a number here, though Python counts it as one."""
     if not isinstance(value, Real) or isinstance(value, bool):
         raise InvalidInputError(f"{name} must be a number, got {value!r}")
-    in_range = {"positive": value > 0, "nonnegative": value >= 0, "any": True}[sign]
+    in_range = value > 0 if sign == "positive" else value >= 0
     if not (in_range and math.isfinite(value)):
-        need = "finite" if sign == "any" else f"{sign} and finite"
-        raise InvalidInputError(f"{name} must be {need}, got {value}")
+        raise InvalidInputError(f"{name} must be {sign} and finite, got {value}")
 
 
 def check_integer(name, value, least):

@@ -162,7 +162,8 @@ def uniform_sample(n_rows, n_cols, count, seed):
     check_integer("n_cols", n_cols, 1)
     check_integer("seed", seed, 0)
     total = n_rows * n_cols
-    if not (isinstance(count, Integral) and 0 <= count <= total):
+    if not (isinstance(count, Integral) and not isinstance(count, bool)
+            and 0 <= count <= total):
         raise InvalidInputError(f"count must be an integer in 0..{total}, got {count}")
     flat = np.random.default_rng(seed).choice(total, size=count, replace=False)
     # distinct and on the grid by construction

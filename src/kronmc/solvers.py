@@ -6,7 +6,9 @@ All linear systems are symmetric positive definite by construction
 (PSD Gram plus mu I with mu > 0) and are solved by Cholesky factorization,
 except the closed-form system, which may be solved matrix-free by
 conjugate gradients.  That CG runs its kernel products in float32 and
-keeps its iterate, its residuals and its stopping test in float64.  It is
+keeps its iterate, its residuals and its stopping test in float64.  It
+stops once its true residual r proves its coefficients within a relative
+CG_COEFF_TOL of the exact ones, which lie within ||r|| / mu.  It is
 preconditioned by mu I plus the system's part on the top rx x ry rectangle
 of factor eigenpairs, inverted exactly by Woodbury: the preconditioned
 condition number is at most 1 + lam_out / mu, lam_out the largest
@@ -38,20 +40,21 @@ from . import _blas
 from .errors import InvalidInputError, NumericalError, check_integer, check_number
 from .kernels import kron_submatrix
 
-# relative residual tolerance tau of the closed-form CG solve, and the bound
-# on kappa * tau, hence on the relative error of the CG coefficients, that
-# admits CG at all (criterion 1's tolerance)
-CG_RTOL = 1e-12
+# relative error of the closed-form CG solve's coefficients (criterion 1's
+# tolerance), which its stop proves from the true residual (_kkmcex_cg)
 CG_COEFF_TOL = 1e-8
+# largest plain condition bound kappa admitted to CG: kappa times float32's
+# unit roundoff, the error of its float32 products, stays at most 6e-4
+CG_MAX_KAPPA = 1e4
 # factor by which the recursive residual of _kkmcex_cg's float32 steps
 # falls between two replacements by the true, float64 one.  The two drift
 # apart by up to about kappa times float32's unit roundoff, at most
 # 1e4 * 6e-8 = 6e-4 of the residual at the last replacement (measured:
 # 3e-7 to 2.5e-5 at kappa 1e3), so the factor must stay well above that.
 # On 20 draws at 250 x 250, S = 6250, mu = 1e-3, factors from 1e-1 to 1e-3
-# took on average 57.1 to 58.5 float32 and 11.5 to 4 float64 products; at
+# took on average 40.4 to 40.7 float32 and 8.1 to 3 float64 products; at
 # 0.53 of a float64 product's time per float32 one (0.21 against 0.39 ms a
-# GEMM), 1e-2 (57.4 + 6, each step with its apply) costs within 3 % of
+# GEMM), 1e-2 (40.4 + 4.8, each step with its apply) costs within 5 % of
 # 1e-3, which sits too near the drift
 CG_REPLACE = 1e-2
 # size of one block of gathered feature rows in _feature_blocks, which
@@ -84,7 +87,6 @@ __all__ = [
     "kkmcex_predict",
     "rrmcex_fit",
     "rrmcex_predict",
-    "orrmcex_step",
     "orrmcex_run",
     "als_fit",
     "factor_sgd_fit",
@@ -227,15 +229,17 @@ def _plan(kernel, s, mu):
     and the factors' eigenvalues alone, never their eigenvectors.
 
     lx and ly are the factors' positive eigenvalues, descending (ties in
-    index order), zero past them.  CG is admitted only when kappa CG_RTOL
-    <= CG_COEFF_TOL, kappa = (top + mu) / mu the plain condition bound,
-    since ||c - c*|| / ||c*|| <= kappa ||r|| / ||m|| must hold the
-    coefficients to CG_COEFF_TOL.  The top rx x ry rectangle of factor
+    index order), zero past them.  CG is admitted only when kappa <=
+    CG_MAX_KAPPA, kappa = (top + mu) / mu the plain condition bound, which
+    keeps its float32 products accurate enough (_kkmcex_cg).  CG stops once
+    its true residual is at most CG_COEFF_TOL mu ||x|| / 2; since ||c*|| >=
+    ||m|| / (top + mu), a relative residual of tau = CG_COEFF_TOL / kappa
+    reaches that stop in the worst case.  The top rx x ry rectangle of factor
     eigenpairs (_woodbury) leaves out eigenvalue products of at most
     lam_out = max(lx[rx] ly[0], lx[0] ly[ry]), so it bounds the
     preconditioned condition number by k = 1 + lam_out / mu, and CG's
-    residual falls below CG_RTOL ||m|| within ceil(sqrt(k) / 2 ln(2 sqrt(k)
-    / CG_RTOL)) steps.  A step is one product, 2 N L (N + L) flops, and one
+    residual falls below tau ||m|| within ceil(sqrt(k) / 2 ln(2 sqrt(k) /
+    tau)) steps.  A step is one product, 2 N L (N + L) flops, and one
     apply, 2 N L (rx + ry) + 2 d (N + L) + 2 d^2 flops, d = rx ry; the
     build is 2 N L ry^2 + 2 N d^2 + d^3 flops.  The flops of apply and
     build are priced at PRECOND_FLOP_COST, so no side is longer than
@@ -252,7 +256,8 @@ def _plan(kernel, s, mu):
     lx, ly = (np.append(w[o], 0.0)[:cap + 1] for w, o in ((wx, ox), (wy, oy)))
     # Python floats: an overflowing product is inf
     top = float(lx[0]) * float(ly[0])
-    if not (top + mu) / mu * CG_RTOL <= CG_COEFF_TOL:
+    kappa = (top + mu) / mu
+    if not kappa <= CG_MAX_KAPPA:
         return top, None
     rx = np.arange(len(lx), dtype=float)[:, None]
     ry = np.arange(len(ly), dtype=float)[None, :]
@@ -260,7 +265,7 @@ def _plan(kernel, s, mu):
     apply = (2 * n * l * (rx + ry) + 2 * d * (n + l) + 2 * d * d) * (d > 0)
     build = (2 * n * l * ry * ry + 2 * n * d * d + d**3) * (d > 0)
     root = np.sqrt(1.0 + np.maximum(lx[:, None] * ly[0], lx[0] * ly[None, :]) / mu)
-    steps = 0.5 * root * np.log(2.0 * root / CG_RTOL)
+    steps = 0.5 * root * np.log(2.0 * root * kappa / CG_COEFF_TOL)
     cost = (steps * (2 * n * l * (n + l) + PRECOND_FLOP_COST * apply)
             + PRECOND_FLOP_COST * build)
     # a side of 0 costs what (0, 0) does, which comes first
@@ -328,35 +333,39 @@ def _woodbury(kernel, flat, grid, out, mu, ox, oy):
 
 
 def _kkmcex_cg(kernel, sampling, values, mu, plan):
-    """Dual coefficients by preconditioned CG from zero, or None when the
-    true residual misses CG_RTOL ||m|| or is not finite.
+    """Dual coefficients by preconditioned CG from zero, within a relative
+    CG_COEFF_TOL of the exact ones, or None when the true residual cannot
+    show that or is not finite.
 
     A product scatters p into an N x L grid, zero off the sample, multiplies
     it by Kx on the left and Ky on the right, and gathers the sampled cells:
     2 N L (N + L) flops and three N x L grids, no S x S array.  The CG steps
     run it in float32, on float32 copies of Kx and Ky, in about half the
-    time, and add mu p in float64; x, r and p stay float64.  That is safe
-    because CG is admitted only for kappa <= CG_COEFF_TOL / CG_RTOL = 1e4,
-    so kappa times float32's unit roundoff (6e-8) is at most 6e-4: the
-    products stay accurate enough for CG to converge.  Exactness comes from
-    float64: each time r has fallen by CG_REPLACE, and before any stop or
-    when the budget is spent, r is replaced by the true residual
-    m - (G + mu I) x from a float64 product, and CG stops only on a true
-    residual of at most CG_RTOL / 2 ||m||.  ``plan`` is _plan's (ox, oy,
-    budget), and products of both precisions count against its budget.
+    time, and add mu p in float64; x, r and p stay float64.  CG_MAX_KAPPA
+    keeps the float32 products accurate enough for CG to converge.
+    Exactness comes from float64: each time r has fallen by CG_REPLACE, and
+    before any stop or when the budget is spent, r is replaced by the true
+    residual r = m - (G + mu I) x from a float64 product.  ``plan`` is
+    _plan's (ox, oy, budget); products of both precisions count against it.
 
-    The top of the product spectrum is what sets kappa, so the steps are
-    preconditioned by P = mu I + G's part on the top rx x ry rectangle of
-    factor eigenpairs, applied exactly in float32 by _woodbury.  P <= G +
-    mu I <= P + lam_out I, lam_out the largest eigenvalue product outside
-    the rectangle, so the preconditioned condition number is at most 1 +
-    lam_out / mu; _plan picks the rectangle from that bound and the
-    costs, and its (0, 0) runs plain CG through the same loop.  At
-    exact-250's settings (250 x 250, S = 6250, mu = 1e-3) it picks 21 x 13,
-    which bounds the condition number by 109 instead of 1001, and a budget
-    of 161 products: over 20 draws a fit took 57.4 float32 products on
-    average (at most 64) and 6 float64 ones.  An apply costs about a third
-    of a product and the build about 2 ms.
+    The stop bounds the coefficients' error (Arioli, Numer. Math. 97,
+    2004).  lambda_min(G + mu I) >= mu, so the exact c* lies within delta =
+    ||r|| / mu of x, and ||c*|| >= ||x|| - delta: the relative error is at
+    most delta / (||x|| - delta), below CG_COEFF_TOL exactly when ||r|| <=
+    CG_COEFF_TOL mu ||x|| / (1 + CG_COEFF_TOL), the test that x is returned
+    on.  CG stops at about half that, ||r|| <= CG_COEFF_TOL mu ||x|| / 2,
+    and mu ||c*|| <= ||m||, so it leaves a residual of at most about
+    CG_COEFF_TOL ||m|| / 2.
+
+    The steps are preconditioned by P = mu I + G's part on the top rx x ry
+    rectangle of factor eigenpairs, applied exactly in float32 by
+    _woodbury; _plan picks the rectangle from its condition bound 1 +
+    lam_out / mu and the costs, and its (0, 0) runs plain CG through the
+    same loop.  At exact-250's settings (250 x 250, S = 6250, mu = 1e-3) it
+    picks 21 x 13, which bounds the condition number by 109 instead of
+    1001, and a budget of 149 products: over 20 draws a fit took 40.4
+    float32 products on average (at most 45) and 4.8 float64 ones.  An
+    apply costs about a third of a product and the build about 2 ms.
     """
     n, l = kernel.n_rows, kernel.n_cols
     flat = sampling.row_indices0 * l + sampling.col_indices0
@@ -382,7 +391,7 @@ def _kkmcex_cg(kernel, sampling, values, mu, plan):
     r = values.copy()
     rz = 1.0
     true_rr = anchor = _blas.dot(r, r)
-    stop = (0.5 * CG_RTOL) ** 2 * true_rr
+    xx = stop = 0.0  # ||x||^2 and the squared stop, both zero at x = 0
     products = 0
     while true_rr > stop and products < budget:
         z = precondition(r)
@@ -397,11 +406,13 @@ def _kkmcex_cg(kernel, sampling, values, mu, plan):
         x += alpha * p
         r -= alpha * q
         rr = _blas.dot(r, r)
+        xx = _blas.dot(x, x)
+        stop = (0.5 * CG_COEFF_TOL * mu) ** 2 * xx
         if rr <= max(CG_REPLACE**2 * anchor, stop) or products == budget:
             r = values - double(x)
             products += 1
             true_rr = anchor = _blas.dot(r, r)
-    return x if true_rr <= CG_RTOL**2 * _blas.dot(values, values) else None
+    return x if true_rr <= (CG_COEFF_TOL * mu / (1.0 + CG_COEFF_TOL)) ** 2 * xx else None
 
 
 def kkmcex_fit(kernel, obs, mu):
@@ -411,8 +422,9 @@ def kkmcex_fit(kernel, obs, mu):
     product-kernel block; the full NL x NL kernel is never formed.  The
     condition number of G + mu I is at most kappa = (lx ly + mu) / mu, lx
     and ly the factors' top eigenvalues.  When _plan picks CG, the system is
-    solved matrix-free, in O(S + NL) memory; a CG solve that misses its
-    residual falls back to the Cholesky path.  That path gathers
+    solved matrix-free, in O(S + NL) memory, to a relative CG_COEFF_TOL on
+    the coefficients; a CG solve whose true residual cannot show that falls
+    back to the Cholesky path.  That path gathers
     G as the only S x S array, adds mu to its diagonal and factors it in
     place, so its peak memory is about one S x S block.
     """
@@ -579,18 +591,6 @@ def _orrmcex_update(xi, phi_row, m, t, mu):
     (residual^2 + mu ||xi||^2) / 2 of the observation m with feature row phi."""
     resid = phi_row @ xi - m
     xi -= t * (phi_row * resid + mu * xi)
-
-
-def orrmcex_step(model, i, j, m, t, mu):
-    """One streaming update from the observation m at grid entry (i, j),
-    returned as a new model.  A zero step size leaves the model unchanged.
-    """
-    check_number("step size t", t, "nonnegative")
-    check_number("mu", mu)
-    check_number("observation m", m, "any")
-    xi = np.array(model.xi, dtype=float)
-    _orrmcex_update(xi, model.features.row(i, j), m, t, mu)
-    return RrmcexModel(model.features, mu, xi)
 
 
 def _sgd_run(method, obs, grid, mu, schedule, epochs, seed, eval_hook, eval_every,

@@ -18,7 +18,7 @@ from kronmc.kernels import Diffusion, spectral_kernel
 SRC = Path(kronmc.__file__).parent
 # the two per-observation SGD updates keep their 1-D dots of length d or p
 # as `@`: they wake no thread pool, and their rounding is the reference of
-# the SGD paths.  The fits' sweeps and orrmcex_step call them and hold no `@`
+# the SGD paths.  The fits' sweeps call them and hold no `@`
 PER_ENTRY = {"solvers.py": {"_orrmcex_update", "_factor_sgd_update"}}
 LINALG_KEPT = {"norm", "LinAlgError"}
 NUMPY_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
@@ -87,15 +87,12 @@ def test_guard_catches_a_product_reintroduced_in_kkmcex_predict():
     ("_orrmcex_update(xi, phi_row, values[k], t, mu)",
      "xi -= t * (phi_row * (phi_row @ xi - values[k]) + mu * xi)",
      "orrmcex_run"),
-    ("_orrmcex_update(xi, model.features.row(i, j), m, t, mu)",
-     "phi_row = model.features.row(i, j)\n"
-     "    xi -= t * (phi_row * (phi_row @ xi - m) + mu * xi)",
-     "orrmcex_step"),
+    ("xx = _blas.dot(x, x)", "xx = x @ x", "_kkmcex_cg"),
     ("            _factor_sgd_update(w, h, i, j, m_vals[k], t,",
      "            err = m_vals[k] - w[i] @ h[j]\n"
      "            _factor_sgd_update(w, h, i, j, m_vals[k], t,",
      "factor_sgd_fit"),
-], ids=["orrmcex_run", "orrmcex_step", "factor_sgd_fit"])
+], ids=["orrmcex_run", "kkmcex_cg", "factor_sgd_fit"])
 def test_guard_catches_a_dot_inlined_outside_the_sgd_updates(routed, inlined, function):
     source = (SRC / "solvers.py").read_text()
     assert source.count(routed) == 1
@@ -108,7 +105,7 @@ def test_guard_catches_a_dot_inlined_outside_the_sgd_updates(routed, inlined, fu
     ("import numpy as np\ndef f(a):\n    return np.matmul(a, a)\n", "np.matmul"),
     ("def f(a):\n    return a.dot(a)\n", ".dot"),
     ("from numpy.linalg import eigh\n", "from numpy.linalg import ['eigh']"),
-    ("def orrmcex_step(a):\n    return a @ a\n", "@"),
+    ("def f(a):\n    return a @ a\n", "@"),
 ])
 def test_guard_names_each_kind_of_bypass(snippet, what):
     assert [w for _, _, w in _bypasses(snippet, "kernels.py")] == [what]

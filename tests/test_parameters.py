@@ -16,12 +16,10 @@ from kronmc import (Bandlimited, Diffusion, ExperimentConfig, InvalidInputError,
                     StepSchedule, als_fit, band_graph, class_agreement_bundle,
                     eig_bound_check, erdos_renyi, factor_sgd_fit, features_from_eig,
                     features_from_svd, gaussian_kernel, kkmcex_fit, knn_symmetric,
-                    mse_bound, mse_decomposition, orrmcex_run, orrmcex_step,
+                    mse_bound, mse_decomposition, orrmcex_run,
                     regularized_nystrom, rrmcex_fit, station_day_bundle,
                     synthetic_categorical_table, synthetic_station_day_bundle,
                     uniform_sample, verify_theory)
-from kronmc.solvers import RrmcexModel
-
 from helpers import make_spd_kernel
 
 _RNG = np.random.default_rng(61)
@@ -30,12 +28,11 @@ _K = np.kron(_KY.matrix, _KX.matrix)
 _S = uniform_sample(3, 2, 3, seed=1)
 _OBS = ObservationSet(_S, _RNG.normal(size=3))
 _FEATURES = features_from_eig(_KX, _KY, 4)
-_MODEL = RrmcexModel(_FEATURES, 0.1, np.zeros(4))
 _STEP = StepSchedule.constant(0.01)
 _DISTANCES = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
 _TABLE = synthetic_categorical_table(12, 4, seed=1)
 
-# (name in the message, call taking the value, an out-of-range value or None)
+# (name in the message, call taking the value, an out-of-range value)
 CASES = {
     "mse_bound-mu": ("mu", lambda v: mse_bound(_K, _S, np.ones(6), v, 0.0), 0.0),
     "mse_bound-nu_sq": ("nu_sq", lambda v: mse_bound(_K, _S, np.ones(6), 0.1, v), -1.0),
@@ -59,11 +56,6 @@ CASES = {
     "als_fit-mu": ("mu", lambda v: als_fit(_OBS, _KX, _KY, 1, v), 0.0),
     "als_fit-rel_tol": ("rel_tol", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, rel_tol=v), -1.0),
     "factor_sgd_fit-mu": ("mu", lambda v: factor_sgd_fit(_OBS, 1, v, _STEP, 1, 0), 0.0),
-    "orrmcex_step-t": ("step size t", lambda v: orrmcex_step(_MODEL, 1, 1, 0.5, v, 0.1),
-                       -0.1),
-    "orrmcex_step-mu": ("mu", lambda v: orrmcex_step(_MODEL, 1, 1, 0.5, 0.1, v), 0.0),
-    "orrmcex_step-m": ("observation m", lambda v: orrmcex_step(_MODEL, 1, 1, v, 0.1, 0.1),
-                       None),
     "ExperimentConfig-mu_grid": (
         "mu", lambda v: ExperimentConfig("kkmcex", (10.0,), mu_grid=(1e-3, v)), 0.0),
     "ExperimentConfig-eta_grid": (
@@ -74,11 +66,11 @@ CASES = {
 @pytest.mark.parametrize("case,value", [
     pytest.param(case, value, id=f"{case}-{value}")
     for case, (_, _, out_of_range) in CASES.items()
-    for value in (np.nan, np.inf, out_of_range) if value is not None])
+    for value in (np.nan, np.inf, out_of_range)])
 def test_numeric_parameter_rejects_nan_inf_and_out_of_range(case, value):
     name, call, _ = CASES[case]
     with pytest.raises(InvalidInputError,
-                       match=rf"^{re.escape(name)} must be (positive and |nonnegative and )?"
+                       match=rf"^{re.escape(name)} must be (positive|nonnegative) and "
                              rf"finite, got {re.escape(str(value))}$"):
         call(value)
 
@@ -109,8 +101,6 @@ INTEGER_CASES = {
     "als_fit-seed": ("seed", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, seed=v), (-1, 1.5)),
     "als_fit-max_iters": ("max_iters", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, max_iters=v),
                           (0, -1, 2.5)),
-    "orrmcex_step-i": ("i", lambda v: orrmcex_step(_MODEL, v, 1, 0.5, 0.1, 0.1), (0, 1.5)),
-    "orrmcex_step-j": ("j", lambda v: orrmcex_step(_MODEL, 1, v, 0.5, 0.1, 0.1), (0, 1.5)),
     "features_from_eig-d": ("feature dimension d", lambda v: features_from_eig(_KX, _KY, v),
                             (0, 2.5)),
     "features_from_svd-d": ("feature dimension d", lambda v: features_from_svd(

@@ -48,6 +48,15 @@ def test_uniform_sample_rejects_a_fractional_count():
         uniform_sample(5, 5, 2.5, 0)
 
 
+@pytest.mark.parametrize("count", [True, False])
+def test_uniform_sample_rejects_a_bool_count(count):
+    # a bool is an Integral: True reached numpy's own TypeError, and False
+    # passed as a 0-sample draw
+    with pytest.raises(InvalidInputError,
+                       match=rf"^count must be an integer in 0\.\.25, got {count}$"):
+        uniform_sample(5, 5, count, 0)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: uniform_sample(2.5, 2, 1, 0), "n_rows must be an integer, got 2.5"),
     (lambda: uniform_sample(-2, 3, 0, 1), "n_rows must be at least 1, got -2"),

@@ -9,7 +9,7 @@ from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                     features_from_eig, features_from_svd, generate_synthetic, kkmcex_fit,
                     kkmcex_predict, load_factor_model, load_kkmcex_model, load_rrmcex_model,
-                    nmse, observe, orrmcex_run, orrmcex_step, rrmcex_fit,
+                    nmse, observe, orrmcex_run, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
 from kronmc import solvers
 from kronmc.errors import NumericalError
@@ -124,7 +124,7 @@ def unit_top_kernel(rng, n):
 @pytest.mark.parametrize("case", range(7))
 def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
     # grids of 30..40 rows and columns sampled at 80-90 % give Cholesky
-    # costs of over 1100 products, above plain CG's worst case of 503 at
+    # costs of over 1100 products, above plain CG's worst case of 467 at
     # kappa ~ 1e3 (mu = 1e-3 on unit-top kernels), so _plan picks CG for
     # every mu in 1e-3..10;
     # a fallback would hide a CG that misses its tolerance, so the Cholesky
@@ -157,8 +157,36 @@ def test_kkmcex_cg_matches_dense_oracle(case, monkeypatch):
 
     monkeypatch.setattr(solvers, "_kkmcex_cholesky", no_cholesky)
     gamma = full_dual_vector(kkmcex_fit(kk, obs, mu))
-    oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
+    assert_cg_meets_its_stop(kk, obs, mu, gamma)
+
+
+def assert_cg_meets_its_stop(kk, obs, mu, gamma):
+    """The CG duals ``gamma`` (length NL) are within 1e-8 of the dense
+    oracle's, and their optimality residual within the stop's bound.
+
+    CG returns x only when its true residual r has ||r|| <= CG_COEFF_TOL mu
+    ||x|| / (1 + CG_COEFF_TOL): G + mu I >= mu I puts the exact c* within
+    delta = ||r|| / mu of x, so the relative error delta / (||x|| - delta)
+    is below CG_COEFF_TOL = 1e-8.  It stops on ||r|| <= CG_COEFF_TOL mu
+    ||x|| / 2, and ||x|| <= (1 + CG_COEFF_TOL) ||c*|| with mu ||c*|| <=
+    ||m||, so ||r|| <= CG_COEFF_TOL (1 + CG_COEFF_TOL) ||m|| / 2, the
+    residual that exact-250's check relies on.  Measured over the eleven
+    oracle cases: coefficient errors of at most 3.4e-9 and residuals of at
+    most 3.5e-9 ||m||, both at mu = 10, where the bound is nearly tight.  A
+    stop that drops mu (||r|| <= CG_COEFF_TOL ||x|| / 2, and the return
+    test likewise) fails seven cases, every one with mu < 1 but the
+    band-limited one, whose preconditioner is exact: errors of 2.2e-8 to
+    1.6e-5, and at the gaussian case's mu = 0.1 an error of 7.7e-9 that
+    only the residual bound catches (6.2e-9 ||m||).
+    """
+    kz = dense_kron(kk)
+    oracle = dense_krr_gamma(kz, obs.sampling, obs.values, mu)
     assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
+    idx = obs.sampling.vec_indices0
+    c = gamma[idx]
+    residual = obs.values - kz[np.ix_(idx, idx)] @ c - mu * c
+    tol = solvers.CG_COEFF_TOL
+    assert np.linalg.norm(residual) <= 0.5 * tol * (1 + tol) * np.linalg.norm(obs.values)
 
 
 def flat_kernel(n, value):
@@ -173,12 +201,16 @@ def planned(kk, s, mu):
 
 
 @pytest.mark.parametrize("mu, s, n, l, expected", [
-    (1e-3, 6250, 250, 250, (0, 0, 503)),  # exact-250's sizes: plain CG
-    (1.2e-4, 6250, 250, 250, None),  # 1499 products > the Cholesky's 1302
-    (1e-4, 6250, 250, 250, None),  # kappa tau = 1.0001e-8: not admitted
+    # exact-250's sizes: plain CG.  kappa = 1001, tau = 1e-8 / 1001, so
+    # ceil(sqrt(1001) / 2 ln(2 sqrt(1001) 1001 / 1e-8)) = ceil(15.82 * 29.48)
+    # = ceil(466.3) = 467
+    (1e-3, 6250, 250, 250, (0, 0, 467)),
+    # kappa 8334: ceil(45.65 * 32.66) = 1491 products > the Cholesky's 1302
+    (1.2e-4, 6250, 250, 250, None),
+    (1e-4, 6250, 250, 250, None),  # kappa = 10001 > CG_MAX_KAPPA: not admitted
     (1e-6, 6250, 250, 250, None),  # criterion 7
     (1e-3, 625, 250, 250, None),  # cli-fit: the Cholesky costs 1.3 products
-    (1e-5, 62500, 790, 790, None),  # cheaper, but kappa tau = 1e-7
+    (1e-5, 62500, 790, 790, None),  # cheaper, but kappa = 100001
 ])
 def test_plan_on_a_flat_spectrum_picks_plain_cg_or_the_cholesky(mu, s, n, l, expected):
     # top eigenvalues 1, and all others too, so that no rectangle shrinks
@@ -189,14 +221,18 @@ def test_plan_on_a_flat_spectrum_picks_plain_cg_or_the_cholesky(mu, s, n, l, exp
 
 
 def test_plan_budget_is_the_worst_case_iteration_count():
-    # the worst-case count itself, where the coefficient tolerance admits
-    # kappa and the Cholesky costs far more: ceil(sqrt(k) / 2 ln(2 sqrt(k)
-    # / 1e-12)); eigenvalues k - 1 and 1 and mu = 1 give kappa = k exactly
+    # the worst-case count itself, where CG_MAX_KAPPA admits kappa and the
+    # Cholesky costs far more: ceil(sqrt(k) / 2 ln(2 sqrt(k) / tau)) with
+    # tau = 1e-8 / kappa; eigenvalues k - 1 and 1 and mu = 1 give kappa = k
+    # exactly, so the log reads ln(2 k^1.5 / 1e-8):
+    # - k = 1001: 15.82 * ln(6.334e12) = 15.82 * 29.48 = 466.3 -> 467
+    # - k = 101: 5.025 * ln(2.030e11) = 5.025 * 26.04 = 130.8 -> 131
+    # - k = 1e4: 50 * ln(2e14) = 50 * 32.93 = 1646.5 -> 1647
     def plan(kappa):
         return planned(KroneckerKernel(flat_kernel(100, kappa - 1.0), flat_kernel(100, 1.0)),
                        10**6, 1.0)
 
-    for kappa, expected in ((1001.0, 503), (101.0, 154), (1e4, 1647)):
+    for kappa, expected in ((1001.0, 467), (101.0, 131), (1e4, 1647)):
         assert plan(kappa) == (0, 0, expected)
     assert plan(1e4 + 1.0) is None
 
@@ -208,8 +244,13 @@ def paper_data():
 
 
 @pytest.mark.parametrize("mu, expected", [
-    (1e-3, (21, 13, 161)),  # exact-250: at most 67 used over 10 draws
-    (1.5e-4, (26, 17, 380)),  # kappa 6668: plain CG's 1336 exceed 1302; 124 used
+    # exact-250: ceil(sqrt(109) / 2 ln(2 sqrt(109) 1001 / 1e-8)) =
+    # ceil(5.22 * 28.37) = ceil(148.1) = 149; at most 47 used over 10 draws
+    (1e-3, (21, 13, 149)),
+    # kappa 6668: plain CG's ceil(40.83 * 32.32) = 1320 exceed 1302; the
+    # rectangle's bound 582 gives ceil(12.06 * 31.10) = 376;
+    # 88 + 5 used on the draw of the next test
+    (1.5e-4, (26, 17, 376)),
     (1e-4, None),  # kappa 10001: not admitted
     (1e-6, None),
 ])
@@ -376,19 +417,21 @@ def test_preconditioned_cg_matches_dense_oracle(case, monkeypatch):
         assert (rx, ry) == (8, 6)
     if case == "rectangular":
         assert rx != ry
-    oracle = dense_krr_gamma(dense_kron(kk), obs.sampling, obs.values, mu)
-    assert np.linalg.norm(gamma - oracle) / np.linalg.norm(oracle) <= 1e-8
+    assert_cg_meets_its_stop(kk, obs, mu, gamma)
 
 
 def test_preconditioned_cg_product_count_on_a_paper_scale_draw(gemm_calls, peak_bytes):
     # one fixed 250 x 250 draw at exact-250's settings (the benchmark's
     # dataset, S = 6250, mu = 1e-3, SNR 1): the fit is deterministic, so
-    # its products repeat exactly.  Measured: 60 float32 and 6 float64
-    # products (2 cores, OpenBLAS); unpreconditioned CG takes 125 and 6.
-    # The bounds are the measured counts plus 10 %, rounded up (73 in
-    # all), for a BLAS whose rounding moves a replacement or a stop; they
-    # sit far below the plain CG's 131, which an identity preconditioner
-    # (or a lost rectangle) brings back.  The preconditioned fit also keeps
+    # its products repeat exactly.  Measured: 42 float32 and 5 float64
+    # products (2 cores, OpenBLAS); unpreconditioned CG takes 88 and 5
+    # (89 and 5 at one BLAS thread).
+    # The bounds are the measured counts plus 10 %, rounded up (47 and 6,
+    # 52 in all), for a BLAS whose rounding moves a replacement or a stop;
+    # they sit far below the plain CG's 93, which an identity
+    # preconditioner (or a lost rectangle) brings back.  At the former
+    # fixed stop (a true residual of 5e-13 ||m||) the fit took 60 and 6,
+    # which these bounds also reject.  The preconditioned fit also keeps
     # within the memory bound of the plain CG's memory test above
     n, count = 250, 6250
     data = generate_synthetic(n, n, 0.03, 1.0, seed=11)
@@ -400,7 +443,7 @@ def test_preconditioned_cg_product_count_on_a_paper_scale_draw(gemm_calls, peak_
     # preconditioner has that shape
     products = [dtype for left, right, dtype in gemm_calls if left == right == (n, n)]
     single, double = products.count("float32") // 2, products.count("float64") // 2
-    assert single <= 66 and double <= 7 and single + double <= 73
+    assert single <= 47 and double <= 6 and single + double <= 52
     assert peak <= 0.02 * count**2 * 8
 
 
@@ -623,47 +666,20 @@ def test_rrmcex_zero_coefficients_predict_zero():
 # ---------------------------------------------------------------- online
 
 
-def test_orrmcex_step_examples():
+def test_orrmcex_update_examples():
+    # ORRMCEX's one update, which orrmcex_run's sweep calls: a zero step
+    # leaves xi unchanged, and a step from xi = 0 moves along t m phi.
+    # Criterion 10 checks its direction against the loss's gradient
     rng = np.random.default_rng(12)
     kk, f, obs = random_problem(rng, 3, 3, 5, mu=0.1)
     fmap = features_from_eig(kk.kx, kk.ky, 5)
     start = rng.normal(size=5)
-    model = RrmcexModel(fmap, 0.1, start)
-    unchanged = orrmcex_step(model, 1, 1, 2.0, 0.0, 0.1)
-    assert np.array_equal(unchanged.xi, start)
-    with pytest.raises(InvalidInputError):
-        orrmcex_step(model, 1, 1, 2.0, -0.1, 0.1)
-    zero_model = RrmcexModel(fmap, 0.1, np.zeros(5))
-    stepped = orrmcex_step(zero_model, 2, 3, 1.5, 0.05, 0.1)
-    assert np.allclose(stepped.xi, 0.05 * 1.5 * fmap.row(2, 3), atol=1e-14)
-
-
-def test_orrmcex_step_is_half_gradient_of_instantaneous_loss():
-    # direction = grad of (residual^2 + mu ||xi||^2) / 2, i.e. half the
-    # gradient of the unhalved objective; checked by central differences
-    rng = np.random.default_rng(13)
-    kk, f, obs = random_problem(rng, 3, 4, 6, mu=0.3)
-    fmap = features_from_eig(kk.kx, kk.ky, 7)
-    mu = 0.3
-    for trial in range(10):
-        xi = rng.normal(size=7)
-        i = int(rng.integers(1, 4))
-        j = int(rng.integers(1, 5))
-        m = float(rng.normal())
-        phi = fmap.row(i, j)
-
-        def loss(z):
-            return 0.5 * (m - phi @ z) ** 2 + 0.5 * mu * (z @ z)
-
-        eps = 1e-6
-        fd = np.array([
-            (loss(xi + eps * e) - loss(xi - eps * e)) / (2 * eps)
-            for e in np.eye(7)
-        ])
-        model = RrmcexModel(fmap, mu, xi)
-        stepped = orrmcex_step(model, i, j, m, 1e-3, mu)
-        direction = (xi - stepped.xi) / 1e-3
-        assert np.linalg.norm(direction - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
+    xi = start.copy()
+    solvers._orrmcex_update(xi, fmap.row(1, 1), 2.0, 0.0, 0.1)
+    assert np.array_equal(xi, start)
+    xi = np.zeros(5)
+    solvers._orrmcex_update(xi, fmap.row(2, 3), 1.5, 0.05, 0.1)
+    assert np.allclose(xi, 0.05 * 1.5 * fmap.row(2, 3), atol=1e-14)
 
 
 def test_orrmcex_run_converges_to_batch_solution():
@@ -1159,8 +1175,7 @@ def test_no_library_path_builds_the_dense_feature_table(monkeypatch):
     for fmap in (features_from_eig(kk.kx, kk.ky, 6),
                  features_from_svd(rng.normal(size=(6, 3)), rng.normal(size=(5, 3)), 6)):
         assert rrmcex_predict(rrmcex_fit(fmap, obs, 0.1)).shape == (6, 5)
-        model = orrmcex_run(fmap, obs, schedule, 0.1, 2)
-        assert rrmcex_predict(orrmcex_step(model, 2, 3, 1.0, 0.01, 0.1)).shape == (6, 5)
+        assert rrmcex_predict(orrmcex_run(fmap, obs, schedule, 0.1, 2)).shape == (6, 5)
     dataset = generate_synthetic(6, 5, 0.3, 1.0, seed=1)
     config = ExperimentConfig("orrmcex", (50,), feature_dim=4, epochs=2)
     assert len(run_online(config, dataset, stride=5)) == 2 * 15 // 5
