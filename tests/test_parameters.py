@@ -98,13 +98,18 @@ INTEGER_CASES = {
                               (0, -1, 1.5)),
     "factor_sgd_fit-seed": ("seed", lambda v: factor_sgd_fit(_OBS, 1, 0.1, _STEP, 1, v),
                             (-1, 1.5)),
-    "als_fit-seed": ("seed", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, seed=v), (-1, 1.5)),
+    "factor_sgd_fit-p": ("rank bound", lambda v: factor_sgd_fit(_OBS, v, 0.1, _STEP, 1, 0),
+                         (0, -1, 1.5)),
+    "als_fit-p": ("rank bound", lambda v: als_fit(_OBS, _KX, _KY, v, 0.1), (0, -1, 1.5)),
+    "als_fit-seed":("seed", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, seed=v), (-1, 1.5)),
     "als_fit-max_iters": ("max_iters", lambda v: als_fit(_OBS, _KX, _KY, 1, 0.1, max_iters=v),
                           (0, -1, 2.5)),
     "features_from_eig-d": ("feature dimension d", lambda v: features_from_eig(_KX, _KY, v),
                             (0, 2.5)),
     "features_from_svd-d": ("feature dimension d", lambda v: features_from_svd(
         np.eye(3), np.eye(2), v), (0, 2.5)),
+    "FeatureMap.row-i": ("i", lambda v: _FEATURES.row(v, 1), (0, 1.5)),
+    "FeatureMap.row-j": ("j", lambda v: _FEATURES.row(1, v), (0, 1.5)),
     "knn_symmetric-k": ("k", lambda v: knn_symmetric(_DISTANCES, v), (-1, 1.5)),
     "station_day_bundle-k": ("k", lambda v: station_day_bundle(
         np.ones((5, 6)), _DISTANCES, k=v), (-1, 1.5)),
@@ -116,6 +121,7 @@ INTEGER_CASES = {
         "subsample", lambda v: class_agreement_bundle(*_TABLE, subsample=v), (0, -1, 1.5)),
     "erdos_renyi-seed": ("seed", lambda v: erdos_renyi(5, 0.5, v), (-1, 1.5)),
     "band_graph-n": ("vertex count n", lambda v: band_graph(v, 1), (0, 2.5)),
+    "band_graph-half_width": ("band half-width", lambda v: band_graph(5, v), (-1, 1.5)),
     "Bandlimited-index": ("pass band index", lambda v: Bandlimited([2, v]), (0, 1.5, "x")),
     "mse_decomposition-n_draws": ("n_draws", lambda v: mse_decomposition(
         _K, _S, np.ones(6), 0.1, 0.1, n_draws=v), (-1, 1.5)),
