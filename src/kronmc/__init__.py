@@ -10,15 +10,14 @@ row-wise SGD factorization baselines are included, together with numerical
 verification of the estimator's bias/variance theory.
 """
 
-from .analysis import (EigBoundReport, MseReport, eig_bound_check, gamma_tilde,
-                       mse_bound, mse_decomposition, nmse, regularized_nystrom,
-                       verify_theory)
+from .analysis import (EigBoundReport, MseReport, eig_bound_check, mse_bound,
+                       mse_decomposition, nmse, regularized_nystrom, verify_theory)
 from .bench import (DatasetBundle, ExperimentConfig, ExperimentResult,
                     band_graph, class_agreement_bundle, generate_synthetic,
                     grid_search, load_matrix_csv, load_triplets_csv,
                     onehot_features, run_fit, run_online, run_sweep,
-                    save_matrix_csv, save_triplets_csv, station_day_bundle,
-                    synthetic_categorical_table, synthetic_station_day_bundle)
+                    save_matrix_csv, station_day_bundle, synthetic_categorical_table,
+                    synthetic_station_day_bundle)
 from .errors import InvalidInputError, NumericalError
 from .graphs import (Graph, Laplacian, build_laplacian, erdos_renyi,
                      geodesic_distances, heat_adjacency, knn_symmetric)
@@ -30,8 +29,7 @@ from .sampling import (NoiseSpec, ObservationSet, SamplingSet, observe,
                        uniform_sample)
 from .solvers import (FactorModel, KkmcexModel, RrmcexModel, StepSchedule,
                       als_fit, factor_predict, factor_sgd_fit, kkmcex_fit,
-                      kkmcex_predict, load_factor_model, load_kkmcex_model,
-                      load_rrmcex_model, orrmcex_run, rrmcex_fit,
-                      rrmcex_predict, save_model)
+                      kkmcex_predict, load_kkmcex_model, orrmcex_run,
+                      rrmcex_fit, rrmcex_predict, save_model)
 
 __version__ = "0.1.0"

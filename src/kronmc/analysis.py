@@ -29,7 +29,6 @@ __all__ = [
     "EigBoundReport",
     "regularized_nystrom",
     "mse_decomposition",
-    "gamma_tilde",
     "mse_bound",
     "eig_bound_check",
     "nmse",
@@ -136,7 +135,7 @@ def mse_decomposition(k, sampling, gamma, mu, nu_sq, n_draws=0, seed=0):
     return MseReport(bias_sq, variance, empirical, n_draws, std_error)
 
 
-def gamma_tilde(k, t_tilde, gamma):
+def _gamma_tilde(k, t_tilde, gamma):
     """Coordinates of gamma in the eigenbasis of the residual kernel.
 
     Eigenvalues of K - T are taken ascending; the transform is orthogonal,
@@ -164,14 +163,14 @@ def mse_bound(k, sampling, gamma, mu, nu_sq):
     """Spectral upper bound on the estimator MSE for a dense kernel.
 
     With sigma the top eigenvalue of K, T the regularized sampled-block
-    approximation and g = gamma_tilde(K, T, gamma), the first S coordinates
+    approximation and g = _gamma_tilde(K, T, gamma), the first S coordinates
     of g are damped by mu sigma/(sigma+mu), the remaining ones see the full
     sigma, and the variance contributes S nu^2 sigma^2 / mu^2.
     """
     check_number("mu", mu)
     check_number("nu_sq", nu_sq, "nonnegative")
     k = np.asarray(k, dtype=float)
-    g = gamma_tilde(k, regularized_nystrom(k, sampling, mu), gamma)
+    g = _gamma_tilde(k, regularized_nystrom(k, sampling, mu), gamma)
     sigma = _sigma_max(k, "bound")
     s = len(sampling)
     head = (mu**2 * sigma**2) / (sigma + mu) ** 2 * float(np.sum(g[:s] ** 2))

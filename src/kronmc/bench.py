@@ -42,7 +42,6 @@ __all__ = [
     "load_matrix_csv",
     "save_matrix_csv",
     "load_triplets_csv",
-    "save_triplets_csv",
     "onehot_features",
     "run_fit",
     "run_sweep",
@@ -107,7 +106,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if not self.ps_grid or not all(0 < p <= 100 for p in self.ps_grid):
+        for p_s in self.ps_grid:
+            check_number("ps", p_s)
+        if not self.ps_grid or max(self.ps_grid) > 100:
             raise InvalidInputError(
                 f"sampling percentages ps must lie in (0, 100], got {self.ps_grid}")
         if not self.mu_grid or not self.eta_grid:
@@ -118,7 +119,8 @@ class ExperimentConfig:
         for name in ("realizations", "rank", "feature_dim", "epochs", "max_iters"):
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed, 0)
-        if not 0 < self.validation_fraction < 1:
+        check_number("validation_fraction", self.validation_fraction)
+        if self.validation_fraction >= 1:
             raise InvalidInputError(f"validation_fraction must lie strictly in (0, 1), "
                                     f"got {self.validation_fraction}")
 
@@ -159,7 +161,8 @@ def generate_synthetic(n, l, graph_p, eta, seed):
     """
     for name, value, least in (("n", n, 2), ("l", l, 2), ("seed", seed, 0)):
         check_integer(name, value, least)
-    if not 0 <= graph_p <= 1:
+    check_number("graph_p", graph_p, "nonnegative")
+    if graph_p > 1:
         raise InvalidInputError(f"graph_p must lie in [0, 1], got {graph_p}")
     rng = np.random.default_rng(seed)
     seed_x, seed_y = (int(s) for s in rng.integers(2**63, size=2))
@@ -275,7 +278,9 @@ def synthetic_categorical_table(n_rows=120, n_attrs=22, seed=0):
     Labels are a thresholded random linear score of the one-hot encoding,
     so attribute similarity is informative about label agreement.
     """
-    check_integer("seed", seed, 0)
+    for name, value, least in (("n_rows", n_rows, 1), ("n_attrs", n_attrs, 1),
+                               ("seed", seed, 0)):
+        check_integer(name, value, least)
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 7, size=n_attrs)
     rows = [tuple(f"a{a}v{rng.integers(sizes[a])}" for a in range(n_attrs))
@@ -350,15 +355,6 @@ def load_matrix_csv(path):
     if not rows:
         raise InvalidInputError(f"{path}: empty matrix file")
     return np.array(rows)
-
-
-def _triplet_rows(sampling, values):
-    return zip((sampling.row_indices0 + 1).tolist(), (sampling.col_indices0 + 1).tolist(),
-               np.asarray(values, dtype=float).tolist())
-
-
-def save_triplets_csv(path, obs):
-    _write_csv(path, _triplet_rows(obs.sampling, obs.values))
 
 
 def load_triplets_csv(path, n_rows, n_cols, first=1):

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _blas
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_number
 from .kernels import _reject_non_finite
 
 __all__ = [
@@ -86,8 +86,9 @@ def erdos_renyi(n, p, seed):
 
     Edges are unweighted (weight 1).  Deterministic for a fixed ``seed``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"edge probability must lie in [0, 1], got {p}")
+    check_number("edge probability p", p, "nonnegative")
+    if p > 1:
+        raise InvalidInputError(f"edge probability p must lie in [0, 1], got {p}")
     check_integer("vertex count n", n, 1)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

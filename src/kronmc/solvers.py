@@ -93,8 +93,6 @@ __all__ = [
     "factor_predict",
     "save_model",
     "load_kkmcex_model",
-    "load_rrmcex_model",
-    "load_factor_model",
 ]
 
 
@@ -787,73 +785,42 @@ def save_model(path, model):
     """Serialize a fitted model as a CSV bundle: a header line
     ``kind,N,L,k,mu`` over a body that is a triplets file (kkmcex), a
     one-column matrix (rrmcex) or a ``p``-column matrix (factor)."""
-    from .bench import _triplet_rows, _write_csv, save_matrix_csv
+    from .bench import _write_csv, save_matrix_csv
 
-    mu = float(model.mu)
     if isinstance(model, KkmcexModel):
         s = model.sampling
-        _write_csv(path, _triplet_rows(s, model.dual_coeffs),
-                   ("kkmcex", s.n_rows, s.n_cols, len(s), mu))
+        _write_csv(path, zip((s.row_indices0 + 1).tolist(), (s.col_indices0 + 1).tolist(),
+                             np.asarray(model.dual_coeffs, dtype=float).tolist()),
+                   ("kkmcex", s.n_rows, s.n_cols, len(s), float(model.mu)))
     elif isinstance(model, RrmcexModel):
         f = model.features
         _write_csv(path, ([v] for v in model.xi.tolist()),
-                   ("rrmcex", f.n_rows, f.n_cols, f.dim, mu))
+                   ("rrmcex", f.n_rows, f.n_cols, f.dim, float(model.mu)))
     elif isinstance(model, FactorModel):
         n, l = model.w.shape[0], model.h.shape[0]
-        _write_csv(path, (), ("factor", n, l, model.rank, mu))
+        _write_csv(path, (), ("factor", n, l, model.rank, float(model.mu)))
         with open(path, "a") as fh:
             save_matrix_csv(fh, np.vstack((model.w, model.h)))
     else:
         raise InvalidInputError(f"cannot serialize model of type {type(model)!r}")
 
 
-def _read_bundle(path, kind, grid=None):
-    """Header ``kind,N,L,k,mu`` on line 1 of a model bundle, as (N, L, k, mu);
-    N x L must equal ``grid``, the model's (N, L), when one is given."""
-    from .bench import _read_csv
+def load_kkmcex_model(path, kernel):
+    """The KKMCEX model a ``kkmcex`` bundle at ``path`` holds, on ``kernel``:
+    its header ``kkmcex,N,L,S,mu`` must give the kernel's N x L grid."""
+    from .bench import _read_csv, load_triplets_csv
 
     header, _ = _read_csv(path, (str, int, int, int, float), last=1)
-    name, n, l, k, mu = header[0] if header else ("", 0, 0, 0, 0.0)
-    if name != kind:
-        raise InvalidInputError(f"{path}: line 1: expected a {kind} bundle, got {name!r}")
-    if min(n, l) < 1 or k < 0:
-        raise InvalidInputError(f"{path}: line 1: sizes N={n}, L={l}, k={k} out of range")
-    if grid not in (None, (n, l)):
+    name, n, l, s, mu = header[0] if header else ("", 0, 0, 0, 0.0)
+    if name != "kkmcex":
+        raise InvalidInputError(f"{path}: line 1: expected a kkmcex bundle, got {name!r}")
+    if min(n, l) < 1 or s < 0:
+        raise InvalidInputError(f"{path}: line 1: sizes N={n}, L={l}, k={s} out of range")
+    grid = (kernel.n_rows, kernel.n_cols)
+    if (n, l) != grid:
         raise InvalidInputError(f"{path}: line 1: grid {n} x {l} is not the model's {grid}")
     check_number(f"{path}: line 1: mu", mu)
-    return n, l, k, mu
-
-
-def _read_body(path, width):
-    """A bundle's body, from line 2 on: a ``width``-column matrix of finite floats."""
-    from .bench import _finite, _read_csv
-
-    rows, _ = _read_csv(path, (_finite,) * width, first=2)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
-
-
-def load_kkmcex_model(path, kernel):
-    from .bench import load_triplets_csv
-
-    n, l, s, mu = _read_bundle(path, "kkmcex", (kernel.n_rows, kernel.n_cols))
     obs = load_triplets_csv(path, n, l, first=2)
     if len(obs.values) != s:
         raise InvalidInputError(f"{path}: expected {s} coefficients, found {len(obs.values)}")
     return KkmcexModel(kernel, obs.sampling, mu, obs.values)
-
-
-def load_rrmcex_model(path, features):
-    _, _, d, mu = _read_bundle(path, "rrmcex", (features.n_rows, features.n_cols))
-    xi = _read_body(path, 1).ravel()
-    if xi.size != d or features.dim != d:
-        raise InvalidInputError(f"{path}: coefficient count does not match d={d}")
-    return RrmcexModel(features, mu, xi)
-
-
-def load_factor_model(path):
-    n, l, p, mu = _read_bundle(path, "factor")
-    factors = _read_body(path, p)
-    if len(factors) != n + l:
-        raise InvalidInputError(
-            f"{path}: expected {n + l} factor rows, found {len(factors)}")
-    return FactorModel(factors[:n], factors[n:], mu)

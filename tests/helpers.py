@@ -4,7 +4,8 @@ Everything here deliberately recomputes quantities by a different route
 than the library (dense Kronecker products, full NL x NL solves, explicit
 selector matrices, dynamic-programming shortest paths) so the two sides
 of each check stay independent.  ``csv_round_trip`` runs a writer and its
-reader on one object.
+reader on one object; ``parse_bundle`` reads a model bundle apart from the
+library, which reads back only the kkmcex one.
 """
 
 import tempfile
@@ -182,3 +183,12 @@ def csv_round_trip(save, load, obj):
         save(second, loaded)
         assert second.read_bytes() == first.read_bytes()
     return loaded
+
+
+def parse_bundle(path):
+    """The header ``kind,N,L,k,mu`` of the model bundle at ``path``, as
+    (kind, N, L, k, mu), and its body from line 2 on as a float matrix."""
+    with open(path) as fh:
+        kind, n, l, k, mu = fh.readline().split(",")
+    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return (kind, int(n), int(l), int(k), float(mu)), body

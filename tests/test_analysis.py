@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from kronmc import (InvalidInputError, KroneckerKernel, SamplingSet,
-                    eig_bound_check, gamma_tilde, mse_bound,
-                    mse_decomposition, nmse, regularized_nystrom,
-                    uniform_sample, verify_theory)
-from kronmc.analysis import VERIFY_INSTANCES
+                    eig_bound_check, mse_bound, mse_decomposition, nmse,
+                    regularized_nystrom, uniform_sample, verify_theory)
+from kronmc.analysis import VERIFY_INSTANCES, _gamma_tilde
 
 from helpers import bayes_nmse_floor, dense_kron, make_spd_kernel, selector_matrix
 
@@ -91,9 +90,9 @@ def test_gamma_tilde_properties():
     k = random_dense_kernel(rng, 3, 2)
     s = uniform_sample(3, 2, 3, seed=4)
     t = regularized_nystrom(k, s, 0.1)
-    assert np.array_equal(gamma_tilde(k, t, np.zeros(6)), np.zeros(6))
+    assert np.array_equal(_gamma_tilde(k, t, np.zeros(6)), np.zeros(6))
     gamma = rng.normal(size=6)
-    gt = gamma_tilde(k, t, gamma)
+    gt = _gamma_tilde(k, t, gamma)
     assert np.linalg.norm(gt) == pytest.approx(np.linalg.norm(gamma), rel=1e-12)
     # dense eigen oracle, ascending order
     evals, evecs = np.linalg.eigh(k - t)
@@ -110,7 +109,7 @@ def test_mse_bound_trivial_cases():
     gamma = np.arange(1.0, 7.0)
     sigma, mu, nu_sq = np.linalg.eigvalsh(k)[-1], 0.1, 0.2
     for s in (part, full):
-        g = gamma_tilde(k, regularized_nystrom(k, s, mu), gamma)
+        g = _gamma_tilde(k, regularized_nystrom(k, s, mu), gamma)
         count = len(s)
         expected = (mu**2 * sigma**2 / (sigma + mu) ** 2 * np.sum(g[:count] ** 2)
                     + sigma**2 * np.sum(g[count:] ** 2)

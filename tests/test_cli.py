@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kronmc import (KernelMatrix, KroneckerKernel, bench, factor_predict,
-                    features_from_eig, kkmcex_fit, kkmcex_predict, load_factor_model,
-                    load_kkmcex_model, load_matrix_csv, load_rrmcex_model, observe,
-                    rrmcex_predict, uniform_sample)
+from kronmc import (FactorModel, KernelMatrix, KroneckerKernel, RrmcexModel, bench,
+                    factor_predict, features_from_eig, kkmcex_fit, kkmcex_predict,
+                    load_kkmcex_model, load_matrix_csv, observe, rrmcex_predict,
+                    uniform_sample)
 from kronmc.cli import UsageError, _load_dataset, main, parse_args, parse_config
+
+from helpers import parse_bundle
 
 
 def run_kronmc(*args):
@@ -308,9 +310,13 @@ def test_fit_prediction_equals_the_reloaded_models_prediction(synth_dataset, met
     if method == "kkmcex":
         pred = kkmcex_predict(load_kkmcex_model(path, KroneckerKernel(kx, ky)))
     elif method in ("rrmcex", "orrmcex"):
-        pred = rrmcex_predict(load_rrmcex_model(path, features_from_eig(kx, ky, 6)))
+        (kind, _, _, _, mu), body = parse_bundle(path)
+        assert kind == "rrmcex"
+        pred = rrmcex_predict(RrmcexModel(features_from_eig(kx, ky, 6), mu, body.ravel()))
     else:
-        pred = factor_predict(load_factor_model(path))
+        (kind, n, _, _, mu), body = parse_bundle(path)
+        assert kind == "factor"
+        pred = factor_predict(FactorModel(body[:n], body[n:], mu))
     assert np.array_equal(load_matrix_csv(tmp_path / "m.pred.csv"), pred)
 
 
@@ -477,15 +483,20 @@ def test_synthetic_dataset_runs_an_eta_grid(tmp_path, subcommand):
         assert np.array_equal(load_matrix_csv(tmp_path / "r.f.csv"), f)
 
 
-@pytest.mark.parametrize("fraction", ["0", "1", "2", "-0.5"])
-def test_validation_fraction_out_of_range_is_named(tmp_path, fraction):
+@pytest.mark.parametrize("fraction,message", [
+    ("0", "validation_fraction must be positive and finite, got 0.0"),
+    ("1", "validation_fraction must lie strictly in (0, 1), got 1.0"),
+    ("2", "validation_fraction must lie strictly in (0, 1), got 2.0"),
+    ("-0.5", "validation_fraction must be positive and finite, got -0.5"),
+])
+def test_validation_fraction_out_of_range_is_named(tmp_path, fraction, message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("synth = 1\nmethod = kkmcex\nps = 50\nmu = 1e-3\n"
                    f"validation_fraction = {fraction}\n")
     result = run_kronmc("sweep", "--config", cfg, "--out", tmp_path / "r.csv")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert "validation_fraction must lie strictly in (0, 1)" in result.stderr
+    assert message in result.stderr
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -510,7 +521,10 @@ def fuzz_files(tmp_path_factory):
     bench.save_matrix_csv(paths["kx"], data.kx.matrix)
     bench.save_matrix_csv(paths["ky"], data.ky.matrix)
     bench.save_matrix_csv(paths["big"], np.eye(7))
-    bench.save_triplets_csv(paths["obs"], observe(data.f, uniform_sample(6, 5, 9, 1)))
+    obs = observe(data.f, uniform_sample(6, 5, 9, 1))
+    np.savetxt(paths["obs"], np.column_stack((obs.sampling.row_indices0 + 1,
+                                              obs.sampling.col_indices0 + 1, obs.values)),
+               fmt="%d,%d,%.17g")
     paths["junk"].write_text("1,2\nx,,\n")
     files = st.sampled_from([str(p) for p in paths.values()]) | _FUZZ_JUNK
     values = {"n": _FUZZ_SIDES, "l": _FUZZ_SIDES,
@@ -584,7 +598,8 @@ _PROBE_BASE = "synth = 1\nn = 10\nl = 8\ngraph_p = 0.3\nps = 40\n"
     ("sweep", "method = kkmcex\nmu_grid = 1e-2\n", [],
      "{cfg}: line 7: unknown config key 'mu_grid'"),
     ("synth", "n = 6\nl = 6\nmethd = kkmcex\n", [], "{cfg}: line 3: unknown config key 'methd'"),
-    ("sweep", "method = kkmcex\ngraph_p = nan\n", [], "graph_p must lie in [0, 1], got nan"),
+    ("sweep", "method = kkmcex\ngraph_p = nan\n", [],
+     "graph_p must be nonnegative and finite, got nan"),
     ("synth", "graph_p = 1.5\n", [], "graph_p must lie in [0, 1], got 1.5"),
     ("sweep", "method = kkmcex\nn = 1\n", [], "n must be at least 2, got 1"),
     ("synth", "l = 1\n", [], "l must be at least 2, got 1"),

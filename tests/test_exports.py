@@ -17,24 +17,6 @@ MODULES = [importlib.import_module(f"kronmc.{info.name}")
            for info in pkgutil.iter_modules(kronmc.__path__)
            if not info.name.startswith("_")]
 ROOT = Path(__file__).resolve().parents[1]
-# public names that nothing outside the tests reads yet, each kept for the
-# reason given; a name leaves this list when it gains a reader or is retired
-UNREAD_ALLOWED = {
-    # the writer of the triplet CSV that load_triplets_csv and `kronmc fit
-    # --obs` read; the CLI writes only matrices
-    "save_triplets_csv",
-    # two of the paper's spectral kernel classes beside Diffusion; no demo
-    # builds one yet
-    "RegularizedLaplacian",
-    "Bandlimited",
-    # the feature-based kernel of the paper's kernel classes; no demo
-    # builds one yet
-    "gaussian_kernel",
-    # read back the bundles that `kronmc fit` writes for rrmcex and the
-    # factor methods; only the round-trip tests read them
-    "load_rrmcex_model",
-    "load_factor_model",
-}
 
 
 def _reads(path):
@@ -83,13 +65,12 @@ def test_every_package_name_is_listed_by_a_module():
     public = {name for name, value in vars(kronmc).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public - listed == {"InvalidInputError", "NumericalError"}
-    assert UNREAD_ALLOWED <= listed
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
                          ids=lambda m: m.__name__)
 def test_every_listed_name_has_a_reader_outside_the_tests(module):
-    assert _unread(module) == UNREAD_ALLOWED & set(module.__all__)
+    assert _unread(module) == set()
 
 
 def test_a_listed_name_that_nothing_reads_is_caught(monkeypatch):

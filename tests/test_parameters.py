@@ -15,7 +15,8 @@ from kronmc import (Bandlimited, Diffusion, ExperimentConfig, InvalidInputError,
                     KroneckerKernel, NoiseSpec, ObservationSet, RegularizedLaplacian,
                     StepSchedule, als_fit, band_graph, class_agreement_bundle,
                     eig_bound_check, erdos_renyi, factor_sgd_fit, features_from_eig,
-                    features_from_svd, gaussian_kernel, kkmcex_fit, knn_symmetric,
+                    features_from_svd, gaussian_kernel, generate_synthetic, kkmcex_fit,
+                    knn_symmetric,
                     mse_bound, mse_decomposition, orrmcex_run,
                     regularized_nystrom, rrmcex_fit, station_day_bundle,
                     synthetic_categorical_table, synthetic_station_day_bundle,
@@ -60,6 +61,13 @@ CASES = {
         "mu", lambda v: ExperimentConfig("kkmcex", (10.0,), mu_grid=(1e-3, v)), 0.0),
     "ExperimentConfig-eta_grid": (
         "eta", lambda v: ExperimentConfig("kkmcex", (10.0,), eta_grid=(1.0, v)), -1.0),
+    "ExperimentConfig-ps_grid": ("ps", lambda v: ExperimentConfig("kkmcex", (10.0, v)), 0.0),
+    "ExperimentConfig-validation_fraction": (
+        "validation_fraction",
+        lambda v: ExperimentConfig("kkmcex", (10.0,), validation_fraction=v), 0.0),
+    "generate_synthetic-graph_p": ("graph_p", lambda v: generate_synthetic(3, 3, v, 1.0, 0),
+                                   -0.5),
+    "erdos_renyi-p": ("edge probability p", lambda v: erdos_renyi(3, v, 0), -0.5),
 }
 
 
@@ -120,6 +128,10 @@ INTEGER_CASES = {
     "class_agreement_bundle-subsample": (
         "subsample", lambda v: class_agreement_bundle(*_TABLE, subsample=v), (0, -1, 1.5)),
     "erdos_renyi-seed": ("seed", lambda v: erdos_renyi(5, 0.5, v), (-1, 1.5)),
+    "synthetic_categorical_table-n_rows": (
+        "n_rows", lambda v: synthetic_categorical_table(v, 4), (0, 1.5)),
+    "synthetic_categorical_table-n_attrs": (
+        "n_attrs", lambda v: synthetic_categorical_table(12, v), (0, 1.5)),
     "band_graph-n": ("vertex count n", lambda v: band_graph(v, 1), (0, 2.5)),
     "band_graph-half_width": ("band half-width", lambda v: band_graph(5, v), (-1, 1.5)),
     "Bandlimited-index": ("pass band index", lambda v: Bandlimited([2, v]), (0, 1.5, "x")),

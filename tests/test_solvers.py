@@ -8,8 +8,7 @@ from kronmc import (FactorModel, FeatureMap, InvalidInputError, KernelMatrix,
                     KkmcexModel, KroneckerKernel, NoiseSpec, ObservationSet, RrmcexModel, SamplingSet,
                     StepSchedule, als_fit, factor_predict, factor_sgd_fit,
                     features_from_eig, features_from_svd, generate_synthetic, kkmcex_fit,
-                    kkmcex_predict, load_factor_model, load_kkmcex_model, load_rrmcex_model,
-                    nmse, observe, orrmcex_run, rrmcex_fit,
+                    kkmcex_predict, load_kkmcex_model, nmse, observe, orrmcex_run, rrmcex_fit,
                     rrmcex_predict, save_model, uniform_sample)
 from kronmc import solvers
 from kronmc.errors import NumericalError
@@ -19,7 +18,7 @@ from kronmc.kernels import (GATHER_BLOCK_BYTES, Bandlimited, _factored_map, gaus
 from kronmc.solvers import FEATURE_BLOCK_BYTES, _factor_init
 
 from helpers import (csv_round_trip, dense_kron, dense_krr_gamma, full_dual_vector,
-                     make_spd_kernel, plain_als, unvec)
+                     make_spd_kernel, parse_bundle, plain_als, unvec)
 
 
 def random_problem(rng, n, l, count, mu, nu=0.0):
@@ -1001,7 +1000,8 @@ positive_floats = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 @st.composite
 def bundles(draw):
     """(model, load): a model of any kind with arbitrary finite coefficients,
-    and the loader that reads its bundle."""
+    and what reads its bundle back: load_kkmcex_model for a kkmcex bundle,
+    the values parse_bundle reads for the bundles no loader reads."""
     n, l = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     mu = draw(positive_floats)
     kind = draw(st.sampled_from(["kkmcex", "rrmcex", "factor"]))
@@ -1015,10 +1015,18 @@ def bundles(draw):
     if kind == "rrmcex":
         fmap = FeatureMap(np.ones((n, d)), np.ones((l, d)))
         xi = draw(arrays(float, d, elements=finite_floats))
-        return RrmcexModel(fmap, mu, xi), lambda p: load_rrmcex_model(p, fmap)
+
+        def load(path):
+            (_, _, _, _, mu), body = parse_bundle(path)
+            return RrmcexModel(fmap, mu, body.ravel())
+        return RrmcexModel(fmap, mu, xi), load
     w = draw(arrays(float, (n, d), elements=finite_floats))
     h = draw(arrays(float, (l, d), elements=finite_floats))
-    return FactorModel(w, h, mu), load_factor_model
+
+    def load(path):
+        (_, n, _, _, mu), body = parse_bundle(path)
+        return FactorModel(body[:n], body[n:], mu)
+    return FactorModel(w, h, mu), load
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1039,6 +1047,14 @@ def test_model_csv_round_trips(case):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_save_model_names_a_type_it_cannot_serialize(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(InvalidInputError, match="^cannot serialize model of type "
+                                                "<class 'object'>$"):
+        save_model(path, object())
+    assert not path.exists()
+
+
 def test_load_kkmcex_model_names_malformed_lines(tmp_path):
     kk = KroneckerKernel(KernelMatrix(np.eye(2)), KernelMatrix(np.eye(2)))
     path = tmp_path / "k.csv"
@@ -1054,70 +1070,31 @@ def test_load_kkmcex_model_names_malformed_lines(tmp_path):
         assert str(path) in str(info.value)
 
 
-def test_load_rrmcex_model_names_malformed_lines(tmp_path):
-    fmap = FeatureMap(np.ones((2, 1)), np.ones((2, 1)))
-    path = tmp_path / "r.csv"
-    for text, lineno in (("rrmcex,2,2,1,0.5\nabc\n", 2),
-                         ("rrmcex,2,2,2,0.5\n0.25\n\n1,2\n", 4),
-                         ("rrmcex,2,2,x,0.5\n0.25\n", 1),
-                         ("rrmcex,2,2,1\n", 1),
-                         ("rrmcex,2,1,1,0.5\n0.25\n", 1)):
-        path.write_text(text)
-        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
-            load_rrmcex_model(path, fmap)
-        assert str(path) in str(info.value)
+# a kkmcex bundle with its header mu and the coefficient on line 3 left open
+BUNDLE = "kkmcex,2,2,2,{mu}\n1,1,0.25\n2,1,{value}\n"
 
 
-def test_load_factor_model_names_malformed_lines(tmp_path):
-    path = tmp_path / "f.csv"
-    for text, lineno in (("factor,1,1,2,0.5\n0.5,0.25\nx\n", 3),
-                         ("factor,1,1,2,0.5\n0.5,0.25\n1.0,y\n", 3),
-                         ("factor,1,1,2,0.5\n0.5\n1.0,2.0\n", 2),
-                         ("factor,1,one,2,0.5\n0.5,0.25\n1.0,2.0\n", 1),
-                         ("factor,-1,2,1,0.5\n0.5\n", 1),
-                         ("factor,0,0,-2,0.5\n", 1)):
-        path.write_text(text)
-        with pytest.raises(InvalidInputError, match=f"line {lineno}") as info:
-            load_factor_model(path)
-        assert str(path) in str(info.value)
-    path.write_text("factor,1,1,2,0.5\n0.5,0.25\n")
-    with pytest.raises(InvalidInputError, match="expected 2 factor rows"):
-        load_factor_model(path)
-
-
-# a bundle of each kind, with its header mu and the last field of line 3 left open
-BUNDLES = {"kkmcex": "kkmcex,2,2,2,{mu}\n1,1,0.25\n2,1,{value}\n",
-           "rrmcex": "rrmcex,2,2,2,{mu}\n0.25\n{value}\n",
-           "factor": "factor,1,1,2,{mu}\n0.5,0.25\n1.0,{value}\n"}
+def _load_bundle(path):
+    eye = KernelMatrix(np.eye(2))
+    return load_kkmcex_model(path, KroneckerKernel(eye, eye))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("kind", list(BUNDLES))
-def test_model_loaders_reject_a_non_finite_coefficient_by_line(tmp_path, kind, value):
+def test_load_kkmcex_model_rejects_a_non_finite_coefficient_by_line(tmp_path, value):
     path = tmp_path / "m.csv"
-    path.write_text(BUNDLES[kind].format(mu=0.5, value=value))
+    path.write_text(BUNDLE.format(mu=0.5, value=value))
     with pytest.raises(InvalidInputError, match=f"line 3: value '{value}' is not finite") as info:
-        _load_bundle(kind, path)
+        _load_bundle(path)
     assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0", "-0.5"])
-@pytest.mark.parametrize("kind", list(BUNDLES))
-def test_model_loaders_reject_a_bundle_mu_not_positive_and_finite(tmp_path, kind, mu):
+def test_load_kkmcex_model_rejects_a_bundle_mu_not_positive_and_finite(tmp_path, mu):
     path = tmp_path / "m.csv"
-    path.write_text(BUNDLES[kind].format(mu=mu, value=0.75))
+    path.write_text(BUNDLE.format(mu=mu, value=0.75))
     with pytest.raises(InvalidInputError, match="line 1: mu must be positive and finite") as info:
-        _load_bundle(kind, path)
+        _load_bundle(path)
     assert str(path) in str(info.value)
-
-
-def _load_bundle(kind, path):
-    if kind == "kkmcex":
-        eye = KernelMatrix(np.eye(2))
-        return load_kkmcex_model(path, KroneckerKernel(eye, eye))
-    if kind == "rrmcex":
-        return load_rrmcex_model(path, FeatureMap(np.ones((2, 2)), np.ones((2, 2))))
-    return load_factor_model(path)
 
 
 # ---------------------------------------------------------------- factored features
